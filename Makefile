@@ -1,5 +1,5 @@
 # Tier-1 gate: everything CI (and the next PR) runs.
-.PHONY: check build vet lint test race bench benchgate fuzz
+.PHONY: check build vet lint test race bench benchgate fuzz digests
 
 check: build vet lint test
 
@@ -19,12 +19,30 @@ test:
 
 # Race pass over the packages that spawn goroutines (TCP console, the
 # shard runtime's worker pool, the telemetry HTTP surface) and the
-# event engine plus fabric/cluster planes they serialize into.
+# event engine plus the fabric/cluster planes and the ticker-driven
+# memory controller and crossbar they serialize into.
 race:
-	go test -race ./pard/... ./internal/sim/... ./internal/telemetry/... ./internal/cluster/... ./internal/fabric/...
+	go test -race ./pard/... ./internal/sim/... ./internal/telemetry/... ./internal/cluster/... ./internal/fabric/... ./internal/dram/... ./internal/xbar/...
 
 bench:
 	go test -bench=. -benchmem
+
+# Trajectory smoke from the benchmark's own record: run cmd/pardperf for
+# exactly 60 steps (--seconds 0) on every workload with seeds 1-3, and
+# fail unless each `digest ... at step 60` line equals
+# digests_at_step_60 in cmd/pardperf/BASELINE.json. Reads the benchmark
+# directory only; run.sh builds under .bench_build/.
+digests:
+	@set -e; for w in colocate observe cluster_fabric rack8; do \
+	  for s in 1 2 3; do \
+	    want=$$(python3 -c 'import json, sys; print(json.load(open("cmd/pardperf/BASELINE.json"))["digests_at_step_60"][sys.argv[1]][sys.argv[2]])' $$w $$s); \
+	    got=$$(bash cmd/pardperf/run.sh --workload $$w --seed $$s --seconds 0 | sed -n 's/^digest \([0-9a-f]*\) at step 60$$/\1/p'); \
+	    if [ "$$got" != "$$want" ]; then \
+	      echo "digests: $$w seed $$s printed '$$got', BASELINE.json records $$want"; exit 1; \
+	    fi; \
+	    echo "digests: $$w seed $$s $$got ok"; \
+	  done; \
+	done
 
 # Trajectory-regression gate: re-measure the engine and hot-path
 # micro-benchmarks and compare against the committed BENCH.json —

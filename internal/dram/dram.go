@@ -125,7 +125,6 @@ type bank struct {
 type Controller struct {
 	cfg    Config
 	engine *sim.Engine
-	clock  *sim.Clock
 	ids    *core.IDSource
 
 	queues  [][]*request // index 0 = highest priority (SchedFRFCFS)
@@ -147,12 +146,16 @@ type Controller struct {
 
 	plane *core.Plane
 
-	pumping bool // an issue event is scheduled
+	// slot polls the scheduler once per memory cycle while requests are
+	// pending. wake collects, during a poll's scan, the earliest busyTill
+	// of the queued requests' banks (0 once one of them is free): the
+	// sleep bound of a poll that issues nothing.
+	slot *sim.Ticker
+	wake sim.Tick
 
-	// Prebound callbacks: one closure each at construction instead of one
-	// per request/command slot.
+	// Prebound burst-completion callback: one closure at construction
+	// instead of one per request.
 	completeFn func(*core.Packet)
-	issueFn    func()
 
 	// Flight-recorder hop (nil rec disables; every rec call is nil-safe).
 	rec *trace.Recorder
@@ -205,7 +208,6 @@ func New(e *sim.Engine, ids *core.IDSource, cfg Config) *Controller {
 	c := &Controller{
 		cfg:      cfg,
 		engine:   e,
-		clock:    sim.NewClock(e, cfg.TCK),
 		ids:      ids,
 		queues:   make([][]*request, levels),
 		banks:    make([]bank, cfg.Ranks*cfg.BanksPerRank),
@@ -217,7 +219,7 @@ func New(e *sim.Engine, ids *core.IDSource, cfg Config) *Controller {
 		c.rec.Finish(c.hop, p)
 		p.Complete(c.engine.Now())
 	}
-	c.issueFn = c.issue
+	c.slot = sim.NewTicker(e, cfg.TCK, c)
 	c.sched = SchedFRFCFS
 	c.rankFn = c.rank
 	for i := range c.banks {
@@ -363,7 +365,11 @@ func (c *Controller) Request(p *core.Packet) {
 	if n := c.pendingCount(); n > c.HighWater {
 		c.HighWater = n
 	}
-	c.pump()
+	if c.slot.Armed() {
+		c.slot.Wake(c.banks[bankIdx].busyTill)
+	} else {
+		c.slot.Arm()
+	}
 }
 
 // getReq pops a recycled request struct or allocates one.
@@ -392,60 +398,43 @@ func (c *Controller) pendingCount() int {
 	return n
 }
 
-// pump ensures an issue attempt is scheduled.
-func (c *Controller) pump() {
-	if c.pumping || c.pendingCount() == 0 {
-		return
-	}
-	c.pumping = true
-	c.engine.At(c.clock.NextEdge(), c.issueFn)
-}
-
-// issue runs the DRAM scheduler for one command slot: high-priority
+// Poll runs the DRAM scheduler for one command slot: high-priority
 // queues first, FR-FCFS (row hit first, then oldest) within a queue
-// (paper Figure 5 step 4).
+// (paper Figure 5 step 4), or the installed PIFO rank function. It is
+// the slot ticker's client and asks for the next cycle while requests
+// remain.
 //
-//pardlint:hotpath prebound scheduler slot (issueFn)
-func (c *Controller) issue() {
-	c.pumping = false
+// A slot that issues nothing sleeps the ticker until the earliest
+// busyTill among the queued requests' banks. Until then every slot
+// finds each queued request's bank busy, and such a slot reads only
+// busyTill (it never reaches busConflicts or mutates anything), so the
+// skipped slots are exactly the ones that would have done nothing.
+// When one of those banks is free the bound is 0: a request blocked
+// only by the data bus retries every cycle. Request lowers the bound to
+// the arriving request's bank.
+//
+// Hot path: hotalloc reaches Poll from Engine.Step through the
+// devirtualized sim.Poller call.
+func (c *Controller) Poll() bool {
 	now := c.engine.Now()
-
+	c.wake = sim.Tick(math.MaxUint64)
 	if c.sched != SchedFRFCFS {
 		c.rankNow = now
 		if r, ok := c.pifo.PopWhere(c.rankFn); ok {
 			c.service(r, r.lvl, now)
-			if c.pendingCount() > 0 {
-				c.pumping = true
-				c.clock.ScheduleCycles(1, c.issueFn)
+			return c.pendingCount() > 0
+		}
+	} else {
+		for qi := range c.queues {
+			if r, idx := c.pick(c.queues[qi], now); r != nil {
+				c.queues[qi] = append(c.queues[qi][:idx], c.queues[qi][idx+1:]...)
+				c.service(r, qi, now)
+				return c.pendingCount() > 0
 			}
-			return
-		}
-		if c.pendingCount() > 0 {
-			wake := c.earliestFree(now)
-			c.pumping = true
-			c.engine.At(wake, c.issueFn)
-		}
-		return
-	}
-
-	for qi := range c.queues {
-		if r, idx := c.pick(c.queues[qi], now); r != nil {
-			c.queues[qi] = append(c.queues[qi][:idx], c.queues[qi][idx+1:]...)
-			c.service(r, qi, now)
-			// Another command next cycle if work remains.
-			if c.pendingCount() > 0 {
-				c.pumping = true
-				c.clock.ScheduleCycles(1, c.issueFn)
-			}
-			return
 		}
 	}
-	// Nothing issuable: wake when the earliest resource frees.
-	if c.pendingCount() > 0 {
-		wake := c.earliestFree(now)
-		c.pumping = true
-		c.engine.At(wake, c.issueFn)
-	}
+	c.slot.Sleep(c.wake)
+	return c.pendingCount() > 0
 }
 
 // cyc converts DRAM command cycles to engine ticks. A method rather
@@ -505,8 +494,10 @@ func (c *Controller) pick(q []*request, now sim.Tick) (*request, int) {
 	for i, r := range q {
 		b := &c.banks[r.bank]
 		if b.busyTill > now {
+			c.wake = min(c.wake, b.busyTill)
 			continue
 		}
+		c.wake = 0
 		lat := c.latencyOf(r, now)
 		width := sim.Tick(c.burstCyclesOf(r)) * c.cfg.TCK
 		if c.busConflicts(now+lat, width, now) {
@@ -537,8 +528,10 @@ func (c *Controller) rank(r *request) (uint64, bool) {
 	now := c.rankNow
 	b := &c.banks[r.bank]
 	if b.busyTill > now {
+		c.wake = min(c.wake, b.busyTill)
 		return 0, false
 	}
+	c.wake = 0
 	lat := c.latencyOf(r, now)
 	width := sim.Tick(c.burstCyclesOf(r)) * c.cfg.TCK
 	if c.busConflicts(now+lat, width, now) {
@@ -609,31 +602,6 @@ func (c *Controller) SetScheduler(algo string) error {
 		}
 	}
 	return nil
-}
-
-func (c *Controller) earliestFree(now sim.Tick) sim.Tick {
-	wake := sim.Tick(math.MaxUint64)
-	for _, w := range c.bursts {
-		if w.End > now && w.End < wake {
-			wake = w.End
-		}
-	}
-	for i := range c.banks {
-		if t := c.banks[i].busyTill; t > now && t < wake {
-			wake = t
-		}
-	}
-	next := c.clock.NextEdge() + c.cfg.TCK
-	if wake == sim.Tick(math.MaxUint64) || wake <= now {
-		// Blocked only by the bus-overlap window: retry next cycle.
-		return next
-	}
-	if next < wake {
-		// The bus constraint may clear before any resource fully
-		// frees; probing each cycle keeps the channel busy.
-		return next
-	}
-	return wake
 }
 
 // service issues the DRAM command sequence for r at time now.

@@ -28,9 +28,12 @@ package sim
 // Tie rule: ordering decisions happen exclusively in the near heap via
 // event.before — the identical (when, seq) rule the binary heap queue
 // uses. Buckets never reorder anything; they only partition by
-// timestamp. Every event passes through the near heap before popping,
-// so the pop sequence is equal to binHeap's for any push sequence
-// (property-tested in calendar_test.go).
+// timestamp. The pop sequence equals binHeap's because near holds
+// exactly the pending events below hNear, so its minimum is the global
+// one. Keeping that invariant means hNear never drops while near or
+// the ring holds anything (reshift aligns it up; jumpToFar lowers it
+// only when both are empty). Property-tested in calendar_test.go,
+// including an engine-shaped hold model.
 //
 // Determinism: bucket width retunes are driven only by pop and window
 // counters — never by wall clock or map iteration — so two runs with
@@ -122,6 +125,16 @@ func (q *calQueue) peek() (Tick, bool) {
 		q.advance()
 	}
 	return q.near[0].when, true
+}
+
+func (q *calQueue) head() *event {
+	if len(q.near) == 0 {
+		if q.n == 0 {
+			return nil
+		}
+		q.advance()
+	}
+	return &q.near[0]
 }
 
 // pop removes and returns the (when, seq)-minimal event. The caller
@@ -284,13 +297,18 @@ func (q *calQueue) retune() {
 }
 
 // reshift rebuilds the ring under a new bucket width. hNear is
-// realigned downward, which is safe: near already holds everything
-// below the old hNear, and a lower horizon only shrinks the set it
-// promises to contain.
+// realigned upward to the new width, and ring events the raised
+// horizon now covers move into near. Aligning it down would leave near
+// holding events at or above the lowered horizon, and a later push
+// into that gap would go to a bucket and pop after them.
 func (q *calQueue) reshift(ns uint) {
 	q.shift = ns
 	width := Tick(1) << ns
-	q.hNear &^= width - 1
+	if up := (q.hNear + width - 1) &^ (width - 1); up >= q.hNear {
+		q.hNear = up
+	} else {
+		q.hNear = ^Tick(0) // no aligned horizon above: everything goes to near
+	}
 	span := Tick(calBuckets) << ns
 	hf := q.hNear + span
 	if hf < q.hNear {
@@ -306,11 +324,14 @@ func (q *calQueue) reshift(ns uint) {
 	}
 	q.nb = 0
 	for _, ev := range q.spill {
-		if ev.when < q.hFar {
+		switch {
+		case ev.when < q.hNear:
+			q.heapPush(ev)
+		case ev.when < q.hFar:
 			i := int(ev.when>>ns) & calMask
 			q.buckets[i] = append(q.buckets[i], ev)
 			q.nb++
-		} else {
+		default:
 			if len(q.far) == 0 || ev.when < q.farMin {
 				q.farMin = ev.when
 			}

@@ -136,7 +136,7 @@ func TestCalendarMatchesHeapRandom(t *testing.T) {
 			}
 			ops = append(ops, when+1)
 			if r.Intn(4) == 0 {
-				now += r.Int63n(scale / 8 + 1)
+				now += r.Int63n(scale/8 + 1)
 			}
 		}
 		driveQueues(t, "random", ops)
@@ -224,4 +224,43 @@ func TestQueueKindSelection(t *testing.T) {
 		}
 	}()
 	NewEngine(WithQueue(QueueKind(42)))
+}
+
+// TestCalendarMatchesHeapHoldModel drives both queues the way an
+// engine does (the classic hold model): pop the minimum, then push one
+// or two successors at now plus a delay drawn from four scales — same
+// tick, under 2 ns, under 200 ns and under 20 us. Mixed scales make the
+// retune swing the bucket width both ways while events sit in every
+// tier, which is where a horizon realignment can break the pop order.
+func TestCalendarMatchesHeapHoldModel(t *testing.T) {
+	scales := []int64{0, 2 * int64(Nanosecond), 200 * int64(Nanosecond), 20 * int64(Microsecond)}
+	for trial := int64(0); trial < 8; trial++ {
+		r := rand.New(rand.NewSource(trial + 1))
+		heap := &binHeap{}
+		cal := newCalQueue()
+		var seq uint64
+		push := func(when Tick) {
+			seq++
+			ev := event{when: when, seq: seq}
+			heap.push(ev)
+			cal.push(ev)
+		}
+		for i := 0; i < 64; i++ {
+			push(Tick(r.Int63n(int64(Microsecond))))
+		}
+		for pop := 0; pop < 60000; pop++ {
+			he, ce := heap.pop(), cal.pop()
+			if he.when != ce.when || he.seq != ce.seq {
+				t.Fatalf("trial %d pop %d: heap popped (%d, seq %d), calendar (%d, seq %d)",
+					trial, pop, he.when, he.seq, ce.when, ce.seq)
+			}
+			for n := 1 + r.Intn(2); n > 0; n-- {
+				d := Tick(0)
+				if s := scales[r.Intn(len(scales))]; s > 0 {
+					d = Tick(r.Int63n(s))
+				}
+				push(he.when + d)
+			}
+		}
+	}
 }

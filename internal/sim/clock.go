@@ -31,14 +31,7 @@ func (c *Clock) Now() uint64 { return uint64(c.engine.Now() / c.period) }
 
 // NextEdge returns the earliest tick >= the current time that lies on a
 // cycle boundary of this clock.
-func (c *Clock) NextEdge() Tick {
-	now := c.engine.Now()
-	rem := now % c.period
-	if rem == 0 {
-		return now
-	}
-	return now + (c.period - rem)
-}
+func (c *Clock) NextEdge() Tick { return alignUp(c.engine.Now(), c.period) }
 
 // ScheduleCycles queues fn to run n cycles from now, aligned to the next
 // cycle edge so that same-domain events stay phase-coherent.

@@ -75,6 +75,7 @@ type evqueue interface {
 	push(ev event)
 	pop() event
 	peek() (when Tick, ok bool)
+	head() *event // the entry pop would return, nil when empty; valid until the next push or pop
 	size() int
 }
 
@@ -140,7 +141,11 @@ type Engine struct {
 	seq  uint64
 	q    evqueue
 	kind QueueKind
-	run  uint64 // events executed
+	run  uint64 // events executed, polls included
+
+	// tick holds the armed tickers (ticker.go), earliest firing first;
+	// a firing ticker leaves it while its poll runs.
+	tick []*Ticker
 }
 
 // NewEngine returns an engine at time zero with an empty event queue.
@@ -161,11 +166,13 @@ func (e *Engine) Now() Tick { return e.now }
 // Queue reports which event-queue discipline the engine was built with.
 func (e *Engine) Queue() QueueKind { return e.kind }
 
-// Executed reports how many events have run so far.
+// Executed reports how many events have run so far, counting the
+// ticker polls that ran and none that were skipped.
 func (e *Engine) Executed() uint64 { return e.run }
 
-// Pending reports how many events are queued.
-func (e *Engine) Pending() int { return e.q.size() }
+// Pending reports how many events are queued. An armed ticker counts
+// as the one poll event its self-rescheduling chain would keep queued.
+func (e *Engine) Pending() int { return e.q.size() + len(e.tick) }
 
 // Schedule queues fn to run delay ticks from now.
 func (e *Engine) Schedule(delay Tick, fn func()) {
@@ -208,13 +215,19 @@ func (e *Engine) push(ev event) {
 }
 
 // Step executes the single earliest event, advancing time to it.
-// It reports whether an event was available.
+// It reports whether an event was available. With tickers armed, the
+// event may be a ticker poll; skipped polls do not count.
 //
 //pardlint:hotpath engine dispatch: every simulated event funnels through here
 func (e *Engine) Step() bool {
+	if len(e.tick) != 0 {
+		return e.stepTicked(infTick, lastSeq)
+	}
 	if e.q.size() == 0 {
 		return false
 	}
+	// Dispatch inline rather than through runHead: without tickers this
+	// is the engine's whole per-event cost, and a call shows in it.
 	ev := e.q.pop()
 	e.now = ev.when
 	e.run++
@@ -229,18 +242,7 @@ func (e *Engine) Step() bool {
 // Run executes every event with timestamp <= until, then advances the
 // clock to until. Events scheduled during the run are honored if they
 // fall within the horizon.
-func (e *Engine) Run(until Tick) {
-	for {
-		when, ok := e.q.peek()
-		if !ok || when > until {
-			break
-		}
-		e.Step()
-	}
-	if e.now < until {
-		e.now = until
-	}
-}
+func (e *Engine) Run(until Tick) { e.runTo(until, lastSeq) }
 
 // RunBefore executes every event with timestamp strictly below until,
 // then advances the clock to until. It is the half-open window variant
@@ -248,10 +250,22 @@ func (e *Engine) Run(until Tick) {
 // window boundary belong to the next window, so a cross-shard message
 // stamped `when == boundary` is always injected before any event at
 // that tick has run on the destination shard.
-func (e *Engine) RunBefore(until Tick) {
+func (e *Engine) RunBefore(until Tick) { e.runTo(until, 0) }
+
+// runTo executes everything before the limit position (until, ls) —
+// ls is lastSeq for an inclusive limit, 0 for an exclusive one —
+// records the skipped ticker polls before it, and advances the clock
+// to until.
+func (e *Engine) runTo(until Tick, ls uint64) {
 	for {
+		if len(e.tick) != 0 {
+			if !e.stepTicked(until, ls) {
+				break
+			}
+			continue
+		}
 		when, ok := e.q.peek()
-		if !ok || when >= until {
+		if !ok || when > until || (when == until && ls == 0) {
 			break
 		}
 		e.Step()
@@ -261,19 +275,18 @@ func (e *Engine) RunBefore(until Tick) {
 	}
 }
 
-// advanceTo moves the clock forward to t without executing anything:
-// the shard coordinator's inactive fast path, valid only when the
-// caller knows no event is pending below t.
-func (e *Engine) advanceTo(t Tick) {
-	if e.now < t {
-		e.now = t
-	}
-}
-
-// NextEventTime returns the timestamp of the earliest queued event.
-// ok is false when the queue is empty.
+// NextEventTime returns the timestamp of the earliest queued event or
+// armed ticker firing, run or skipped: the time of the poll event the
+// ticker's self-rescheduling chain would have queued. The shard
+// runtime therefore makes the same window decisions with tickers as
+// with chains, and never runs past a poll that will run. ok is false
+// when nothing is pending.
 func (e *Engine) NextEventTime() (when Tick, ok bool) {
-	return e.q.peek()
+	when, ok = e.q.peek()
+	if len(e.tick) != 0 && (!ok || e.tick[0].when < when) {
+		return e.tick[0].when, true
+	}
+	return when, ok
 }
 
 // StepUntil executes events until cond returns true or the queue
@@ -289,15 +302,14 @@ func (e *Engine) StepUntil(cond func() bool) bool {
 	return true
 }
 
-// Drain executes events until the queue is empty or limit events have run.
+// Drain executes events until none is pending or limit events have run.
 // A limit of 0 means no limit. It returns the number of events executed.
 func (e *Engine) Drain(limit uint64) uint64 {
 	var n uint64
-	for e.q.size() > 0 {
-		if limit > 0 && n >= limit {
+	for limit == 0 || n < limit {
+		if !e.Step() {
 			break
 		}
-		e.Step()
 		n++
 	}
 	return n
@@ -317,6 +329,13 @@ func (q *binHeap) peek() (Tick, bool) {
 		return 0, false
 	}
 	return q.h[0].when, true
+}
+
+func (q *binHeap) head() *event {
+	if len(q.h) == 0 {
+		return nil
+	}
+	return &q.h[0]
 }
 
 // push appends the entry and sifts it to its heap position.

@@ -460,9 +460,14 @@ func (g *ShardGroup) Run(d Tick) {
 				} else {
 					// Inactive fast path: nothing to execute below the
 					// horizon, so skip worker dispatch and advance the
-					// shard clock for free.
+					// shard clock here. Running to the horizon executes
+					// nothing but still records skipped ticker polls.
 					g.active[i] = false
-					s.eng.advanceTo(end)
+					if inclusive {
+						s.eng.Run(end)
+					} else {
+						s.eng.RunBefore(end)
+					}
 					g.IdleSkips++
 				}
 				if end > maxEnd {

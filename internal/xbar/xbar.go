@@ -55,13 +55,14 @@ type Crossbar struct {
 	ring    []core.DSID
 	cursor  int
 	credits uint64
-	pumping bool
+
+	// port grants one packet per crossbar cycle while packets wait.
+	port *sim.Ticker
 
 	qlat map[core.DSID]*qlatWin
 
-	// Prebound callbacks so grant/forward scheduling never allocates.
-	grantFn func()
-	fwdFn   func(*core.Packet)
+	// Prebound forward callback so grants never allocate.
+	fwdFn func(*core.Packet)
 
 	// Flight-recorder hop (nil rec disables; every rec call is nil-safe).
 	rec *trace.Recorder
@@ -91,7 +92,7 @@ func New(e *sim.Engine, clock *sim.Clock, cfg Config, out core.Target) *Crossbar
 		queues: make(map[core.DSID][]entry),
 		qlat:   make(map[core.DSID]*qlatWin),
 	}
-	x.grantFn = x.grant
+	x.port = sim.NewTicker(e, clock.Period(), x)
 	//pardlint:hotpath prebound post-traversal forward callback
 	x.fwdFn = func(p *core.Packet) {
 		x.rec.Leave(x.hop, p)
@@ -128,15 +129,7 @@ func (x *Crossbar) Request(p *core.Packet) {
 		x.ring = append(x.ring, p.DSID)
 	}
 	x.queues[p.DSID] = append(x.queues[p.DSID], entry{pkt: p, enq: x.engine.Now()})
-	x.pump()
-}
-
-func (x *Crossbar) pump() {
-	if x.pumping || len(x.ring) == 0 {
-		return
-	}
-	x.pumping = true
-	x.engine.At(x.clock.NextEdge(), x.grantFn)
+	x.port.Arm()
 }
 
 func (x *Crossbar) weight(ds core.DSID) uint64 {
@@ -147,16 +140,19 @@ func (x *Crossbar) weight(ds core.DSID) uint64 {
 	return w
 }
 
-// grant issues one packet per cycle under weighted round robin: the
-// current DS-id keeps the port for weight grants per round.
+// Poll grants one packet per cycle under weighted round robin: the
+// current DS-id keeps the port for weight grants per round. It is the
+// port ticker's client and asks for the next cycle while packets wait.
+// A grant always succeeds when one is possible, so the port never
+// sleeps.
 //
-//pardlint:hotpath prebound arbitration callback (grantFn)
-func (x *Crossbar) grant() {
-	x.pumping = false
+// Hot path: hotalloc reaches Poll from Engine.Step through the
+// devirtualized sim.Poller call.
+func (x *Crossbar) Poll() bool {
 	// Find the next DS-id with work, consuming credits.
 	for scanned := 0; scanned < len(x.ring)+1; scanned++ {
 		if len(x.ring) == 0 {
-			return
+			return false
 		}
 		x.cursor %= len(x.ring)
 		ds := x.ring[x.cursor]
@@ -177,12 +173,9 @@ func (x *Crossbar) grant() {
 			x.cursor++
 		}
 		x.forward(ds, e)
-		if x.pending() > 0 {
-			x.pumping = true
-			x.clock.ScheduleCycles(1, x.grantFn)
-		}
-		return
+		return x.pending() > 0
 	}
+	return false
 }
 
 func (x *Crossbar) pending() int {

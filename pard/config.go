@@ -58,9 +58,9 @@ type Config struct {
 
 	// Queue selects the event-queue discipline of every engine this
 	// config builds (NewSystem, Rack, ParallelRack, Cluster shards).
-	// The default sim.Heap is fastest for small pending populations;
-	// sim.Calendar wins once an engine holds ~100k+ pending events
-	// (BENCH.json engine_calendar). Either choice is digest-identical.
+	// The default is sim.Heap; BENCH.json engine_calendar measures the
+	// calendar queue ahead of it at every recorded population (1k, 100k
+	// and 1M pending). Either choice is digest-identical.
 	Queue sim.QueueKind
 }
 

@@ -1,0 +1,158 @@
+package pard
+
+import (
+	"fmt"
+	"hash/fnv"
+	"testing"
+
+	"repro/internal/dram"
+	"repro/internal/sim"
+)
+
+// Absolute trajectory goldens. Every other digest test compares two
+// runs of the current code against each other, so a change that moves
+// every path the same way passes them all. These pin the FNV-64a hash
+// of StateDigest for fixed scenarios as recorded before the engine's
+// clocked tickers replaced the per-cycle memory-controller and
+// crossbar event chains; a change that alters any simulated outcome
+// must update them deliberately.
+
+// goldenHash is the FNV-64a hash of a state digest, in hex.
+func goldenHash(d string) string {
+	h := fnv.New64a()
+	h.Write([]byte(d))
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// goldenServer provisions the Figure 8 server on s: calibrated
+// memcached at 17.5 KRPS in LDom0 (memory priority 1, row buffer 1),
+// STREAM in LDoms 1-3 and the LLC miss-rate guard. seed reaches only
+// memcached's arrivals and probes.
+func goldenServer(t *testing.T, s *System, seed int64) {
+	t.Helper()
+	if _, err := s.CreateLDom(LDomConfig{
+		Name: "memcached", Cores: []int{0},
+		MemBase: 0, MemSize: 2 << 30, Priority: 1, RowBuf: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	s.Firmware.MustSh("pardtrigger cpa0 -ldom=0 -stats=miss_rate -cond=gt,300 -action=llc_grow_to_half")
+	s.RunWorkload(0, NewMemcached(MemcachedConfig{
+		RPS: 17500, ComputeCycles: 66000, Accesses: 800,
+		FootprintBytes: 2304 << 10, Seed: seed,
+	}))
+	for i := 1; i < len(s.Cores); i++ {
+		if _, err := s.CreateLDom(LDomConfig{
+			Name: "stream", Cores: []int{i},
+			MemBase: uint64(i) * (2 << 30), MemSize: 2 << 30,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		s.RunWorkload(i, NewSTREAM(uint64(i)))
+	}
+}
+
+func goldenConfig() Config {
+	cfg := DefaultConfig()
+	cfg.SampleInterval = 50 * Microsecond
+	cfg.TraceSample = 16
+	return cfg
+}
+
+// goldenSystem runs one Figure 8 server for d after tweak adjusted its
+// config and setup adjusted the booted system.
+func goldenSystem(t *testing.T, d Tick, tweak func(*Config), setup func(*System)) string {
+	t.Helper()
+	cfg := goldenConfig()
+	if tweak != nil {
+		tweak(&cfg)
+	}
+	s := NewSystem(cfg)
+	goldenServer(t, s, 42)
+	if setup != nil {
+		setup(s)
+	}
+	s.Run(d)
+	return StateDigest([]*System{s})
+}
+
+// memScheduler installs algo on the memory plane through the PRM file
+// tree, as a `.pard` schedule declaration does.
+func memScheduler(t *testing.T, algo string) func(*System) {
+	return func(s *System) {
+		if err := s.Firmware.FS().WriteFile("/sys/cpa/cpa1/scheduler", algo); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func TestTrajectoryGoldens(t *testing.T) {
+	cases := []struct {
+		name string
+		want string
+		run  func(t *testing.T) string
+	}{
+		{"fig8_frfcfs", "95248392edab3bc8", func(t *testing.T) string {
+			return goldenSystem(t, 2*Millisecond, nil, nil)
+		}},
+		{"fig8_pifo_frfcfs", "95248392edab3bc8", func(t *testing.T) string {
+			return goldenSystem(t, 2*Millisecond, nil, memScheduler(t, dram.SchedPIFOFRFCFS))
+		}},
+		{"fig8_strict", "f88cfff244e91f68", func(t *testing.T) string {
+			return goldenSystem(t, 2*Millisecond, nil, memScheduler(t, dram.SchedStrict))
+		}},
+		{"fig8_edf", "a710b6780eb41a5a", func(t *testing.T) string {
+			return goldenSystem(t, 2*Millisecond, nil, func(s *System) {
+				memScheduler(t, dram.SchedEDF)(s)
+				s.Mem.Plane().SetParam(0, dram.ParamLatTarget, 200)
+			})
+		}},
+		{"crossbar", "3f929c65daa8b51f", func(t *testing.T) string {
+			return goldenSystem(t, 2*Millisecond, func(c *Config) { c.Crossbar = true }, nil)
+		}},
+		{"core_window_4", "402541e925ae27a2", func(t *testing.T) string {
+			return goldenSystem(t, 2*Millisecond, func(c *Config) { c.CoreWindow = 4 }, nil)
+		}},
+		{"compression", "0bb180103f3d50b8", func(t *testing.T) string {
+			return goldenSystem(t, 2*Millisecond,
+				func(c *Config) { c.Mem.CompressionEngine = true },
+				func(s *System) { s.Mem.Plane().SetParam(1, dram.ParamCompress, 1) })
+		}},
+		{"ldom_teardown", "7c5cf6bf71bb904b", func(t *testing.T) string {
+			// Destroying a STREAM LDom between runs flushes its dirty
+			// LLC blocks: the writebacks reach the memory controller
+			// outside any event.
+			s := NewSystem(goldenConfig())
+			goldenServer(t, s, 42)
+			s.Run(Millisecond)
+			if err := s.Firmware.DestroyLDom(2); err != nil {
+				t.Fatal(err)
+			}
+			s.Run(Millisecond)
+			return StateDigest([]*System{s})
+		}},
+		{"rack4_heap", "6aa91d62922e56e1", func(t *testing.T) string { return goldenRack(t, sim.Heap) }},
+		{"rack4_calendar", "6aa91d62922e56e1", func(t *testing.T) string { return goldenRack(t, sim.Calendar) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if got := goldenHash(c.run(t)); got != c.want {
+				t.Errorf("state digest hash %s, golden %s", got, c.want)
+			}
+		})
+	}
+}
+
+// goldenRack runs four Figure 8 servers on one engine of the given
+// queue kind. Both kinds must reproduce the same golden.
+func goldenRack(t *testing.T, q sim.QueueKind) string {
+	t.Helper()
+	cfg := goldenConfig()
+	cfg.Queue = q
+	rack := NewRack(cfg, 4)
+	for i, s := range rack.Servers {
+		goldenServer(t, s, int64(1+i))
+	}
+	rack.Run(Millisecond)
+	return StateDigest(rack.Servers)
+}
