@@ -1,10 +1,17 @@
 # Tier-1 gate: everything CI (and the next PR) runs.
-.PHONY: check build vet lint test race bench benchgate fuzz digests
+.PHONY: check build fmt vet lint test race bench benchgate fuzz digests
 
-check: build vet lint test
+check: build fmt vet lint test
 
 build:
 	go build ./...
+
+# Formatting gate: fails when gofmt would rewrite a tracked Go file.
+# Lists the files through git, since `gofmt -l .` also walks the
+# untracked module cache under .bench_build/.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 vet:
 	go vet ./...
@@ -46,11 +53,9 @@ digests:
 
 # Trajectory-regression gate: re-measure the engine and hot-path
 # micro-benchmarks and compare against the committed BENCH.json —
-# >10% ns/op regression or any allocs/op increase fails. Also holds the
-# engine_calendar crossover (calendar queue beats the heap from 100k
-# pending, at exactly 0 allocs/op) and, on hosts with >= 4 CPUs, the
-# 1.8x rack speedup floor at 4 shards (fewer CPUs log an explicit
-# skip). Regenerate the baseline with
+# >10% ns/op regression or any allocs/op increase fails. Also holds,
+# on hosts with >= 4 CPUs, the 1.8x rack speedup floor at 4 shards
+# (fewer CPUs log an explicit skip). Regenerate the baseline with
 # `go run ./cmd/pardbench -run all -scale quick -shards 1,2,4 -json BENCH.json`.
 benchgate:
 	go run ./cmd/benchgate -baseline BENCH.json

@@ -20,19 +20,11 @@
 //     load-bearing invariant (hotalloc proves it statically; this gate
 //     proves it dynamically).
 //
-// Two further structural gates:
-//
-//   - engine_calendar: at every committed pending population the fresh
-//     calendar-queue measurement must hold exactly zero allocs/op, and
-//     from 100k pending on it must beat the fresh heap measurement
-//     head-to-head on this machine — the crossover is the point of the
-//     calendar queue, so losing it fails even if no trajectory
-//     regressed.
-//   - rack speedup: the 1-vs-N-shard rack sweep, measured fresh, must
-//     reach -speedup-floor at -speedup-shards shards. On a host with
-//     fewer CPUs than shards the number would be meaningless
-//     (time-sliced workers), so the gate skips with an explicit note;
-//     CI enforces it from a multi-core runner.
+// One further structural gate, rack speedup: the 1-vs-N-shard rack
+// sweep, measured fresh, must reach -speedup-floor at -speedup-shards
+// shards. On a host with fewer CPUs than shards the number would be
+// meaningless (time-sliced workers), so the gate skips with an explicit
+// note; CI enforces it from a multi-core runner.
 //
 // Exit status: 0 when every gate holds, 1 on regression, 2 on a
 // missing or malformed baseline.
@@ -61,7 +53,6 @@ type baselineDoc struct {
 	PifoPop         bench.Micro        `json:"pifo_pop"`
 	TelemetryScrape bench.Micro        `json:"telemetry_scrape"`
 	ClusterSteady   bench.ClusterMicro `json:"cluster_steady"`
-	EngineCalendar  []bench.QueuePoint `json:"engine_calendar"`
 }
 
 func main() {
@@ -94,43 +85,10 @@ func main() {
 	ok = gate("pifo_pop", base.PifoPop, bench.Best(*runs, bench.MeasurePIFOPop), *maxRegress) && ok
 	ok = gate("telemetry_scrape", base.TelemetryScrape, bench.Best(*runs, bench.MeasureTelemetryScrape), *maxRegress) && ok
 	ok = gateCluster(base.ClusterSteady, *runs, *maxRegress) && ok
-	ok = gateQueueCurve(base.EngineCalendar, *runs, *maxRegress) && ok
 	ok = gateSpeedup(*speedupFloor, *speedupShards, *runs) && ok
 	if !ok {
 		os.Exit(1)
 	}
-}
-
-// gateQueueCurve holds the engine_calendar section: per committed
-// pending population, the fresh calendar measurement is gated on the
-// usual ns/op trajectory, on an exact-zero allocation count, and — from
-// 100k pending on — on beating the fresh heap measurement head-to-head.
-// Both disciplines are measured fresh on this machine, so the crossover
-// comparison is wall-clock-noise-free in the way committed-vs-fresh
-// comparisons are not.
-func gateQueueCurve(base []bench.QueuePoint, runs int, maxRegress float64) bool {
-	if len(base) == 0 {
-		fmt.Printf("benchgate: %-16s skipped: baseline has no engine_calendar section — regenerate BENCH.json with `pardbench -run all -scale quick -shards 1,2,4 -json BENCH.json` to commit the queue crossover curve\n",
-			"engine_calendar")
-		return true
-	}
-	ok := true
-	for _, b := range base {
-		fresh := bench.BestQueuePoint(runs, b.Pending)
-		name := fmt.Sprintf("engine_cal/%dk", b.Pending/1000)
-		ok = gate(name, b.Calendar, fresh.Calendar, maxRegress) && ok
-		if fresh.Calendar.AllocsPerEvent != 0 {
-			fmt.Printf("benchgate: %-16s FAIL: calendar steady state allocates (%.2f allocs/op; must be exactly 0)\n",
-				name, fresh.Calendar.AllocsPerEvent)
-			ok = false
-		}
-		if b.Pending >= 100_000 && fresh.Calendar.NsPerEvent >= fresh.Heap.NsPerEvent {
-			fmt.Printf("benchgate: %-16s FAIL: calendar %.2f ns/op does not beat heap %.2f at %d pending\n",
-				name, fresh.Calendar.NsPerEvent, fresh.Heap.NsPerEvent, b.Pending)
-			ok = false
-		}
-	}
-	return ok
 }
 
 // gateSpeedup re-measures the 1-vs-N-shard rack sweep and requires the

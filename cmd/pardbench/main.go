@@ -317,12 +317,7 @@ type benchJSON struct {
 	// second, and the deterministic cross-rack frame count benchgate
 	// compares exactly.
 	ClusterSteady bench.ClusterMicro `json:"cluster_steady"`
-	// EngineCalendar is the queue-discipline crossover curve: heap vs
-	// calendar ns/event at each pending population. benchgate requires
-	// the calendar to win the head-to-head from 100k pending on and to
-	// hold exactly zero allocations per event at every point.
-	EngineCalendar []bench.QueuePoint `json:"engine_calendar"`
-	Experiments    []expJSON          `json:"experiments"`
+	Experiments   []expJSON          `json:"experiments"`
 	// RackParallel is the sharded-rack scaling curve; present only when
 	// -shards was given, so existing BENCH.json consumers see no change.
 	RackParallel *bench.RackSweep `json:"rack_parallel,omitempty"`
@@ -343,10 +338,6 @@ func writeBenchJSON(path, scale string, jobs []*job, rackSweep *bench.RackSweep)
 	if err != nil {
 		return fmt.Errorf("pardbench: %w", err)
 	}
-	var queueCurve []bench.QueuePoint
-	for _, pending := range bench.QueueCurvePendings {
-		queueCurve = append(queueCurve, bench.BestQueuePoint(benchRecordRuns, pending))
-	}
 	doc := benchJSON{
 		Schema:          "pard-bench/v1",
 		Scale:           scale,
@@ -357,7 +348,6 @@ func writeBenchJSON(path, scale string, jobs []*job, rackSweep *bench.RackSweep)
 		PifoPop:         bench.Best(benchRecordRuns, bench.MeasurePIFOPop),
 		TelemetryScrape: bench.Best(benchRecordRuns, bench.MeasureTelemetryScrape),
 		ClusterSteady:   clusterSteady,
-		EngineCalendar:  queueCurve,
 		RackParallel:    rackSweep,
 	}
 	for _, j := range jobs {

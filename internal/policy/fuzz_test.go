@@ -64,9 +64,9 @@ func FuzzParseIntent(f *testing.F) {
 		"intent caps { fabric rate_cap ldom batch = 100000000; fabric weight ldom 2 = 8; }",
 		"intent multi { target miss_rate <= 5% on llc; target avg_qlat <= 12 on mem; protect ldom svc on cpa*; }",
 		"intent dur { target lat_p99 <= 500 us; protect ldom svc; }",
-		"intent bad { servers ; }",          // missing glob
-		"intent open { target x <= 1",       // unterminated block
-		"intent semi { protect ldom svc }",  // missing ';'
+		"intent bad { servers ; }",         // missing glob
+		"intent open { target x <= 1",      // unterminated block
+		"intent semi { protect ldom svc }", // missing ';'
 		"intent glob { servers ra*ck-*-9; protect ldom svc; target a != 0; }",
 		"intent mix { protect ldom svc; }\ncpa llc ldom web: when miss_rate > 1 => waymask = 1",
 	}

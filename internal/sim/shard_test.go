@@ -100,17 +100,17 @@ func (l *shardLog) add(e *Engine, label string) {
 // chains plus a local periodic pump per shard. All timestamps are
 // constructed to be unique per shard (pump phase i, message chains on
 // distinct offsets), so the resulting journals have one valid order and
-// any scheduling nondeterminism shows up as a diff.
-func pingPongWorkload(g *ShardGroup, latency Tick) []*shardLog {
-	n := g.NumShards()
+// any scheduling nondeterminism shows up as a diff. eng(i) is shard
+// i's engine and send carries one hop between shards; the same
+// workload thus runs sharded or on one engine.
+func pingPongWorkload(n int, latency Tick, eng func(i int) *Engine, send func(from, to int, delay Tick, fn func())) []*shardLog {
 	logs := make([]*shardLog, n)
 	for i := 0; i < n; i++ {
 		logs[i] = &shardLog{}
 	}
 	for i := 0; i < n; i++ {
 		i := i
-		s := g.Shard(i)
-		e := s.Engine()
+		e := eng(i)
 		// Local pump: period 100ns, phase i picoseconds.
 		var pump func()
 		hops := 0
@@ -127,15 +127,13 @@ func pingPongWorkload(g *ShardGroup, latency Tick) []*shardLog {
 		dst := (i + 1) % n
 		var hop func(from, at int, ttl int)
 		hop = func(from, at int, ttl int) {
-			la := logs[at]
-			sa := g.Shard(at)
-			la.add(sa.Engine(), fmt.Sprintf("msg<-%d", from))
+			logs[at].add(eng(at), fmt.Sprintf("msg<-%d", from))
 			if ttl > 0 {
 				next := (at + 1) % n
-				sa.Send(next, latency, func() { hop(at, next, ttl-1) })
+				send(at, next, latency, func() { hop(at, next, ttl-1) })
 			}
 		}
-		s.Send(dst, latency+Tick(10+i), func() { hop(i, dst, 12) })
+		send(i, dst, latency+Tick(10+i), func() { hop(i, dst, 12) })
 	}
 	return logs
 }
@@ -148,13 +146,34 @@ func journalDigest(logs []*shardLog) string {
 	return b.String()
 }
 
-// runPingPong executes the reference workload on a fresh group and
+// runPingPong executes the reference workload on a fresh group,
+// optionally registering the ring edges' per-pair lookaheads, and
 // returns the journal digest plus the group for counter inspection.
-func runPingPong(shards, workers int, window, latency Tick) (string, *ShardGroup) {
+func runPingPong(shards, workers int, window, latency Tick, registerLook bool) (string, *ShardGroup) {
 	g := NewShardGroup(shards, window, workers)
-	logs := pingPongWorkload(g, latency)
+	if registerLook && shards > 1 {
+		for i := 0; i < shards; i++ {
+			g.SetLookahead(i, (i+1)%shards, latency)
+		}
+	}
+	logs := pingPongWorkload(shards, latency,
+		func(i int) *Engine { return g.Shard(i).Engine() },
+		func(from, to int, delay Tick, fn func()) { g.Shard(from).Send(to, delay, fn) })
 	g.Run(2 * Microsecond)
 	return journalDigest(logs), g
+}
+
+// monolithicPingPong runs the ping-pong workload of an n-shard ring on
+// one Engine, with cross-"shard" hops as plain same-engine Schedules,
+// and returns its journal digest: the sequential schedule every
+// sharded run must reproduce.
+func monolithicPingPong(n int, latency Tick) string {
+	e := NewEngine()
+	logs := pingPongWorkload(n, latency,
+		func(int) *Engine { return e },
+		func(_, _ int, delay Tick, fn func()) { e.Schedule(delay, fn) })
+	e.Run(2 * Microsecond)
+	return journalDigest(logs)
 }
 
 // TestShardGroupDeterministicAcrossWorkers is the core mailbox-ordering
@@ -164,12 +183,12 @@ func runPingPong(shards, workers int, window, latency Tick) (string, *ShardGroup
 // depends on goroutine scheduling.
 func TestShardGroupDeterministicAcrossWorkers(t *testing.T) {
 	const window = 5 * Nanosecond
-	ref, rg := runPingPong(4, 1, window, window)
+	ref, rg := runPingPong(4, 1, window, window, false)
 	if rg.CrossSends == 0 {
 		t.Fatal("workload exercised no cross-shard sends")
 	}
 	for _, workers := range []int{2, 3, 4} {
-		got, gg := runPingPong(4, workers, window, window)
+		got, gg := runPingPong(4, workers, window, window, false)
 		if got != ref {
 			t.Errorf("workers=%d journal differs from inline run:\n--- inline\n%s--- workers=%d\n%s",
 				workers, ref, workers, got)
@@ -185,16 +204,15 @@ func TestShardGroupDeterministicAcrossWorkers(t *testing.T) {
 // the tight case modulo timing, and must not trip the Send assertion.
 func TestShardGroupLatencyAboveWindow(t *testing.T) {
 	const window = 5 * Nanosecond
-	a, _ := runPingPong(3, 1, window, 3*window)
-	b, _ := runPingPong(3, 3, window, 3*window)
+	a, _ := runPingPong(3, 1, window, 3*window, false)
+	b, _ := runPingPong(3, 3, window, 3*window, false)
 	if a != b {
 		t.Errorf("slack-latency journals differ:\n--- inline\n%s--- parallel\n%s", a, b)
 	}
 }
 
 // TestShardGroupMatchesSingleEngine runs the identical logical workload
-// on (a) one monolithic Engine, with cross-"shard" hops modelled as
-// plain same-engine Schedules, and (b) a sharded group, and requires
+// on (a) one monolithic Engine and (b) a sharded group, and requires
 // identical journals. Timestamps in the workload are globally unique,
 // so this proves the windowed runtime neither reorders, drops, nor
 // duplicates events relative to sequential execution.
@@ -204,40 +222,8 @@ func TestShardGroupMatchesSingleEngine(t *testing.T) {
 		window  = 5 * Nanosecond
 		latency = 5 * Nanosecond
 	)
-
-	// Monolithic reference: same topology, one engine.
-	e := NewEngine()
-	refLogs := make([]*shardLog, n)
-	for i := range refLogs {
-		refLogs[i] = &shardLog{}
-	}
-	for i := 0; i < n; i++ {
-		i := i
-		var pump func()
-		hops := 0
-		pump = func() {
-			refLogs[i].add(e, "pump")
-			if hops++; hops < 20 {
-				e.Schedule(100*Nanosecond, pump)
-			}
-		}
-		e.At(Tick(i+1), pump)
-
-		dst := (i + 1) % n
-		var hop func(from, at int, ttl int)
-		hop = func(from, at int, ttl int) {
-			refLogs[at].add(e, fmt.Sprintf("msg<-%d", from))
-			if ttl > 0 {
-				next := (at + 1) % n
-				e.Schedule(latency, func() { hop(at, next, ttl-1) })
-			}
-		}
-		e.Schedule(latency+Tick(10+i), func() { hop(i, dst, 12) })
-	}
-	e.Run(2 * Microsecond)
-	want := journalDigest(refLogs)
-
-	got, _ := runPingPong(n, n, window, latency)
+	want := monolithicPingPong(n, latency)
+	got, _ := runPingPong(n, n, window, latency, false)
 	if got != want {
 		t.Errorf("sharded journal differs from monolithic engine:\n--- monolithic\n%s--- sharded\n%s", want, got)
 	}
@@ -308,39 +294,21 @@ func mustPanic(t *testing.T, name string, fn func()) {
 	fn()
 }
 
-// runPingPongAt is runPingPong with explicit window policy, optional
-// per-pair (ring-edge) lookahead registration, and engine options.
-func runPingPongAt(shards, workers int, window, latency Tick, policy WindowPolicy, registerLook bool, opts ...EngineOption) (string, *ShardGroup) {
-	g := NewShardGroup(shards, window, workers, opts...)
-	g.SetWindowPolicy(policy)
-	if registerLook && shards > 1 {
-		for i := 0; i < shards; i++ {
-			g.SetLookahead(i, (i+1)%shards, latency)
-		}
-	}
-	logs := pingPongWorkload(g, latency)
-	g.Run(2 * Microsecond)
-	return journalDigest(logs), g
-}
-
-// TestShardGroupPolicyEquivalence: the adaptive per-shard horizons must
-// produce journals byte-identical to the legacy lockstep windows, for
-// tight and slack link latencies, with and without registered per-pair
-// lookaheads, across worker counts.
+// TestShardGroupPolicyEquivalence: the per-shard earliest-input-time
+// horizons must reproduce the monolithic single-engine journal byte for
+// byte, for tight and slack link latencies, with and without registered
+// per-pair lookaheads, across shard and worker counts.
 func TestShardGroupPolicyEquivalence(t *testing.T) {
 	const window = 5 * Nanosecond
 	for _, shards := range []int{2, 3, 4} {
 		for _, latency := range []Tick{window, 3 * window} {
-			ref, _ := runPingPongAt(shards, 1, window, latency, LockstepWindows, false)
+			want := monolithicPingPong(shards, latency)
 			for _, workers := range []int{1, shards} {
 				for _, look := range []bool{false, true} {
-					got, g := runPingPongAt(shards, workers, window, latency, AdaptiveWindows, look)
-					if got != ref {
-						t.Errorf("shards=%d latency=%v workers=%d look=%v: adaptive journal differs from lockstep:\n--- lockstep\n%s--- adaptive\n%s",
-							shards, latency, workers, look, ref, got)
-					}
-					if g.Policy() != AdaptiveWindows {
-						t.Fatalf("Policy() = %v, want adaptive", g.Policy())
+					got, _ := runPingPong(shards, workers, window, latency, look)
+					if got != want {
+						t.Errorf("shards=%d latency=%v workers=%d look=%v: sharded journal differs from monolithic engine:\n--- monolithic\n%s--- sharded\n%s",
+							shards, latency, workers, look, want, got)
 					}
 				}
 			}
@@ -348,19 +316,40 @@ func TestShardGroupPolicyEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardGroupAdaptiveFewerRounds: with slack links (latency = 3W)
-// and registered lookaheads, adaptive horizons must advance in strictly
-// fewer barrier rounds than lockstep — the whole point of replacing the
-// global min-latency window.
+// TestShardGroupAdaptiveFewerRounds pins the round count with slack
+// links (latency = 3W) and registered lookaheads: each shard's horizon
+// follows its own inbound channels, so the run takes exactly 31
+// barrier rounds, one fewer than a shared [first, first+W) window
+// needs, and no shard is ever idle below its horizon.
 func TestShardGroupAdaptiveFewerRounds(t *testing.T) {
 	const window = 5 * Nanosecond
-	_, lock := runPingPongAt(4, 1, window, 3*window, LockstepWindows, false)
-	_, adpt := runPingPongAt(4, 1, window, 3*window, AdaptiveWindows, true)
-	if adpt.WindowsRun >= lock.WindowsRun {
-		t.Fatalf("adaptive ran %d rounds, lockstep %d — expected strictly fewer", adpt.WindowsRun, lock.WindowsRun)
+	_, g := runPingPong(4, 1, window, 3*window, true)
+	if g.WindowsRun != 31 || g.IdleSkips != 0 {
+		t.Fatalf("WindowsRun = %d, IdleSkips = %d; want 31, 0", g.WindowsRun, g.IdleSkips)
 	}
-	if lock.IdleSkips != 0 {
-		t.Fatalf("lockstep counted %d idle skips, want 0", lock.IdleSkips)
+}
+
+// TestShardGroupQuietRelayBoundsHorizon: in a chain 0 -> 1 -> 2, shard
+// 1 has nothing pending when the first round starts, yet a message
+// from shard 0 can wake it and it can relay on to shard 2. Shard 2's
+// horizon must therefore follow shard 1's earliest input time, not
+// only its (empty) event list; otherwise shard 2 runs past the relay's
+// delivery and Send panics.
+func TestShardGroupQuietRelayBoundsHorizon(t *testing.T) {
+	const window = 5 * Nanosecond
+	g := NewShardGroup(3, window, 1)
+	g.SetLookahead(0, 1, window)
+	g.SetLookahead(1, 2, window)
+	var got Tick
+	s0, s1, s2 := g.Shard(0), g.Shard(1), g.Shard(2)
+	s0.Engine().At(Nanosecond, func() {
+		s0.Send(1, window, func() {
+			s1.Send(2, window, func() { got = s2.Engine().Now() })
+		})
+	})
+	g.Run(Microsecond)
+	if want := Nanosecond + 2*window; got != want {
+		t.Fatalf("relayed message ran at %v, want %v", got, want)
 	}
 }
 
@@ -398,20 +387,6 @@ func TestShardGroupIdleSkips(t *testing.T) {
 	}
 }
 
-// TestShardGroupCalendarQueueEquivalence: shard engines built on the
-// calendar queue must replay the exact journal of the heap-backed run.
-func TestShardGroupCalendarQueueEquivalence(t *testing.T) {
-	const window = 5 * Nanosecond
-	ref, _ := runPingPongAt(4, 1, window, window, AdaptiveWindows, true)
-	got, g := runPingPongAt(4, 2, window, window, AdaptiveWindows, true, WithQueue(Calendar))
-	if got != ref {
-		t.Fatalf("calendar-queue journal differs from heap journal:\n--- heap\n%s--- calendar\n%s", ref, got)
-	}
-	if k := g.Shard(0).Engine().Queue(); k != Calendar {
-		t.Fatalf("shard engine queue = %v, want calendar", k)
-	}
-}
-
 func TestSetLookaheadValidation(t *testing.T) {
 	g := NewShardGroup(2, 5*Nanosecond, 1)
 	mustPanic(t, "src out of range", func() { g.SetLookahead(-1, 0, 10*Nanosecond) })
@@ -424,8 +399,5 @@ func TestSetLookaheadValidation(t *testing.T) {
 	g.SetLookahead(0, 1, 30*Nanosecond)
 	if g.look[0][1] != 8*Nanosecond {
 		t.Fatalf("look[0][1] = %v, want 8ns (minimum of registrations)", g.look[0][1])
-	}
-	if WindowPolicy(9).String() == "" || AdaptiveWindows.String() != "adaptive" || LockstepWindows.String() != "lockstep" {
-		t.Fatal("WindowPolicy String names wrong")
 	}
 }

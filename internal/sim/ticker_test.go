@@ -52,10 +52,10 @@ type toyClient struct {
 	lastPoll Tick // edge of the last poll that ran
 }
 
-func newToyWorld(t *testing.T, kind QueueKind, ticker bool, seed int64, periods ...Tick) *toyWorld {
+func newToyWorld(t *testing.T, ticker bool, seed int64, periods ...Tick) *toyWorld {
 	w := &toyWorld{
 		t:      t,
-		e:      NewEngine(WithQueue(kind)),
+		e:      NewEngine(),
 		ticker: ticker,
 		rng:    rand.New(rand.NewSource(seed)),
 		bounds: rand.New(rand.NewSource(seed * 7919)),
@@ -265,7 +265,7 @@ func diffLogs(t *testing.T, name string, chain, tick []string) {
 // TestTickerMatchesChain is the ticker's differential test: one
 // 1.25 ns client, and two interacting clients on the 0.5 ns and
 // 1.25 ns grids, each driven by a self-rescheduling chain and by a
-// ticker with honest random sleep bounds, on both queue kinds.
+// ticker with honest random sleep bounds.
 func TestTickerMatchesChain(t *testing.T) {
 	setups := map[string][]Tick{
 		"one_client":  {1250},
@@ -273,13 +273,11 @@ func TestTickerMatchesChain(t *testing.T) {
 		"same_grid":   {1250, 1250, 1250},
 	}
 	for name, periods := range setups {
-		for _, kind := range []QueueKind{Heap, Calendar} {
-			for seed := int64(1); seed <= 12; seed++ {
-				label := fmt.Sprintf("%s/%v/seed%d", name, kind, seed)
-				chain := newToyWorld(t, kind, false, seed, periods...).drive(seed)
-				tick := newToyWorld(t, kind, true, seed, periods...).drive(seed)
-				diffLogs(t, label, chain, tick)
-			}
+		for seed := int64(1); seed <= 12; seed++ {
+			label := fmt.Sprintf("%s/seed%d", name, seed)
+			chain := newToyWorld(t, false, seed, periods...).drive(seed)
+			tick := newToyWorld(t, true, seed, periods...).drive(seed)
+			diffLogs(t, label, chain, tick)
 		}
 	}
 }
@@ -354,24 +352,30 @@ func (p *sleepyPoller) Poll() bool {
 	return true
 }
 
+// pumpEventer is a self-rescheduling Eventer: a steady event stream.
+type pumpEventer struct {
+	e      *Engine
+	period Tick
+}
+
+func (p *pumpEventer) RunEvent() { p.e.ScheduleEventer(p.period, p) }
+
 // TestTickerStepZeroAlloc proves Step stays allocation-free with a
-// sleeping ticker armed beside a self-rescheduling event stream, on
-// both queue kinds: skipping, firing and re-queueing tickers reuse the
-// engine's ticker slice.
+// sleeping ticker armed beside a self-rescheduling event stream:
+// skipping, firing and re-queueing tickers reuse the engine's ticker
+// slice.
 func TestTickerStepZeroAlloc(t *testing.T) {
-	for _, kind := range []QueueKind{Heap, Calendar} {
-		e := NewEngine(WithQueue(kind))
-		for i := 0; i < 64; i++ {
-			e.ScheduleEventer(Tick(i*37+1), &calTestPump{e: e, period: 500 + Tick(i)})
-		}
-		for _, period := range []Tick{1250, 1250, 500} {
-			p := &sleepyPoller{}
-			p.tk = NewTicker(e, period, p)
-			p.tk.Arm()
-		}
-		e.Drain(20000)
-		if a := testing.AllocsPerRun(5000, func() { e.Step() }); a != 0 {
-			t.Fatalf("%v: Step with sleeping tickers allocates %.2f/op, want 0", kind, a)
-		}
+	e := NewEngine()
+	for i := 0; i < 64; i++ {
+		e.ScheduleEventer(Tick(i*37+1), &pumpEventer{e: e, period: 500 + Tick(i)})
+	}
+	for _, period := range []Tick{1250, 1250, 500} {
+		p := &sleepyPoller{}
+		p.tk = NewTicker(e, period, p)
+		p.tk.Arm()
+	}
+	e.Drain(20000)
+	if a := testing.AllocsPerRun(5000, func() { e.Step() }); a != 0 {
+		t.Fatalf("Step with sleeping tickers allocates %.2f/op, want 0", a)
 	}
 }

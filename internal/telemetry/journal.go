@@ -20,14 +20,14 @@ import (
 
 // Event kinds, the journal's taxonomy. One control-plane verb each.
 const (
-	KindTriggerFired     = "trigger_fired"
-	KindTriggerSuppress  = "trigger_suppressed"
-	KindPolicyLoad       = "policy_load"
-	KindPolicyReload     = "policy_reload"
-	KindPolicyUnload     = "policy_unload"
-	KindSchedInstall     = "sched_install"
-	KindSchedRestore     = "sched_restore"
-	KindParamWrite       = "param_write"
+	KindTriggerFired    = "trigger_fired"
+	KindTriggerSuppress = "trigger_suppressed"
+	KindPolicyLoad      = "policy_load"
+	KindPolicyReload    = "policy_reload"
+	KindPolicyUnload    = "policy_unload"
+	KindSchedInstall    = "sched_install"
+	KindSchedRestore    = "sched_restore"
+	KindParamWrite      = "param_write"
 )
 
 // Event is one audit-journal entry. The numeric Old/New pair is
@@ -35,16 +35,16 @@ const (
 // for trigger_suppressed Old is ticks since the binding last ran and
 // New is the cooldown window that suppressed it.
 type Event struct {
-	Seq    uint64   `json:"seq"`
-	When   sim.Tick `json:"when"`
-	Kind   string   `json:"kind"`
-	Origin string   `json:"origin"` // "console", "pardctl", "policy:<set>/<rule>", "firmware"
-	Plane  string   `json:"plane,omitempty"`
+	Seq    uint64    `json:"seq"`
+	When   sim.Tick  `json:"when"`
+	Kind   string    `json:"kind"`
+	Origin string    `json:"origin"` // "console", "pardctl", "policy:<set>/<rule>", "firmware"
+	Plane  string    `json:"plane,omitempty"`
 	DS     core.DSID `json:"ds"`
-	Name   string   `json:"name,omitempty"` // parameter / stat / policy-set / algorithm name
-	Old    uint64   `json:"old,omitempty"`
-	New    uint64   `json:"new,omitempty"`
-	Detail string   `json:"detail,omitempty"`
+	Name   string    `json:"name,omitempty"` // parameter / stat / policy-set / algorithm name
+	Old    uint64    `json:"old,omitempty"`
+	New    uint64    `json:"new,omitempty"`
+	Detail string    `json:"detail,omitempty"`
 }
 
 // Journal is a bounded ring of control-plane events. A nil *Journal is

@@ -149,11 +149,10 @@ func (x *Crossbar) weight(ds core.DSID) uint64 {
 // Hot path: hotalloc reaches Poll from Engine.Step through the
 // devirtualized sim.Poller call.
 func (x *Crossbar) Poll() bool {
-	// Find the next DS-id with work, consuming credits.
-	for scanned := 0; scanned < len(x.ring)+1; scanned++ {
-		if len(x.ring) == 0 {
-			return false
-		}
+	// Find the next DS-id with work, consuming credits. Each pass
+	// either drops a drained DS-id from the ring or grants, so the
+	// loop ends.
+	for len(x.ring) > 0 {
 		x.cursor %= len(x.ring)
 		ds := x.ring[x.cursor]
 		q := x.queues[ds]

@@ -158,3 +158,25 @@ func TestEmptyQueueCleanup(t *testing.T) {
 		t.Fatalf("pending = %d", x.pending())
 	}
 }
+
+// TestDrainedDSIDsDoNotStallGrants: DS-ids drained ahead of a waiting
+// one must not end the grant scan. DS-ids 1 and 2 queue one packet each
+// and DS-id 3 two, all at t=0. The fourth poll drops 1 and 2 from the
+// ring and must still grant DS-id 3's second packet on that edge; no
+// later Request comes to re-arm the port.
+func TestDrainedDSIDsDoNotStallGrants(t *testing.T) {
+	e, x, _ := newXbar(1)
+	ids := &core.IDSource{}
+	send(e, x, ids, 1)
+	send(e, x, ids, 2)
+	send(e, x, ids, 3)
+	last := send(e, x, ids, 3)
+	e.Run(sim.Microsecond)
+	if x.Granted != 4 || x.pending() != 0 {
+		t.Fatalf("granted %d, %d still queued; want 4, 0", x.Granted, x.pending())
+	}
+	// Granted on the fourth edge (1.5 ns), then one traversal cycle.
+	if !last.Completed() || last.Latency() != 2000 {
+		t.Fatalf("last packet completed %v with latency %v, want 2ns", last.Completed(), last.Latency())
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/policy"
-	"repro/internal/sim"
 )
 
 // TestClusterOneRackMatchesBareRack: a 1-rack cluster behind a
@@ -217,34 +216,5 @@ func TestClusterIntentMatchesHandWrittenPolicies(t *testing.T) {
 	top := ic.Controller.TopText("cluster")
 	if !strings.Contains(top, "cluster.prm.triggers_handled") {
 		t.Fatalf("aggregated series missing:\n%s", top)
-	}
-}
-
-// TestClusterPolicyAndQueueInvariance: the full cluster digest (servers
-// + switch tables/counters) must be byte-identical when the PDES window
-// policy flips to lockstep and when every shard engine runs on the
-// calendar queue — both knobs are pure mechanism, never schedule.
-func TestClusterPolicyAndQueueInvariance(t *testing.T) {
-	want := clusterDigest(t, 2, 2)
-
-	run := func(mut func(*ClusterConfig)) string {
-		cc := ClusterConfig{Racks: 4, ServersPerRack: 2, Shards: 2, Workers: 2, Server: equivConfig()}
-		mut(&cc)
-		c, err := NewCluster(cc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ProvisionClusterWorkload(c, equivFrames); err != nil {
-			t.Fatal(err)
-		}
-		c.Run(equivRun)
-		return c.Digest()
-	}
-
-	if got := run(func(cc *ClusterConfig) { cc.Window = sim.LockstepWindows }); got != want {
-		t.Errorf("lockstep cluster digest differs from adaptive: %s", firstDiff(want, got))
-	}
-	if got := run(func(cc *ClusterConfig) { cc.Server.Queue = sim.Calendar }); got != want {
-		t.Errorf("calendar-queue cluster digest differs from heap: %s", firstDiff(want, got))
 	}
 }

@@ -55,13 +55,6 @@ type Config struct {
 	// Enabled by default; scraping and journaling never perturb
 	// simulation state (StateDigest is identical either way).
 	Telemetry TelemetryConfig
-
-	// Queue selects the event-queue discipline of every engine this
-	// config builds (NewSystem, Rack, ParallelRack, Cluster shards).
-	// The default is sim.Heap; BENCH.json engine_calendar measures the
-	// calendar queue ahead of it at every recorded population (1k, 100k
-	// and 1M pending). Either choice is digest-identical.
-	Queue sim.QueueKind
 }
 
 // TelemetryConfig tunes the telemetry plane.

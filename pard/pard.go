@@ -137,7 +137,7 @@ type System struct {
 func NewSystem(cfg Config) *System {
 	ids := &core.IDSource{}
 	ids.EnablePool()
-	return NewSystemOn(cfg, sim.NewEngine(sim.WithQueue(cfg.Queue)), ids)
+	return NewSystemOn(cfg, sim.NewEngine(), ids)
 }
 
 // NewSystemOn builds a server on a shared engine and packet-id source,

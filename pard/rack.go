@@ -40,7 +40,7 @@ func NewRack(cfg Config, n int) *Rack {
 	if n <= 0 {
 		panic("pard: rack needs at least one server")
 	}
-	r := &Rack{Engine: sim.NewEngine(sim.WithQueue(cfg.Queue)), links: make(map[linkKey]bool)}
+	r := &Rack{Engine: sim.NewEngine(), links: make(map[linkKey]bool)}
 	for i := 0; i < n; i++ {
 		r.Servers = append(r.Servers, NewSystemOn(cfg, r.Engine, core.NewIDSource()))
 	}
