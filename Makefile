@@ -1,5 +1,5 @@
 # Tier-1 gate: everything CI (and the next PR) runs.
-.PHONY: check build fmt vet lint test race bench benchgate fuzz digests
+.PHONY: check build fmt vet lint test race bench benchgate fuzz digests figures
 
 check: build fmt vet lint test
 
@@ -50,6 +50,17 @@ digests:
 	    echo "digests: $$w seed $$s $$got ok"; \
 	  done; \
 	done
+
+# Figure gate: run the quick sweep and fail on any byte difference from
+# results/quick_all.txt. The sweep's stdout carries no wall-clock time
+# and is identical across runs and worker counts, so a difference is a
+# behaviour change. A deliberate move re-records the file with
+# `go run ./cmd/pardbench -run all -scale quick > results/quick_all.txt`
+# and names its cause in CHANGES.md. About 2 minutes on 2 vCPUs.
+figures:
+	@out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
+	go run ./cmd/pardbench -run all -scale quick > "$$out" || exit 1; \
+	diff -u results/quick_all.txt "$$out" && echo "figures: stdout equals results/quick_all.txt"
 
 # Trajectory-regression gate: re-measure the engine and hot-path
 # micro-benchmarks and compare against the committed BENCH.json —

@@ -67,17 +67,12 @@ type nopMem struct{ e *sim.Engine }
 
 func (m nopMem) Request(p *core.Packet) { p.Complete(m.e.Now()) }
 
-// MeasureLLCHitPath times a pooled cache-hit round trip end to end —
-// the same workload as BenchmarkLLCHitPathPooled: NewPacket recycles a
-// pooled packet, the lookup schedules through the packet's embedded
-// event slot, and Complete returns the packet to the pool. Steady state
-// allocates nothing, and benchgate holds that line.
-// MeasureDRAMPick times an end-to-end DRAM read round trip with the
-// PIFO-backed FR-FCFS scheduler installed: Request pushes into the
-// rank-ordered queue, issue() pops the eligible minimum via PopWhere,
-// and the completion event returns the pooled packet. This is the
-// scheduling plane's hot path; benchgate holds its trajectory so
-// re-expressing schedulers as rank functions stays free.
+// MeasureDRAMPick times an end-to-end DRAM read round trip under the
+// default FR-FCFS scheduler, with no scheduler install: Request pushes
+// into the controller's PIFO, Poll pops the eligible minimum-rank
+// request via PopWhere, and the completion event returns the pooled
+// packet. This is the scheduling plane's hot path; benchgate holds its
+// trajectory.
 func MeasureDRAMPick() Micro {
 	return fromResult(testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
@@ -87,9 +82,6 @@ func MeasureDRAMPick() Micro {
 		cfg := dram.DefaultConfig()
 		cfg.ControlPlane = true
 		ctrl := dram.New(e, ids, cfg)
-		if err := ctrl.SetScheduler(dram.SchedPIFOFRFCFS); err != nil {
-			b.Fatal(err)
-		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			p := core.NewPacket(ids, core.KindMemRead, 1, uint64(i%1024)*64, 64, e.Now())
@@ -119,6 +111,11 @@ func MeasurePIFOPop() Micro {
 	}))
 }
 
+// MeasureLLCHitPath times a pooled cache-hit round trip end to end —
+// the same workload as BenchmarkLLCHitPathPooled: NewPacket recycles a
+// pooled packet, the lookup schedules through the packet's embedded
+// event slot, and Complete returns the packet to the pool. Steady state
+// allocates nothing, and benchgate holds that line.
 func MeasureLLCHitPath() Micro {
 	return fromResult(testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()

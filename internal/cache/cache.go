@@ -109,13 +109,11 @@ type Cache struct {
 	// not be chosen as victims until the fill lands.
 	reserved []uint64
 
-	mshrs   map[mshrKey]*mshrEntry
-	stalled []*core.Packet // misses waiting for a free MSHR (SchedFIFO)
+	mshrs map[mshrKey]*mshrEntry
 
-	// PIFO scheduling plane for the MSHR stall queue: in pifo-fifo mode
-	// stalled misses live in a PIFO at arrival rank (the stored rank is
-	// constant, so seq — push order — is the schedule: FIFO).
-	sched string
+	// spifo is the MSHR stall queue: misses waiting for a free MSHR or
+	// way, in a PIFO at constant rank, so seq (push order) is the
+	// schedule — FIFO.
 	spifo core.PIFO[*core.Packet]
 
 	// entryPool recycles mshrEntry structs so the steady-state miss path
@@ -160,12 +158,10 @@ const (
 	StatCapacity = "capacity"  // blocks currently owned
 )
 
-// Scheduling algorithms installable on the cache plane (the .pard
-// `schedule cache <algo>` catalogue) — they order the MSHR stall queue.
-const (
-	SchedFIFO     = "fifo"      // hard-coded FIFO retry slice (default)
-	SchedPIFOFIFO = "pifo-fifo" // FIFO as a PIFO arrival rank; byte-identical trajectories
-)
+// SchedFIFO is the cache plane's scheduling algorithm (the .pard
+// `schedule cache <algo>` catalogue): stalled misses retry in arrival
+// order.
+const SchedFIFO = "fifo"
 
 // New builds a cache. next receives fill reads and writebacks.
 func New(e *sim.Engine, clock *sim.Clock, ids *core.IDSource, cfg Config, next core.Target) *Cache {
@@ -217,7 +213,6 @@ func New(e *sim.Engine, clock *sim.Clock, ids *core.IDSource, cfg Config, next c
 	if c.rng == 0 {
 		c.rng = 0x9E3779B97F4A7C15
 	}
-	c.sched = SchedFIFO
 	//pardlint:hotpath prebound lookup callback: one per Request
 	c.lookupFn = func(p *core.Packet) { c.lookupStep(p, false) }
 	//pardlint:hotpath prebound retry callback after a structural stall
@@ -239,7 +234,7 @@ func New(e *sim.Engine, clock *sim.Clock, ids *core.IDSource, cfg Config, next c
 			core.Column{Name: StatCapacity},
 		)
 		c.plane = core.NewPlane(e, "CACHE_CP", core.PlaneTypeCache, params, stats, cfg.TriggerSlots)
-		c.plane.SetSchedulerHook(c.SetScheduler, c.Scheduler)
+		c.plane.SetSchedulerHook([]string{SchedFIFO}, nil)
 		e.Schedule(cfg.SampleInterval, c.sample)
 	}
 	return c
@@ -370,11 +365,7 @@ func (c *Cache) stall(p *core.Packet, retry bool) {
 	if !retry {
 		c.MSHRStalls++
 	}
-	if c.sched == SchedPIFOFIFO {
-		c.spifo.Push(p, 0) // constant rank: seq (arrival) is the schedule
-	} else {
-		c.stalled = append(c.stalled, p)
-	}
+	c.spifo.Push(p, 0)
 }
 
 func (c *Cache) allocateMiss(p *core.Packet, key mshrKey, si, tag uint64, retry bool) {
@@ -593,57 +584,9 @@ func (c *Cache) fill(key mshrKey, fromWriteback bool) {
 // hit/miss accounting (lookupStep's retry flag): the access was counted
 // when it first stalled.
 func (c *Cache) retryStalled() {
-	var p *core.Packet
-	if c.sched == SchedPIFOFIFO {
-		var ok bool
-		if p, ok = c.spifo.Pop(); !ok {
-			return
-		}
-	} else {
-		if len(c.stalled) == 0 {
-			return
-		}
-		p = c.stalled[0]
-		last := len(c.stalled) - 1
-		copy(c.stalled, c.stalled[1:])
-		c.stalled[last] = nil
-		c.stalled = c.stalled[:last]
+	if p, ok := c.spifo.Pop(); ok {
+		p.ScheduleCall(c.clock, 1, c.retryFn)
 	}
-	p.ScheduleCall(c.clock, 1, c.retryFn)
-}
-
-// stallDepth returns the number of structurally stalled misses.
-func (c *Cache) stallDepth() int { return len(c.stalled) + c.spifo.Len() }
-
-// Scheduler returns the stall-queue scheduling algorithm in force.
-func (c *Cache) Scheduler() string { return c.sched }
-
-// SetScheduler installs a stall-queue scheduling algorithm — the
-// control path behind the plane's scheduler hook and the .pard
-// `schedule cache <algo>` directive. Stalled misses migrate in FIFO
-// order.
-func (c *Cache) SetScheduler(algo string) error {
-	switch algo {
-	case SchedFIFO, SchedPIFOFIFO:
-	default:
-		return fmt.Errorf("cache: unknown scheduling algorithm %q (have %s, %s)", algo, SchedFIFO, SchedPIFOFIFO)
-	}
-	if algo == c.sched {
-		return nil
-	}
-	c.sched = algo
-	if algo == SchedPIFOFIFO {
-		for _, p := range c.stalled {
-			c.spifo.Push(p, 0)
-		}
-		for i := range c.stalled {
-			c.stalled[i] = nil
-		}
-		c.stalled = c.stalled[:0]
-	} else {
-		c.stalled = append(c.stalled, c.spifo.RemoveWhere(func(*core.Packet) bool { return true })...)
-	}
-	return nil
 }
 
 func (c *Cache) incOccupancy(ds core.DSID) {
@@ -761,25 +704,6 @@ func (c *Cache) InvalidateDSID(ds core.DSID) uint64 {
 	for _, p := range c.spifo.RemoveWhere(func(p *core.Packet) bool { return p.DSID == ds }) {
 		c.rec.Finish(c.hop, p)
 		p.Complete(now)
-	}
-	if len(c.stalled) > 0 {
-		var flush []*core.Packet
-		keep := c.stalled[:0]
-		for _, p := range c.stalled {
-			if p.DSID == ds {
-				flush = append(flush, p)
-			} else {
-				keep = append(keep, p)
-			}
-		}
-		for i := len(keep); i < len(c.stalled); i++ {
-			c.stalled[i] = nil
-		}
-		c.stalled = keep
-		for _, p := range flush {
-			c.rec.Finish(c.hop, p)
-			p.Complete(now)
-		}
 	}
 	return n
 }

@@ -109,7 +109,7 @@ func TestTeardownFlushesStalledAndUnblocksSurvivors(t *testing.T) {
 	pc := mk(1, 0x40000) // stalls, flushed by the teardown
 	// Run until the fill is in flight and both later misses have looked
 	// up and stalled (their lookups share pa's tick but order later).
-	h.e.StepUntil(func() bool { return h.mem.reads == 1 && len(h.c.stalled) == 2 })
+	h.e.StepUntil(func() bool { return h.mem.reads == 1 && h.c.spifo.Len() == 2 })
 
 	h.c.InvalidateDSID(1)
 	if !pa.Completed() || !pc.Completed() {

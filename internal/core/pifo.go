@@ -6,9 +6,10 @@ import "sort"
 // primitive of "Programmable Packet Scheduling at Line Rate" (Sivaraman
 // et al.): entries are pushed with a rank and popped in ascending rank
 // order, with a deterministic FIFO tie-break (push order) on equal
-// ranks. One primitive plus a per-plane rank function expresses FIFO,
-// strict priority, EDF, and (with a transient rank, see PopWhere)
-// FR-FCFS and DRR virtual-finish-time scheduling.
+// ranks. One primitive plus a per-plane rank function expresses FIFO
+// (the LLC's MSHR stall queue, the switch), WFQ (the switch), strict
+// priority, EDF and, with a transient rank (see PopWhere), FR-FCFS
+// (the memory controller).
 //
 // The queue is a slice-backed binary min-heap over (rank, seq). Pop and
 // PopWhere are allocation-free; Push allocates only while the backing
@@ -57,12 +58,11 @@ func (q *PIFO[T]) Peek() (v T, rank uint64, ok bool) {
 // PopWhere removes and returns the entry minimizing (rank, seq) under a
 // transient rank function: rankOf returns each entry's rank for this
 // decision only, plus its eligibility. State-dependent rank functions —
-// FR-FCFS's row-hit bit, DRR's deficit-derived virtual finish time —
-// re-rank on every pop, so the scan is linear over the queued entries
-// rather than a heap walk; the stored rank is ignored. ok is false when
-// no entry is eligible.
+// FR-FCFS's row-hit bit, a bank's readiness — re-rank on every pop, so
+// the scan is linear over the queued entries rather than a heap walk;
+// the stored rank is ignored. ok is false when no entry is eligible.
 //
-//pardlint:hotpath PIFO transient-rank pop: the FR-FCFS/DRR scheduling decision
+//pardlint:hotpath PIFO transient-rank pop: the memory controller's scheduling decision
 func (q *PIFO[T]) PopWhere(rankOf func(T) (rank uint64, eligible bool)) (v T, ok bool) {
 	best := -1
 	var bestRank, bestSeq uint64
@@ -83,9 +83,9 @@ func (q *PIFO[T]) PopWhere(rankOf func(T) (rank uint64, eligible bool)) (v T, ok
 }
 
 // RemoveWhere removes every entry matching the predicate and returns
-// them in push (seq) order — the teardown path for flushing a DS-id's
-// entries out of a scheduling plane. It is not allocation-free and must
-// stay off hot paths.
+// them in push (seq) order — the LLC's teardown path for flushing a
+// dead DS-id's stalled misses (Cache.InvalidateDSID). It is not
+// allocation-free and must stay off hot paths.
 func (q *PIFO[T]) RemoveWhere(match func(T) bool) []T {
 	var removed []pifoEnt[T]
 	keep := q.items[:0]

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/sim"
 )
@@ -55,11 +57,12 @@ type Plane struct {
 
 	intr InterruptLine
 
-	// Scheduler plane: the owning component registers an installer so
-	// operators (and .pard `schedule` directives) can swap the
-	// component's scheduling algorithm at run time.
-	schedInstall func(algo string) error
-	schedCurrent func() string
+	// Scheduler plane: the owning component declares the algorithms it
+	// implements, so operators (and .pard `schedule` directives) can
+	// swap the algorithm in force at run time.
+	schedAlgos   []string
+	schedInstall func(algo string)
+	schedAlgo    string
 
 	// TriggersFired counts interrupts raised, for tests and reports.
 	TriggersFired uint64
@@ -128,37 +131,48 @@ func (p *Plane) ObserveParamWrite(ds DSID, name string, old, new uint64) {
 	}
 }
 
-// SetSchedulerHook registers the owning component's scheduling plane:
-// install swaps the component onto a named algorithm, current reports
-// the algorithm in force. Components without programmable scheduling
-// simply never call this.
-func (p *Plane) SetSchedulerHook(install func(algo string) error, current func() string) {
+// SetSchedulerHook registers the owning component's scheduling plane.
+// algos lists the algorithms the component implements, the power-on
+// default first; it is the catalogue the .pard compiler checks
+// `schedule` declarations against. install switches the component onto
+// an algorithm from algos, and may be nil when algos has one entry.
+// Components without programmable scheduling simply never call this.
+func (p *Plane) SetSchedulerHook(algos []string, install func(algo string)) {
+	p.schedAlgos = algos
 	p.schedInstall = install
-	p.schedCurrent = current
+	p.schedAlgo = algos[0]
 }
 
 // HasScheduler reports whether the component registered a scheduling
 // hook.
-func (p *Plane) HasScheduler() bool { return p.schedInstall != nil }
+func (p *Plane) HasScheduler() bool { return len(p.schedAlgos) > 0 }
 
-// InstallScheduler asks the owning component to switch to the named
+// SchedulerAlgos returns the algorithms the component implements, the
+// power-on default first (nil without a programmable scheduler).
+func (p *Plane) SchedulerAlgos() []string { return p.schedAlgos }
+
+// InstallScheduler switches the owning component to the named
 // scheduling algorithm — the sanctioned control path behind the
-// /sys/cpa/cpaN/scheduler node and the .pard `schedule` directive.
+// /sys/cpa/cpaN/scheduler node and the .pard `schedule` directive, and
+// the one place that validates algorithm names.
 func (p *Plane) InstallScheduler(algo string) error {
-	if p.schedInstall == nil {
+	if len(p.schedAlgos) == 0 {
 		return fmt.Errorf("core: %s has no programmable scheduler", p.ident)
 	}
-	return p.schedInstall(algo)
+	if !slices.Contains(p.schedAlgos, algo) {
+		return fmt.Errorf("core: %s has no scheduling algorithm %q (have %s)",
+			p.ident, algo, strings.Join(p.schedAlgos, ", "))
+	}
+	if algo != p.schedAlgo && p.schedInstall != nil {
+		p.schedInstall(algo)
+	}
+	p.schedAlgo = algo
+	return nil
 }
 
 // SchedulerAlgo returns the algorithm currently in force, or "" when
 // the component has no programmable scheduler.
-func (p *Plane) SchedulerAlgo() string {
-	if p.schedCurrent == nil {
-		return ""
-	}
-	return p.schedCurrent()
-}
+func (p *Plane) SchedulerAlgo() string { return p.schedAlgo }
 
 // CreateRow allocates parameter and statistics rows for a new LDom's
 // DS-id, with column defaults.

@@ -91,12 +91,12 @@ const (
 )
 
 // Scheduling algorithms installable on the memory plane (the .pard
-// `schedule mem <algo>` catalogue).
+// `schedule mem <algo>` catalogue). Each is a rank function over the
+// controller's one PIFO.
 const (
-	SchedFRFCFS     = "frfcfs"      // hard-coded FR-FCFS scan (default)
-	SchedPIFOFRFCFS = "pifo-frfcfs" // FR-FCFS as a PIFO rank function; byte-identical trajectories
-	SchedStrict     = "strict"      // strict priority by the priority parameter, FIFO within a level
-	SchedEDF        = "edf"         // earliest deadline first over per-DS-id lat_target
+	SchedFRFCFS = "frfcfs" // priority level, then row hit first, then oldest (default)
+	SchedStrict = "strict" // strict priority by the priority parameter, FIFO within a level
+	SchedEDF    = "edf"    // earliest deadline first over per-DS-id lat_target
 )
 
 // defaultDeadline is the EDF deadline granted to best-effort traffic
@@ -127,14 +127,14 @@ type Controller struct {
 	engine *sim.Engine
 	ids    *core.IDSource
 
-	queues  [][]*request // index 0 = highest priority (SchedFRFCFS)
-	reqPool []*request   // recycled request structs (hot path stays allocation-free)
+	levels  int        // priority levels (level 0 = highest)
+	reqPool []*request // recycled request structs (hot path stays allocation-free)
 	banks   []bank
 
-	// PIFO scheduling plane: in every mode but SchedFRFCFS, pending
-	// requests live in one PIFO and the per-algorithm rank function
-	// decides issue order (rankFn is prebound; rankNow carries the
-	// decision time so the closure allocates once, at construction).
+	// PIFO scheduling plane: pending requests live in one PIFO and the
+	// installed algorithm's rank function decides issue order (rankFn
+	// is prebound; rankNow carries the decision time so the closure
+	// allocates once, at construction).
 	sched   string
 	pifo    core.PIFO[*request]
 	rankFn  func(*request) (uint64, bool)
@@ -209,7 +209,7 @@ func New(e *sim.Engine, ids *core.IDSource, cfg Config) *Controller {
 		cfg:      cfg,
 		engine:   e,
 		ids:      ids,
-		queues:   make([][]*request, levels),
+		levels:   levels,
 		banks:    make([]bank, cfg.Ranks*cfg.BanksPerRank),
 		qlatWin:  make(map[core.DSID]*qlatWindow),
 		bytesWin: make(map[core.DSID]*metric.Rate),
@@ -252,7 +252,8 @@ func New(e *sim.Engine, ids *core.IDSource, cfg Config) *Controller {
 			core.Column{Name: StatViolations},
 		)
 		c.plane = core.NewPlane(e, "MEM_CP", core.PlaneTypeMemory, params, stats, cfg.TriggerSlots)
-		c.plane.SetSchedulerHook(c.SetScheduler, c.Scheduler)
+		c.plane.SetSchedulerHook([]string{SchedFRFCFS, SchedStrict, SchedEDF},
+			func(algo string) { c.sched = algo })
 		e.Schedule(cfg.SampleInterval, c.sample)
 	}
 	return c
@@ -286,13 +287,13 @@ func (c *Controller) translate(ds core.DSID, addr uint64) (bankIdx int, row uint
 	return int(rowIdx % uint64(c.totalBanks())), rowIdx / uint64(c.totalBanks())
 }
 
-// priorityOf maps a DS-id to a queue index (0 = highest).
+// priorityOf maps a DS-id to a priority level (0 = highest).
 func (c *Controller) priorityOf(ds core.DSID) int {
 	if c.plane == nil {
 		return 0
 	}
 	p := int(c.plane.Param(ds, ParamPriority))
-	top := len(c.queues) - 1
+	top := c.levels - 1
 	if p > top {
 		p = top
 	}
@@ -355,14 +356,10 @@ func (c *Controller) Request(p *core.Packet) {
 	r.compressed = c.compressedOf(p.DSID)
 	r.enq = c.engine.Now()
 	r.lvl = c.priorityOf(p.DSID)
-	if c.sched == SchedFRFCFS {
-		c.queues[r.lvl] = append(c.queues[r.lvl], r)
-	} else {
-		// PIFO modes re-rank at pop time (PopWhere); the stored rank is
-		// unused, so arrival order (seq) is the only persistent key.
-		c.pifo.Push(r, 0)
-	}
-	if n := c.pendingCount(); n > c.HighWater {
+	// Every algorithm re-ranks at pop time (PopWhere); the stored rank
+	// is unused, so arrival order (seq) is the only persistent key.
+	c.pifo.Push(r, 0)
+	if n := c.pifo.Len(); n > c.HighWater {
 		c.HighWater = n
 	}
 	if c.slot.Armed() {
@@ -390,19 +387,11 @@ func (c *Controller) putReq(r *request) {
 	c.reqPool = append(c.reqPool, r)
 }
 
-func (c *Controller) pendingCount() int {
-	n := c.pifo.Len()
-	for _, q := range c.queues {
-		n += len(q)
-	}
-	return n
-}
-
-// Poll runs the DRAM scheduler for one command slot: high-priority
-// queues first, FR-FCFS (row hit first, then oldest) within a queue
-// (paper Figure 5 step 4), or the installed PIFO rank function. It is
-// the slot ticker's client and asks for the next cycle while requests
-// remain.
+// Poll runs the DRAM scheduler for one command slot: it issues the
+// eligible request of minimum rank under the installed algorithm —
+// under FR-FCFS, high-priority level first, row hit first, then oldest
+// (paper Figure 5 step 4). It is the slot ticker's client and asks for
+// the next cycle while requests remain.
 //
 // A slot that issues nothing sleeps the ticker until the earliest
 // busyTill among the queued requests' banks. Until then every slot
@@ -418,23 +407,13 @@ func (c *Controller) pendingCount() int {
 func (c *Controller) Poll() bool {
 	now := c.engine.Now()
 	c.wake = sim.Tick(math.MaxUint64)
-	if c.sched != SchedFRFCFS {
-		c.rankNow = now
-		if r, ok := c.pifo.PopWhere(c.rankFn); ok {
-			c.service(r, r.lvl, now)
-			return c.pendingCount() > 0
-		}
+	c.rankNow = now
+	if r, ok := c.pifo.PopWhere(c.rankFn); ok {
+		c.service(r, now)
 	} else {
-		for qi := range c.queues {
-			if r, idx := c.pick(c.queues[qi], now); r != nil {
-				c.queues[qi] = append(c.queues[qi][:idx], c.queues[qi][idx+1:]...)
-				c.service(r, qi, now)
-				return c.pendingCount() > 0
-			}
-		}
+		c.slot.Sleep(c.wake)
 	}
-	c.slot.Sleep(c.wake)
-	return c.pendingCount() > 0
+	return c.pifo.Len() > 0
 }
 
 // cyc converts DRAM command cycles to engine ticks. A method rather
@@ -482,46 +461,12 @@ func (c *Controller) busConflicts(end, width, now sim.Tick) bool {
 	return conflict
 }
 
-// pick applies FR-FCFS over one queue: first ready row-hit, else the
-// oldest request whose bank is free and whose data burst would not
+// rank is the transient PIFO rank of r at decision time c.rankNow, plus
+// its eligibility: r's bank must be free and its data burst must not
 // collide with another on the shared channel. Only the burst occupies
 // the channel; activate/precharge time is bank-private, so banks
 // overlap their accesses and a short access may return before an
-// earlier long one.
-func (c *Controller) pick(q []*request, now sim.Tick) (*request, int) {
-	bestIdx := -1
-	bestHit := false
-	for i, r := range q {
-		b := &c.banks[r.bank]
-		if b.busyTill > now {
-			c.wake = min(c.wake, b.busyTill)
-			continue
-		}
-		c.wake = 0
-		lat := c.latencyOf(r, now)
-		width := sim.Tick(c.burstCyclesOf(r)) * c.cfg.TCK
-		if c.busConflicts(now+lat, width, now) {
-			continue // data burst would overlap the channel
-		}
-		hit := b.rows[r.rbuf] == int64(r.row)
-		if bestIdx == -1 || (hit && !bestHit) {
-			bestIdx, bestHit = i, hit
-			if hit {
-				break // first row hit in FCFS order wins
-			}
-		}
-	}
-	if bestIdx == -1 {
-		return nil, -1
-	}
-	return q[bestIdx], bestIdx
-}
-
-// rank is the transient PIFO rank of r at decision time c.rankNow, plus
-// its eligibility. The eligibility test mirrors pick's skip conditions
-// exactly (bank free, no data-burst collision on the shared channel) so
-// pifo-frfcfs reproduces the hard-coded scan byte for byte; the PIFO's
-// seq tie-break supplies the FCFS arrival order.
+// earlier long one. The PIFO's seq tie-break supplies arrival order.
 //
 //pardlint:hotpath prebound PIFO rank function (rankFn)
 func (c *Controller) rank(r *request) (uint64, bool) {
@@ -556,10 +501,11 @@ func (c *Controller) rank(r *request) (uint64, bool) {
 			}
 		}
 		return uint64(r.enq + dl), true
-	default: // SchedPIFOFRFCFS
+	default: // SchedFRFCFS
 		// Lexicographic (priority level, row-miss): two rank values per
-		// level, hit below miss, arrival (seq) breaking ties — exactly
-		// pick's "first ready row hit, else oldest eligible" per level.
+		// level, hit below miss, arrival (seq) breaking ties — the first
+		// ready row hit of the highest non-empty level, else its oldest
+		// eligible request.
 		rank := uint64(r.lvl) * 2
 		if b.rows[r.rbuf] != int64(r.row) {
 			rank++
@@ -568,46 +514,10 @@ func (c *Controller) rank(r *request) (uint64, bool) {
 	}
 }
 
-// Scheduler returns the scheduling algorithm in force.
-func (c *Controller) Scheduler() string { return c.sched }
-
-// SetScheduler installs a scheduling algorithm — the control path behind
-// the plane's scheduler hook and the .pard `schedule mem <algo>`
-// directive. Pending requests migrate deterministically: legacy queues
-// drain into the PIFO in (level, arrival) order, and the PIFO drains
-// back into the per-level queues in push order.
-func (c *Controller) SetScheduler(algo string) error {
-	switch algo {
-	case SchedFRFCFS, SchedPIFOFRFCFS, SchedStrict, SchedEDF:
-	default:
-		return fmt.Errorf("dram: unknown scheduling algorithm %q (have %s, %s, %s, %s)",
-			algo, SchedFRFCFS, SchedPIFOFRFCFS, SchedStrict, SchedEDF)
-	}
-	if algo == c.sched {
-		return nil
-	}
-	prev := c.sched
-	c.sched = algo
-	switch {
-	case prev == SchedFRFCFS:
-		for qi := range c.queues {
-			for _, r := range c.queues[qi] {
-				c.pifo.Push(r, 0)
-			}
-			c.queues[qi] = c.queues[qi][:0]
-		}
-	case algo == SchedFRFCFS:
-		for _, r := range c.pifo.RemoveWhere(func(*request) bool { return true }) {
-			c.queues[r.lvl] = append(c.queues[r.lvl], r)
-		}
-	}
-	return nil
-}
-
 // service issues the DRAM command sequence for r at time now.
-func (c *Controller) service(r *request, level int, now sim.Tick) {
-	// FR-FCFS picked this request: its queue wait ends here; the bank/
-	// channel occupancy that follows is service time.
+func (c *Controller) service(r *request, now sim.Tick) {
+	// The scheduler picked this request: its queue wait ends here; the
+	// bank/channel occupancy that follows is service time.
 	c.rec.Service(c.hop, r.pkt)
 	b := &c.banks[r.bank]
 
@@ -641,7 +551,7 @@ func (c *Controller) service(r *request, level int, now sim.Tick) {
 
 	// Queueing delay in memory cycles (Figure 11's metric).
 	delay := uint64((now - r.enq) / c.cfg.TCK)
-	c.QueueDelay[level].Observe(delay)
+	c.QueueDelay[r.lvl].Observe(delay)
 
 	ds := r.pkt.DSID
 	w, ok := c.qlatWin[ds]

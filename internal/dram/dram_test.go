@@ -117,8 +117,8 @@ func TestBaselineSingleQueueIgnoresPriority(t *testing.T) {
 	if c.Plane() != nil {
 		t.Fatal("baseline controller has a plane")
 	}
-	if len(c.queues) != 1 {
-		t.Fatalf("baseline has %d queues, want 1", len(c.queues))
+	if c.levels != 1 {
+		t.Fatalf("baseline has %d priority levels, want 1", c.levels)
 	}
 	for i := 0; i < 10; i++ {
 		read(e, c, ids, core.DSID(i%3), uint64(i)*4096)
@@ -236,7 +236,7 @@ func TestPriorityOfClamping(t *testing.T) {
 	if q := c.priorityOf(4); q != 0 {
 		t.Fatalf("oversized priority mapped to queue %d, want 0 (highest)", q)
 	}
-	if q := c.priorityOf(5); q != len(c.queues)-1 {
+	if q := c.priorityOf(5); q != c.levels-1 {
 		t.Fatalf("default priority mapped to queue %d, want lowest", q)
 	}
 }

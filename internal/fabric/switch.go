@@ -35,8 +35,8 @@ const (
 )
 
 // SchedAlgos lists the egress scheduling algorithms the switch
-// implements; the first is the power-on default. internal/policy's
-// schedule catalogue mirrors this list (asserted by a test here).
+// implements; the first is the power-on default. The plane hands the
+// list to the .pard compiler as the switch's schedule catalogue.
 var SchedAlgos = []string{"fifo", "wfq"}
 
 // Config describes one switch.
@@ -141,7 +141,7 @@ func New(e *sim.Engine, cfg Config) *Switch {
 		buckets: make(map[core.DSID]*bucket),
 	}
 	s.plane = core.NewPlane(e, "SWITCH_CP", core.PlaneTypeSwitch, params, stats, cfg.TriggerSlots)
-	s.plane.SetSchedulerHook(s.installSched, func() string { return s.algo })
+	s.plane.SetSchedulerHook(SchedAlgos, func(algo string) { s.algo = algo })
 	if cfg.SampleInterval > 0 {
 		e.Schedule(cfg.SampleInterval, s.sample)
 	}
@@ -159,17 +159,6 @@ func (s *Switch) Name() string { return s.cfg.Name }
 
 // NumPorts returns the number of attached ports.
 func (s *Switch) NumPorts() int { return len(s.ports) }
-
-// installSched is the plane's scheduler hook target.
-func (s *Switch) installSched(algo string) error {
-	for _, a := range SchedAlgos {
-		if a == algo {
-			s.algo = algo
-			return nil
-		}
-	}
-	return fmt.Errorf("fabric: %s has no scheduling algorithm %q", s.cfg.Name, algo)
-}
 
 // AddPort attaches an egress wire and returns the new port's index.
 // latency is the one-way link latency the wire adds on top of

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -166,9 +167,14 @@ func TestSwitchWFQOrdersByWeight(t *testing.T) {
 	}
 }
 
+// TestSwitchSchedCatalogueMatchesPolicy: the plane declares SchedAlgos,
+// the catalogue the .pard compiler checks switch schedules against.
 func TestSwitchSchedCatalogueMatchesPolicy(t *testing.T) {
 	e := sim.NewEngine()
 	s := New(e, Config{})
+	if got := s.Plane().SchedulerAlgos(); !slices.Equal(got, SchedAlgos) {
+		t.Fatalf("plane declares %v, want SchedAlgos %v", got, SchedAlgos)
+	}
 	if got := s.Plane().SchedulerAlgo(); got != "fifo" {
 		t.Fatalf("default algo %q, want fifo", got)
 	}

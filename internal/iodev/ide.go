@@ -56,12 +56,10 @@ const (
 // drrQuantumPerWeight is the deficit added per weight point per round.
 const drrQuantumPerWeight = 8 << 10
 
-// Scheduling algorithms installable on the IDE plane (the .pard
-// `schedule ide <algo>` catalogue).
-const (
-	SchedDRR     = "drr"      // hard-coded deficit round robin (default)
-	SchedPIFODRR = "pifo-drr" // DRR as a PIFO virtual-finish-time rank function; byte-identical trajectories
-)
+// SchedDRR is the IDE plane's scheduling algorithm (the .pard
+// `schedule ide <algo>` catalogue): deficit round robin weighted by the
+// bandwidth quotas.
+const SchedDRR = "drr"
 
 // IDE is the disk controller. Requests are PIO packets whose Size is
 // the transfer length; completion follows the deficit-round-robin
@@ -81,13 +79,6 @@ type IDE struct {
 	cursor  int
 	deficit map[core.DSID]uint64
 	busy    bool
-
-	// PIFO scheduling plane: in pifo-drr mode pending transfers also
-	// live in one PIFO and the deficit-derived virtual finish time is
-	// the transient rank (rankFn is prebound at construction).
-	sched  string
-	pifo   core.PIFO[*pendingReq]
-	rankFn func(*pendingReq) (uint64, bool)
 
 	bytesWin map[core.DSID]*metric.Rate
 
@@ -128,10 +119,8 @@ func NewIDE(e *sim.Engine, ids *core.IDSource, cfg IDEConfig, mem core.Target, a
 		core.Column{Name: StatBandwidth},
 		core.Column{Name: StatServBytes},
 	)
-	d.sched = SchedDRR
-	d.rankFn = d.rank
 	d.plane = core.NewPlane(e, "IDE_CP", core.PlaneTypeIDE, params, stats, cfg.TriggerSlots)
-	d.plane.SetSchedulerHook(d.SetScheduler, d.Scheduler)
+	d.plane.SetSchedulerHook([]string{SchedDRR}, nil)
 	e.Schedule(cfg.SampleInterval, d.sample)
 	return d
 }
@@ -183,9 +172,6 @@ func (d *IDE) Request(p *core.Packet) {
 		read: p.Kind == core.KindPIORead,
 	}
 	d.queues[p.DSID] = append(d.queues[p.DSID], entry)
-	if d.sched == SchedPIFODRR {
-		d.pifo.Push(entry, 0) // transient rank: re-ranked at every pop
-	}
 	if d.cfg.QueueDepth > 0 && len(d.queues[p.DSID]) <= d.cfg.QueueDepth {
 		entry.acked = true
 		entry.pkt = nil
@@ -253,7 +239,7 @@ func (d *IDE) ringIndex(ds core.DSID) int {
 // cursor) at which the pointer would serve it, with each skipped visit
 // granting one weight(ds)*quantum top-up. v = rounds*R + position is
 // unique per flow — positions are distinct — so argmin v is the DRR
-// winner and doubles as the pifo-drr rank function.
+// winner.
 func (d *IDE) virtualTime(ds core.DSID, size uint64) uint64 {
 	R := len(d.ring)
 	p := uint64((d.ringIndex(ds) - d.cursor + R) % R)
@@ -263,16 +249,6 @@ func (d *IDE) virtualTime(ds core.DSID, size uint64) uint64 {
 		n = (size - def + grant - 1) / grant // ceil-division deficit grant
 	}
 	return n*uint64(R) + p
-}
-
-// rank is the pifo-drr transient rank: only the head of each flow's
-// queue is schedulable, at its deficit-derived virtual finish time.
-func (d *IDE) rank(e *pendingReq) (uint64, bool) {
-	q := d.queues[e.ds]
-	if len(q) == 0 || q[0] != e {
-		return 0, false
-	}
-	return d.virtualTime(e.ds, uint64(e.size)), true
 }
 
 // serveNext runs the DRR scheduler when the disk is idle. The winner is
@@ -306,29 +282,20 @@ func (d *IDE) serveNext() {
 	}
 	d.cursor %= len(d.ring)
 
-	var winner *pendingReq
-	if d.sched == SchedPIFODRR {
-		winner, _ = d.pifo.PopWhere(d.rankFn)
-	} else {
-		best := -1
-		var bestV uint64
-		for i, ds := range d.ring {
-			v := d.virtualTime(ds, uint64(d.queues[ds][0].size))
-			if best == -1 || v < bestV {
-				best, bestV = i, v
-			}
+	best := -1
+	var vStar uint64
+	for i, ds := range d.ring {
+		v := d.virtualTime(ds, uint64(d.queues[ds][0].size))
+		if best == -1 || v < vStar {
+			best, vStar = i, v
 		}
-		winner = d.queues[d.ring[best]][0]
 	}
-	if winner == nil {
-		return
-	}
+	winner := d.queues[d.ring[best]][0]
 	// Replay the grant rounds the pointer passes through before the
 	// winner serves: every flow it visits strictly before the winner's
 	// virtual finish time receives one quantum per visit — exactly what
 	// the incremental loop would have granted, winner included.
 	R := len(d.ring)
-	vStar := d.virtualTime(winner.ds, uint64(winner.size))
 	for i, ds := range d.ring {
 		p := uint64((i - d.cursor + R) % R)
 		if p < vStar {
@@ -336,39 +303,10 @@ func (d *IDE) serveNext() {
 			d.deficit[ds] += visits * d.weight(ds) * drrQuantumPerWeight
 		}
 	}
-	d.cursor = d.ringIndex(winner.ds)
+	d.cursor = best
 	d.queues[winner.ds] = d.queues[winner.ds][1:]
 	d.deficit[winner.ds] -= uint64(winner.size)
 	d.serve(winner)
-}
-
-// Scheduler returns the scheduling algorithm in force.
-func (d *IDE) Scheduler() string { return d.sched }
-
-// SetScheduler installs a scheduling algorithm — the control path
-// behind the plane's scheduler hook and the .pard `schedule ide <algo>`
-// directive. Pending transfers migrate in (ring, queue) order.
-func (d *IDE) SetScheduler(algo string) error {
-	switch algo {
-	case SchedDRR, SchedPIFODRR:
-	default:
-		return fmt.Errorf("iodev: unknown scheduling algorithm %q (have %s, %s)", algo, SchedDRR, SchedPIFODRR)
-	}
-	if algo == d.sched {
-		return nil
-	}
-	d.sched = algo
-	if algo == SchedPIFODRR {
-		for _, ds := range d.ring {
-			for _, e := range d.queues[ds] {
-				d.pifo.Push(e, 0)
-			}
-		}
-	} else {
-		// The flow queues remain authoritative; just empty the mirror.
-		d.pifo.RemoveWhere(func(*pendingReq) bool { return true })
-	}
-	return nil
 }
 
 // serve models the disk transfer itself, then DMAs the data and

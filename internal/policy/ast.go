@@ -137,7 +137,7 @@ type Schedule struct {
 	Pos      Pos
 	Plane    string // plane ref: "mem", "ide", "cpa1", ...
 	PlanePos Pos
-	Algo     string // algorithm name, e.g. "edf", "pifo-drr"
+	Algo     string // algorithm name as written, e.g. "edf"; may be an alias
 	AlgoPos  Pos
 }
 

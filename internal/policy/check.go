@@ -3,6 +3,7 @@ package policy
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -12,14 +13,18 @@ import (
 )
 
 // PlaneInfo describes one control plane to the typechecker: its CPA
-// index, identity, and parameter/statistics schemas. The PRM firmware
-// supplies these from its live mounts.
+// index, identity, parameter/statistics schemas and scheduling
+// algorithms. The PRM firmware supplies these from its live mounts.
 type PlaneInfo struct {
 	Index  int    // cpa index (cpa0, cpa1, ...)
 	Ident  string // plane identity string, e.g. "CACHE_CP"
 	Type   byte   // core.PlaneType* byte
 	Params []core.Column
 	Stats  []core.Column
+	// Scheds lists the scheduling algorithms the plane's component
+	// implements, the power-on default first; nil without a
+	// programmable scheduler.
+	Scheds []string
 }
 
 // ShortName derives the policy-language plane name from the identity
@@ -61,30 +66,14 @@ var planeAliases = map[string]string{
 	"crossbar": "xbar",
 }
 
-// schedCatalogue maps plane types to the scheduling algorithms their
-// components implement. The first entry of each list is the power-on
-// default. The compiler checks `schedule` declarations against this
-// table so a policy that names a nonexistent algorithm — or schedules a
-// plane with no programmable scheduler — fails validation rather than
-// install time.
-var schedCatalogue = map[byte][]string{
-	core.PlaneTypeMemory: {"frfcfs", "pifo-frfcfs", "strict", "edf"},
-	core.PlaneTypeIDE:    {"drr", "pifo-drr"},
-	core.PlaneTypeCache:  {"fifo", "pifo-fifo"},
-	core.PlaneTypeSwitch: {"fifo", "wfq"},
-}
-
-// SchedAlgos returns the scheduling algorithms a plane type implements
-// (nil when the type has no programmable scheduler).
-func SchedAlgos(planeType byte) []string { return schedCatalogue[planeType] }
-
-// SchedDefault returns the power-on scheduling algorithm for a plane
-// type, or "" when the type has no programmable scheduler.
-func SchedDefault(planeType byte) string {
-	if algos := schedCatalogue[planeType]; len(algos) > 0 {
-		return algos[0]
-	}
-	return ""
+// schedAliases maps retired algorithm names to the algorithm that runs
+// them now, so .pard files written against them still compile. A
+// schedule naming an alias compiles, installs and reads back as its
+// target; the /sys/cpa/cpaN/scheduler node accepts only the target.
+var schedAliases = map[string]string{
+	"pifo-frfcfs": "frfcfs",
+	"pifo-drr":    "drr",
+	"pifo-fifo":   "fifo",
 }
 
 // statScales maps statistics that represent fractions to their
@@ -112,8 +101,8 @@ type CompiledSchedule struct {
 	Schedule  *Schedule // source AST, for text rendering
 	CPA       int
 	PlaneName string
-	PlaneType byte
-	Algo      string
+	Algo      string // the algorithm installed: the source name with any alias resolved
+	Default   string // the plane's power-on default algorithm
 	Qual      string // loader-qualified display name ("policy: schedule"); "" = standalone
 }
 
@@ -279,29 +268,28 @@ func Check(f *File, reg Registry, opts Options) error {
 }
 
 // compileSchedule resolves a `schedule` declaration's plane and checks
-// the algorithm against the plane type's catalogue.
+// the algorithm, with any alias resolved, against the plane's own
+// catalogue, so a policy that names a nonexistent algorithm — or
+// schedules a plane with no programmable scheduler — fails validation
+// rather than install time.
 func (c *compiler) compileSchedule(s *Schedule) (*CompiledSchedule, error) {
 	pi, err := c.resolvePlane(s.Plane, s.PlanePos)
 	if err != nil {
 		return nil, err
 	}
-	algos := schedCatalogue[pi.Type]
-	if len(algos) == 0 {
+	if len(pi.Scheds) == 0 {
 		return nil, errAt(s.PlanePos, "plane %s (cpa%d) has no programmable scheduler", pi.ShortName(), pi.Index)
 	}
-	ok := false
-	for _, a := range algos {
-		if a == s.Algo {
-			ok = true
-			break
-		}
+	algo := s.Algo
+	if target, ok := schedAliases[algo]; ok {
+		algo = target
 	}
-	if !ok {
+	if !slices.Contains(pi.Scheds, algo) {
 		return nil, errAt(s.AlgoPos, "plane %s (cpa%d) has no scheduling algorithm %q (available: %s)",
-			pi.ShortName(), pi.Index, s.Algo, strings.Join(algos, ", "))
+			pi.ShortName(), pi.Index, s.Algo, strings.Join(pi.Scheds, ", "))
 	}
 	return &CompiledSchedule{
-		Schedule: s, CPA: pi.Index, PlaneName: pi.ShortName(), PlaneType: pi.Type, Algo: s.Algo,
+		Schedule: s, CPA: pi.Index, PlaneName: pi.ShortName(), Algo: algo, Default: pi.Scheds[0],
 	}, nil
 }
 

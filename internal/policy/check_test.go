@@ -22,6 +22,7 @@ func (r *fakeReg) Planes() []PlaneInfo {
 			Stats: []core.Column{
 				{Name: "hit_cnt"}, {Name: "miss_cnt"}, {Name: "miss_rate"}, {Name: "capacity"},
 			},
+			Scheds: []string{"fifo"},
 		},
 		{
 			Index: 1, Ident: "MEM_CP", Type: core.PlaneTypeMemory,
@@ -32,6 +33,7 @@ func (r *fakeReg) Planes() []PlaneInfo {
 			Stats: []core.Column{
 				{Name: "serv_cnt"}, {Name: "avg_qlat"}, {Name: "bandwidth"}, {Name: "violations"},
 			},
+			Scheds: []string{"frfcfs", "strict", "edf"},
 		},
 	}
 }

@@ -177,10 +177,14 @@ func Lint(prog *Program) []Issue {
 	// worse, its teardown restore is a no-op too, so the declaration
 	// adds nothing but the illusion of control.
 	for _, cs := range prog.Schedules {
-		if def := SchedDefault(cs.PlaneType); cs.Algo == def {
+		if cs.Algo == cs.Default {
+			what := fmt.Sprintf("%q is", cs.Algo)
+			if cs.Schedule.Algo != cs.Algo {
+				what = fmt.Sprintf("%q is an alias of %q, which is", cs.Schedule.Algo, cs.Algo)
+			}
 			report(cs.Schedule.Pos, cs.DisplayName(),
-				"schedule is a no-op: %q is already plane %s's power-on default scheduling algorithm",
-				cs.Algo, cs.PlaneName)
+				"schedule is a no-op: %s already plane %s's power-on default scheduling algorithm",
+				what, cs.PlaneName)
 		}
 	}
 

@@ -160,9 +160,9 @@ func (lx *lexer) next() (token, error) {
 				lx.advance()
 				continue
 			}
-			// Hyphenated identifiers (scheduling algorithm names like
-			// pifo-drr): consume '-' only when an identifier character
-			// follows, so `waymask-=1` still lexes as minus-equals.
+			// Hyphenated identifiers (scheduling algorithm aliases):
+			// consume '-' only when an identifier character follows,
+			// so `waymask-=1` still lexes as minus-equals.
 			if b == '-' && lx.off+1 < len(lx.src) && isIdentCont(lx.src[lx.off+1]) {
 				lx.advance()
 				continue

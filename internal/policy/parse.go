@@ -224,8 +224,9 @@ func (p *parser) parseRule() (*Rule, error) {
 //	"schedule" PLANE ALGO
 //
 // ALGO is an identifier naming a scheduling algorithm the plane's
-// component understands ("edf", "pifo-drr", ...); the lexer treats '-'
-// as an identifier character, so hyphenated names are single tokens.
+// component understands ("edf", "strict", ...) or an alias of one; the
+// lexer treats '-' as an identifier character, so hyphenated aliases
+// are single tokens.
 func (p *parser) parseSchedule() (*Schedule, error) {
 	kw := p.next() // "schedule", checked by the caller
 	s := &Schedule{Pos: kw.pos}

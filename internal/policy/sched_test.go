@@ -55,8 +55,9 @@ func TestHyphenLexingPreservesMinusEquals(t *testing.T) {
 	}
 }
 
-// TestCompileSchedule lowers schedules against the registry and rejects
-// unknown algorithms, unschedulable planes, and duplicate plane
+// TestCompileSchedule lowers schedules against the registry — an alias
+// compiles to its target — and rejects unknown algorithms, naming the
+// plane's own catalogue, unschedulable planes, and duplicate plane
 // installs.
 func TestCompileSchedule(t *testing.T) {
 	prog, err := compileSrc(t, "schedule mem edf\nschedule llc pifo-fifo", Options{})
@@ -69,7 +70,7 @@ func TestCompileSchedule(t *testing.T) {
 	if cs := prog.Schedules[0]; cs.CPA != 1 || cs.Algo != "edf" || cs.PlaneName != "mem" {
 		t.Fatalf("mem schedule lowered wrong: %+v", cs)
 	}
-	if cs := prog.Schedules[1]; cs.CPA != 0 || cs.Algo != "pifo-fifo" {
+	if cs := prog.Schedules[1]; cs.CPA != 0 || cs.Algo != "fifo" || cs.Default != "fifo" {
 		t.Fatalf("llc schedule lowered wrong: %+v", cs)
 	}
 
@@ -78,7 +79,8 @@ func TestCompileSchedule(t *testing.T) {
 		wantSub string
 	}{
 		{"schedule mem cfq", "no scheduling algorithm \"cfq\""},
-		{"schedule mem cfq", "available: frfcfs, pifo-frfcfs, strict, edf"},
+		{"schedule mem cfq", "available: frfcfs, strict, edf"},
+		{"schedule mem pifo-drr", "no scheduling algorithm \"pifo-drr\""},
 		{"schedule nvme edf", "unknown plane"},
 		{"schedule mem edf\nschedule dram strict", "both install a scheduler on plane mem"},
 	} {
@@ -109,19 +111,25 @@ func TestCompileScheduleUnschedulableType(t *testing.T) {
 	}
 }
 
-// TestLintScheduleDefaultNoOp: scheduling the power-on default draws a
-// pardcheck advisory, a non-default algorithm does not.
+// TestLintScheduleDefaultNoOp: scheduling the power-on default, or an
+// alias of it, draws a pardcheck advisory; a non-default algorithm does
+// not.
 func TestLintScheduleDefaultNoOp(t *testing.T) {
-	prog, err := compileSrc(t, "schedule mem frfcfs", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	issues := Lint(prog)
-	if len(issues) != 1 || !strings.Contains(issues[0].Msg, "power-on default") {
-		t.Fatalf("Lint = %v, want one no-op schedule finding", issues)
+	for src, want := range map[string]string{
+		"schedule mem frfcfs":      `"frfcfs" is already plane mem's power-on default`,
+		"schedule mem pifo-frfcfs": `"pifo-frfcfs" is an alias of "frfcfs", which is already plane mem's power-on default`,
+	} {
+		prog, err := compileSrc(t, src, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		issues := Lint(prog)
+		if len(issues) != 1 || !strings.Contains(issues[0].Msg, want) {
+			t.Fatalf("Lint(%q) = %v, want one finding containing %q", src, issues, want)
+		}
 	}
 
-	prog, err = compileSrc(t, "schedule mem edf", Options{})
+	prog, err := compileSrc(t, "schedule mem edf", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

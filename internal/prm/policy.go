@@ -51,6 +51,7 @@ func (r fwRegistry) Planes() []policy.PlaneInfo {
 			Type:   p.Type(),
 			Params: p.Params().Columns(),
 			Stats:  p.Stats().Columns(),
+			Scheds: p.SchedulerAlgos(),
 		})
 	}
 	return out

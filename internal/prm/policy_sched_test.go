@@ -1,7 +1,6 @@
 package prm
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -19,14 +18,7 @@ func schedFirmware(t *testing.T) (*Firmware, func() string) {
 	cp := cachePlane(e)
 	mp := memPlane(e)
 	algo := "frfcfs"
-	mp.SetSchedulerHook(func(a string) error {
-		switch a {
-		case "frfcfs", "pifo-frfcfs", "strict", "edf":
-			algo = a
-			return nil
-		}
-		return fmt.Errorf("mem: unknown scheduling algorithm %q", a)
-	}, func() string { return algo })
+	mp.SetSchedulerHook([]string{"frfcfs", "strict", "edf"}, func(a string) { algo = a })
 	fw.Mount(core.NewCPA(cp, 0))
 	fw.Mount(core.NewCPA(mp, 0))
 	for _, name := range []string{"web", "batch"} {

@@ -34,10 +34,9 @@ func TestClusterOneRackMatchesBareRack(t *testing.T) {
 	}
 }
 
-// clusterDigest builds the reference 4-rack × 2-server cluster, runs
-// the standard cross-rack workload and returns the full digest
-// (servers + switches).
-func clusterDigest(t *testing.T, shards, workers int) string {
+// refCluster builds the reference 4-rack × 2-server cluster with the
+// standard cross-rack workload provisioned.
+func refCluster(t *testing.T, shards, workers int) *Cluster {
 	t.Helper()
 	c, err := NewCluster(ClusterConfig{
 		Racks: 4, ServersPerRack: 2, Shards: shards, Workers: workers,
@@ -49,6 +48,14 @@ func clusterDigest(t *testing.T, shards, workers int) string {
 	if err := ProvisionClusterWorkload(c, equivFrames); err != nil {
 		t.Fatal(err)
 	}
+	return c
+}
+
+// clusterDigest runs the reference cluster for equivRun and returns
+// the full digest (servers + switches).
+func clusterDigest(t *testing.T, shards, workers int) string {
+	t.Helper()
+	c := refCluster(t, shards, workers)
 	c.Run(equivRun)
 	if c.CrossRackFrames() == 0 {
 		t.Fatal("no frames crossed the fabric; cluster workload is vacuous")

@@ -1,83 +1,57 @@
 package pard
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/telemetry"
 )
 
-// schedEquivAlgos maps the mounted control planes to their PIFO
-// re-expressions: the LLC MSHR stall queue (cpa0), the memory
-// controller (cpa1) and the IDE disk scheduler (cpa3). Installing them
-// through /sys/cpa/cpaN/scheduler is the operator path — the same
-// device node a `.pard` schedule declaration writes.
-var schedEquivAlgos = map[int]string{
-	0: "pifo-fifo",
-	1: "pifo-frfcfs",
-	3: "pifo-drr",
-}
+// schedAliasPolicy schedules the LLC, memory and IDE planes under the
+// pifo-* names of the retired PIFO twins, which the .pard compiler
+// keeps as aliases of the algorithms that run them now.
+const schedAliasPolicy = "schedule llc pifo-fifo\nschedule mem pifo-frfcfs\nschedule ide pifo-drr\n"
 
-// rackDigestWithSchedulers runs the rack equivalence workload — STREAM
-// on every core 0, cross-server flow-tagged frames — plus per-server
-// disk bursts from two DS-ids so the IDE DRR ring is on the path, with
-// the given scheduler algorithms installed before any traffic flows.
-func rackDigestWithSchedulers(t *testing.T, algos map[int]string) string {
-	t.Helper()
-	rack := NewRack(equivConfig(), 2)
-	if err := rack.ConnectRing(DefaultLinkLatency); err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range rack.Servers {
-		for cpa, algo := range algos {
-			node := fmt.Sprintf("/sys/cpa/cpa%d/scheduler", cpa)
-			if err := s.Firmware.FS().WriteFile(node, algo); err != nil {
-				t.Fatal(err)
-			}
-			if got, err := s.Firmware.FS().ReadFile(node); err != nil || got != algo {
-				t.Fatalf("scheduler node %s: got %q, %v; want %q", node, got, err, algo)
-			}
-		}
-	}
-	provisionEquivWorkload(t, rack.Servers)
-	// A second STREAM per server: two concurrent requesters walking
-	// different rows build a real memory-controller queue, so scheduler
-	// order is observable — without this the digest cannot distinguish
-	// algorithms and the equivalence gate is vacuous (a `strict`
-	// install must and does change the digest).
-	for i, s := range rack.Servers {
-		s.RunWorkload(1, NewSTREAM(uint64(100+i)))
-	}
-	for i, s := range rack.Servers {
-		s := s
-		for j := 0; j < 8; j++ {
-			ds := core.DSID(1 + j%2)
-			size := uint32(8<<10) + uint32(j)*4<<10
-			s.Engine.At(5*Microsecond+Tick(i)*1031*Nanosecond+Tick(j)*7013*Nanosecond, func() {
-				p := core.NewPacket(s.IDs, core.KindPIOWrite, ds, 0, size, s.Engine.Now())
-				s.IDE.Request(p)
-			})
-		}
-	}
-	rack.Run(equivRun)
-	return StateDigest(rack.Servers)
-}
-
-// TestPIFOSchedulerStateDigestEquivalence is the system-level gate on
-// the rank-function re-expression (DESIGN.md §13): with pifo-fifo,
-// pifo-frfcfs and pifo-drr installed on every server, the full
-// architectural end-state digest — control-plane tables, device and
-// interrupt counters, trace-span hash — must be byte-identical to the
-// hard-coded schedulers' run. The per-component trajectory tests pin
-// each scheduler's decision sequence; this pins their composition.
+// TestPIFOSchedulerStateDigestEquivalence: a policy naming all three
+// aliases loads on every server of the rack2_sched workload. Each
+// scheduler node then reads the target algorithm, each sched_install
+// journal entry names it, and the run keeps the default schedulers'
+// golden digest.
 func TestPIFOSchedulerStateDigestEquivalence(t *testing.T) {
-	want := rackDigestWithSchedulers(t, nil)
-	got := rackDigestWithSchedulers(t, schedEquivAlgos)
-	if want != got {
-		t.Fatalf("PIFO scheduler digest diverged from hard-coded schedulers: %s", firstDiff(want, got))
+	got := rack2Sched(t, func(s *System) {
+		if err := s.LoadPolicy("aliases", schedAliasPolicy); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []struct{ cpa, want string }{{"cpa0", "fifo"}, {"cpa1", "frfcfs"}, {"cpa3", "drr"}} {
+			if algo, err := s.Firmware.FS().ReadFile("/sys/cpa/" + n.cpa + "/scheduler"); err != nil || algo != n.want {
+				t.Fatalf("%s scheduler node = %q, %v; want %q", n.cpa, algo, err, n.want)
+			}
+		}
+		var installs []string
+		for i := 0; i < s.Journal.Len(); i++ {
+			if ev := s.Journal.At(i); ev.Kind == telemetry.KindSchedInstall {
+				installs = append(installs, ev.Plane+"="+ev.Name)
+			}
+		}
+		if got := strings.Join(installs, " "); got != "cpa0=fifo cpa1=frfcfs cpa3=drr" {
+			t.Fatalf("sched_install journal entries %q, want the alias targets", got)
+		}
+	})
+	if h := goldenHash(got); h != "cb8ecb6fcc0c8bed" {
+		t.Fatalf("rack2_sched with aliases loaded hashes to %s, golden cb8ecb6fcc0c8bed", h)
 	}
-	if !strings.Contains(want, "mem served=") {
-		t.Fatalf("digest missing memory traffic:\n%s", want)
+}
+
+// TestSchedulerNodeRejectsAlias: the aliases live in the .pard compiler
+// alone. Writing one to a scheduler node fails, and the error names the
+// plane's algorithms.
+func TestSchedulerNodeRejectsAlias(t *testing.T) {
+	s := NewSystem(DefaultConfig())
+	err := s.Firmware.FS().WriteFile("/sys/cpa/cpa3/scheduler", "pifo-drr")
+	if err == nil || !strings.Contains(err.Error(), "have drr") {
+		t.Fatalf("writing pifo-drr to the IDE scheduler node: %v, want an error naming drr", err)
+	}
+	if algo, _ := s.Firmware.FS().ReadFile("/sys/cpa/cpa3/scheduler"); algo != "drr" {
+		t.Fatalf("IDE scheduler node reads %q after the rejected write, want drr", algo)
 	}
 }
