@@ -370,36 +370,38 @@ func BenchmarkFullSystemSimulatedMillisecond(b *testing.B) {
 	}
 }
 
-// runParallelRack is the rack-scaling workload: a ring of servers, each
-// running STREAM and pumping flow-tagged frames to its successor, one
-// simulated millisecond per iteration. The shard axis is the scaling
-// curve recorded in BENCH.json (`pardbench -shards`); results are
-// byte-identical across shard counts (TestParallelRackEquivalence), so
-// the benchmark measures pure wall-clock, not behavior drift.
-func runParallelRack(b *testing.B, servers, shards int) {
+// runRackSweep is the rack sweep's workload: a switchless ring of
+// one-server racks, each server running STREAM and pumping flow-tagged
+// frames to its successor, one simulated millisecond per iteration.
+// The shard axis is the scaling curve recorded in BENCH.json
+// (`pardbench -shards`); results are byte-identical across shard
+// counts (TestParallelRackEquivalence), so the benchmark measures pure
+// wall-clock, not behavior drift.
+func runRackSweep(b *testing.B, servers, shards int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		pr := pard.NewParallelRack(pard.DefaultConfig(), pard.ParallelRackConfig{
-			Servers: servers, Shards: shards, Workers: shards,
+		c, err := pard.NewCluster(pard.ClusterConfig{
+			Racks: servers, ServersPerRack: 1, Switchless: true,
+			Shards: shards, Workers: shards, Server: pard.DefaultConfig(),
 		})
-		if err := pr.ConnectRing(); err != nil {
+		if err != nil {
 			b.Fatal(err)
 		}
-		if err := pard.ProvisionScalingWorkload(pr.Servers, 25); err != nil {
+		if err := pard.ProvisionClusterWorkload(c, 25); err != nil {
 			b.Fatal(err)
 		}
-		pr.Run(pard.Millisecond)
+		c.Run(pard.Millisecond)
 	}
 }
 
-// BenchmarkRackParallel{1,2,4} shard a 4-server rack; the 8-shard point
+// BenchmarkRackParallel{1,2,4} shard a 4-server ring; the 8-shard point
 // runs 8 servers (one per shard). Wall-clock speedup over the 1-shard
 // row is the scaling figure in EXPERIMENTS.md; it requires idle cores
 // (GOMAXPROCS >= shards) to show.
-func BenchmarkRackParallel1(b *testing.B) { runParallelRack(b, 4, 1) }
-func BenchmarkRackParallel2(b *testing.B) { runParallelRack(b, 4, 2) }
-func BenchmarkRackParallel4(b *testing.B) { runParallelRack(b, 4, 4) }
-func BenchmarkRackParallel8(b *testing.B) { runParallelRack(b, 8, 8) }
+func BenchmarkRackParallel1(b *testing.B) { runRackSweep(b, 4, 1) }
+func BenchmarkRackParallel2(b *testing.B) { runRackSweep(b, 4, 2) }
+func BenchmarkRackParallel4(b *testing.B) { runRackSweep(b, 4, 4) }
+func BenchmarkRackParallel8(b *testing.B) { runRackSweep(b, 8, 8) }
 
 type nopMem struct{ e *sim.Engine }
 

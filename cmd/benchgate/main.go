@@ -20,11 +20,19 @@
 //     load-bearing invariant (hotalloc proves it statically; this gate
 //     proves it dynamically).
 //
-// One further structural gate, rack speedup: the 1-vs-N-shard rack
-// sweep, measured fresh, must reach -speedup-floor at -speedup-shards
-// shards. On a host with fewer CPUs than shards the number would be
-// meaningless (time-sliced workers), so the gate skips with an explicit
-// note; CI enforces it from a multi-core runner.
+// Two further structural gates on the rack sweep:
+//
+//   - rack record: the committed rack_parallel sweep, replayed at
+//     quick scale and its shard counts, must reproduce its server
+//     count, digest and each point's windows, idle skips and
+//     cross-shard sends exactly. They depend on the topology, the
+//     workload and the PDES lookahead table, never on the host, so
+//     this gate holds anywhere.
+//   - rack speedup: the 1-vs-N-shard sweep, measured fresh, must reach
+//     -speedup-floor at -speedup-shards shards. On a host with fewer
+//     CPUs than shards the number would be meaningless (time-sliced
+//     workers), so the gate skips with an explicit note; CI enforces it
+//     from a multi-core runner.
 //
 // Exit status: 0 when every gate holds, 1 on regression, 2 on a
 // missing or malformed baseline.
@@ -53,6 +61,7 @@ type baselineDoc struct {
 	PifoPop         bench.Micro        `json:"pifo_pop"`
 	TelemetryScrape bench.Micro        `json:"telemetry_scrape"`
 	ClusterSteady   bench.ClusterMicro `json:"cluster_steady"`
+	RackParallel    *bench.RackSweep   `json:"rack_parallel"`
 }
 
 func main() {
@@ -85,10 +94,48 @@ func main() {
 	ok = gate("pifo_pop", base.PifoPop, bench.Best(*runs, bench.MeasurePIFOPop), *maxRegress) && ok
 	ok = gate("telemetry_scrape", base.TelemetryScrape, bench.Best(*runs, bench.MeasureTelemetryScrape), *maxRegress) && ok
 	ok = gateCluster(base.ClusterSteady, *runs, *maxRegress) && ok
+	ok = gateRackRecord(base.RackParallel) && ok
 	ok = gateSpeedup(*speedupFloor, *speedupShards, *runs) && ok
 	if !ok {
 		os.Exit(1)
 	}
+}
+
+// gateRackRecord replays the committed rack_parallel sweep at quick
+// scale and its shard counts, and requires every deterministic fact in
+// it to match exactly. Baselines without a rack sweep are skipped, like
+// every other bootstrap.
+func gateRackRecord(base *bench.RackSweep) bool {
+	const name = "rack_parallel"
+	if base == nil || len(base.Points) == 0 {
+		fmt.Printf("benchgate: %-16s skipped: no committed record (regenerate BENCH.json with pardbench -shards)\n", name)
+		return true
+	}
+	var shards []int
+	for _, p := range base.Points {
+		shards = append(shards, p.Shards)
+	}
+	fresh, err := bench.MeasureRackSweep(shards, exp.Quick)
+	if err != nil {
+		fmt.Printf("benchgate: %-16s FAIL: %v\n", name, err)
+		return false
+	}
+	if got, want := rackFacts(fresh), rackFacts(base); got != want {
+		fmt.Printf("benchgate: %-16s FAIL: fresh sweep\n  %s\nvs committed (must match exactly)\n  %s\n", name, got, want)
+		return false
+	}
+	fmt.Printf("benchgate: %-16s ok: %s\n", name, rackFacts(fresh))
+	return true
+}
+
+// rackFacts renders the host-independent part of a rack sweep: server
+// count, digest, and each point's windows/idle_skips/cross_sends.
+func rackFacts(s *bench.RackSweep) string {
+	out := fmt.Sprintf("servers=%d digest=%s", s.Servers, s.Digest)
+	for _, p := range s.Points {
+		out += fmt.Sprintf(" shards=%d:%d/%d/%d", p.Shards, p.Windows, p.IdleSkips, p.CrossSends)
+	}
+	return out
 }
 
 // gateSpeedup re-measures the 1-vs-N-shard rack sweep and requires the

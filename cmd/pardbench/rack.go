@@ -1,9 +1,9 @@
 package main
 
-// The -shards sweep: run the rack-scaling workload (the same one
-// TestParallelRackEquivalence and BenchmarkRackParallel* drive) at each
-// requested shard count, verify every run's state digest is identical,
-// and record the wall-clock scaling curve in BENCH.json. The
+// The -shards sweep: run the switchless server ring of one-server racks
+// (the cluster TestParallelRackEquivalence and BenchmarkRackParallel*
+// drive) at each requested shard count, verify every run's state digest
+// is identical, and record the wall-clock scaling curve in BENCH.json. The
 // measurement itself lives in internal/bench so cmd/benchgate can
 // replay it when enforcing the multi-core speedup floor; this file
 // parses the flag and renders the stdout block. Stdout carries the

@@ -12,8 +12,11 @@ import (
 )
 
 func main() {
-	rack := pard.NewRack(pard.DefaultConfig(), 2)
-	if err := rack.Connect(0, 1); err != nil {
+	// One rack of two servers, linked server to server with no switch.
+	rack, err := pard.NewCluster(pard.ClusterConfig{
+		Racks: 1, ServersPerRack: 2, Switchless: true, Server: pard.DefaultConfig(),
+	})
+	if err != nil {
 		panic(err)
 	}
 	front := rack.Servers[0] // web tier

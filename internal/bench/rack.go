@@ -40,7 +40,8 @@ type RackSweep struct {
 	Points      []RackPoint `json:"points"`
 }
 
-// MeasureRackSweep runs the rack-scaling workload (the same one
+// MeasureRackSweep runs the switchless server ring (one-server racks
+// under pard.ProvisionClusterWorkload, the traffic
 // TestParallelRackEquivalence drives) at each requested shard count and
 // verifies every run's state digest is identical — a mismatch is a
 // determinism regression, not noise, and fails the measurement. Shared
@@ -64,21 +65,22 @@ func MeasureRackSweep(shardCounts []int, scale exp.Scale) (*RackSweep, error) {
 		CPUs:        runtime.NumCPU(),
 	}
 	for _, shards := range shardCounts {
-		pr := pard.NewParallelRack(pard.DefaultConfig(), pard.ParallelRackConfig{
-			Servers: servers, Shards: shards, Workers: shards,
+		c, err := pard.NewCluster(pard.ClusterConfig{
+			Racks: servers, ServersPerRack: 1, Switchless: true,
+			Shards: shards, Workers: shards, Server: pard.DefaultConfig(),
 		})
-		if err := pr.ConnectRing(); err != nil {
+		if err != nil {
 			return nil, fmt.Errorf("bench: rack sweep: %w", err)
 		}
-		if err := pard.ProvisionScalingWorkload(pr.Servers, 25); err != nil {
+		if err := pard.ProvisionClusterWorkload(c, 25); err != nil {
 			return nil, fmt.Errorf("bench: rack sweep: %w", err)
 		}
 		start := time.Now()
-		pr.Run(simTime)
+		c.Run(simTime)
 		wall := time.Since(start)
 
 		h := fnv.New64a()
-		h.Write([]byte(pard.StateDigest(pr.Servers)))
+		h.Write([]byte(pard.StateDigest(c.Servers)))
 		digest := fmt.Sprintf("%#016x", h.Sum64())
 		if sweep.Digest == "" {
 			sweep.Digest = digest
@@ -89,12 +91,12 @@ func MeasureRackSweep(shardCounts []int, scale exp.Scale) (*RackSweep, error) {
 
 		p := RackPoint{
 			Shards:            shards,
-			Workers:           pr.Group.Workers(),
+			Workers:           c.Group.Workers(),
 			WallMs:            float64(wall.Nanoseconds()) / 1e6,
 			SimTicksPerSec:    float64(simTime) / wall.Seconds(),
-			Windows:           pr.Group.WindowsRun,
-			IdleSkips:         pr.Group.IdleSkips,
-			CrossSends:        pr.Group.CrossSends,
+			Windows:           c.Group.WindowsRun,
+			IdleSkips:         c.Group.IdleSkips,
+			CrossSends:        c.Group.CrossSends,
 			SpeedupUnreliable: shards > sweep.CPUs,
 		}
 		if len(sweep.Points) > 0 {

@@ -1,11 +1,12 @@
-// Package cluster is PARD's federation layer: a spine/leaf Topology
-// describing many racks behind a switch fabric, and a Controller that
-// owns every server's PRM firmware handle, aggregates their telemetry
-// into cluster-level series, and applies compiled intents — per-server
-// policy loads journaled under an origin=cluster:<intent> label plus
-// fabric parameter writes. It is the "SDN controller for computers"
-// the paper's §8 sketches; pard.Cluster composes it with the actual
-// simulated servers and fabric.
+// Package cluster is PARD's federation layer: a Topology describing
+// many racks, behind a spine/leaf switch fabric or linked server to
+// server, and a Controller that owns every server's PRM firmware
+// handle, aggregates their telemetry into cluster-level series, and
+// applies compiled intents — per-server policy loads journaled under
+// an origin=cluster:<intent> label plus fabric parameter writes. It is
+// the "SDN controller for computers" the paper's §8 sketches;
+// pard.Cluster composes it with the actual simulated servers and
+// fabric.
 package cluster
 
 import (
@@ -23,46 +24,55 @@ type Topology struct {
 	ServersPerRack int
 	Spines         int
 
+	// Switchless builds no leaf or spine: server s of rack r links
+	// straight to server s of racks r±1 (a ring over the racks, see
+	// ConnectRing) at FabricLatency. One-server racks make a sharded
+	// server ring; a single rack has only its intra-rack ring. Spines
+	// is unused.
+	Switchless bool
+
 	// RackLatency is the intra-rack link latency: server↔server ring
 	// links and server↔leaf uplinks. A rack always lives on one shard,
 	// so it may be smaller than the PDES lookahead window.
 	RackLatency sim.Tick
 
-	// FabricLatency is the leaf↔spine link latency. Cross-rack links
+	// FabricLatency is the latency of every link between racks
+	// (leaf↔spine, or server↔server when Switchless). Only those links
 	// cross shards, so it is also the conservative-PDES lookahead
-	// window a sharded run synchronizes on: it must be positive, and
-	// every cross-shard link latency must be >= it.
+	// window a sharded run synchronizes on.
 	FabricLatency sim.Tick
 
 	// Shards is the ShardGroup width; 0 means one shard per rack.
 	Shards int
 }
 
-// DefaultFabricLatency is the leaf↔spine latency when unspecified:
-// one microsecond, matching pard.DefaultLinkLatency so a cluster's
-// lookahead window equals the sharded rack's.
-const DefaultFabricLatency = sim.Microsecond
+// DefaultLatency is a link latency left unspecified: one microsecond,
+// roughly a top-of-rack switch hop. As the default FabricLatency it is
+// also the default PDES lookahead window, so larger values mean fewer
+// barriers per simulated second.
+const DefaultLatency = sim.Microsecond
 
-// Normalize fills defaults in place: 1 spine, DefaultFabricLatency,
-// one shard per rack.
+// Normalize fills defaults in place: 1 spine, DefaultLatency on both
+// link tiers, one shard per rack.
 func (t *Topology) Normalize() {
 	if t.Spines == 0 {
 		t.Spines = 1
 	}
+	if t.RackLatency == 0 {
+		t.RackLatency = DefaultLatency
+	}
 	if t.FabricLatency == 0 {
-		t.FabricLatency = DefaultFabricLatency
+		t.FabricLatency = DefaultLatency
 	}
 	if t.Shards == 0 {
 		t.Shards = t.Racks
 	}
 }
 
-// Validate checks the topology at wiring time, before any engine or
-// shard group exists. window is the PDES lookahead the cluster will
-// run on (the fabric latency itself for pard.Cluster); every
-// cross-shard link latency must reach it, and the error says so by
-// name rather than letting sim.Shard.Send panic mid-run.
-func (t Topology) Validate(window sim.Tick) error {
+// Validate checks a normalized topology at wiring time, before any
+// engine or shard group exists, so a bad shape is an error saying what
+// is needed rather than a panic mid-run.
+func (t Topology) Validate() error {
 	if t.Racks < 1 {
 		return fmt.Errorf("cluster: topology needs at least 1 rack, have %d", t.Racks)
 	}
@@ -75,18 +85,8 @@ func (t Topology) Validate(window sim.Tick) error {
 	if t.Shards < 1 || t.Shards > t.Racks {
 		return fmt.Errorf("cluster: shard count %d out of range [1, %d racks]", t.Shards, t.Racks)
 	}
-	if window <= 0 {
-		return fmt.Errorf("cluster: PDES lookahead window must be positive, have %v", window)
-	}
-	if t.FabricLatency < window {
-		return fmt.Errorf("cluster: fabric link latency %v is below the PDES lookahead window %v; cross-shard links need latency >= the window (raise FabricLatency or shrink the window)",
-			t.FabricLatency, window)
-	}
 	return nil
 }
-
-// NumServers returns the total server count.
-func (t Topology) NumServers() int { return t.Racks * t.ServersPerRack }
 
 // RackOf returns the rack a global server index belongs to.
 func (t Topology) RackOf(server int) int { return server / t.ServersPerRack }
@@ -110,9 +110,10 @@ func (t Topology) LeafName(rack int) string { return fmt.Sprintf("leaf%d", rack)
 // SpineName names a spine switch.
 func (t Topology) SpineName(spine int) string { return fmt.Sprintf("spine%d", spine) }
 
-// ConnectRing drives a pairwise link function over a ring: server i to
-// server (i+1) mod n. A two-server "ring" is the single link. Rack,
-// ParallelRack and the cluster's intra-rack wiring all share it.
+// ConnectRing drives a pairwise link function over a ring: node i to
+// node (i+1) mod n. A two-node "ring" is the single link. pard.Cluster
+// walks it over the servers of a rack and, when switchless, over the
+// racks.
 func ConnectRing(n int, link func(i, j int) error) error {
 	if n < 2 {
 		return fmt.Errorf("cluster: ring topology needs at least 2 servers, have %d", n)
@@ -124,21 +125,6 @@ func ConnectRing(n int, link func(i, j int) error) error {
 		}
 		if err := link(i, j); err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-// ConnectFullMesh drives a pairwise link function over every pair.
-func ConnectFullMesh(n int, link func(i, j int) error) error {
-	if n < 2 {
-		return fmt.Errorf("cluster: mesh topology needs at least 2 servers, have %d", n)
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if err := link(i, j); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

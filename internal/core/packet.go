@@ -202,7 +202,7 @@ type IDSource struct {
 // NewIDSource returns a pooled source — the standard per-server
 // configuration. Giving every server its own source keeps packet
 // recycling local to the engine the packets live on, which is what lets
-// a sharded rack run each server's pool lock-free, and makes packet ids
+// a sharded cluster run each server's pool lock-free, and makes packet ids
 // (and with them trace sampling) independent of how many servers share
 // a simulation.
 func NewIDSource() *IDSource {

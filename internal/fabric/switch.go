@@ -44,7 +44,7 @@ type Config struct {
 	Name string
 	// BytesPerSec is the per-port egress line rate. 0 means passthrough:
 	// frames forward with zero serialization delay, which keeps a
-	// 1-rack cluster byte-identical to the bare Rack.
+	// 1-rack cluster byte-identical to a switchless one.
 	BytesPerSec  uint64
 	TriggerSlots int
 	// SampleInterval is the trigger-evaluation cadence; 0 disables

@@ -197,7 +197,7 @@ func (n *NIC) UnbindVNIC(mac uint64) {
 // total transit time (serialization plus wire latency) from that
 // moment, and the implementation must arrange for the far NIC's
 // ReceiveFlow to run — on the far NIC's engine — delay ticks later.
-// localWire does this with a same-engine Schedule; pard.ParallelRack
+// localWire does this with a same-engine Schedule; pard.Cluster
 // provides a cross-shard wire that routes through the shard-runtime
 // mailboxes instead.
 type Wire interface {
@@ -222,20 +222,15 @@ func (w *localWire) Deliver(delay sim.Tick, flowID, dstMAC uint64, bytes uint32)
 	w.engine.Schedule(delay, func() { w.peer.ReceiveFlow(flowID, dstMAC, bytes) })
 }
 
-// ConnectPeer joins two NICs with a zero-latency point-to-point link
-// (both directions): frames sent with SendFrame arrive at the peer's
-// classifier, so a flow id — and with it a DS-id — travels between
-// servers (paper §4.1 / §8: "integrate PARD and SDN so that DS-id can
-// be propagated in a data center wide"). Linking the same pair twice is
-// an error: it used to silently re-link, now it would duplicate every
-// frame.
-func (n *NIC) ConnectPeer(other *NIC) error {
-	return n.ConnectPeerLatency(other, 0)
-}
-
-// ConnectPeerLatency is ConnectPeer with an explicit wire latency,
-// added on top of serialization delay in both directions. Both NICs
-// must share one engine; cross-engine links go through ConnectWire.
+// ConnectPeerLatency joins two NICs with a point-to-point link (both
+// directions) whose wire latency is added on top of serialization
+// delay: frames sent with SendFrame arrive at the peer's classifier, so
+// a flow id — and with it a DS-id — travels between servers (paper
+// §4.1 / §8: "integrate PARD and SDN so that DS-id can be propagated in
+// a data center wide"). Linking a NIC to itself, or the same pair
+// twice, is an error: a second link would duplicate every frame. Both
+// NICs must share one engine; cross-engine links go through
+// ConnectWire.
 func (n *NIC) ConnectPeerLatency(other *NIC, latency sim.Tick) error {
 	if other == nil || other == n {
 		return fmt.Errorf("iodev: NIC %q cannot link to itself", n.cfg.Name)
@@ -258,8 +253,8 @@ func (n *NIC) ConnectPeerLatency(other *NIC, latency sim.Tick) error {
 
 // ConnectWire attaches a one-directional outbound wire with the given
 // latency. The caller owns duplicate detection and the reverse
-// direction; this is the hook pard.ParallelRack uses to splice the
-// cross-shard mailbox path into the TX fan-out.
+// direction; this is the hook pard.Cluster uses to splice switch
+// uplinks and the cross-shard mailbox path into the TX fan-out.
 func (n *NIC) ConnectWire(w Wire, latency sim.Tick) {
 	if w == nil {
 		panic("iodev: nil wire")

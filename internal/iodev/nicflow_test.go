@@ -84,3 +84,37 @@ func TestUnbindFlowAndVNICCleanup(t *testing.T) {
 		t.Fatal("frame for a torn-down LDom not dropped")
 	}
 }
+
+// TestConnectPeerRejectsSelfAndDuplicates: a NIC cannot link to itself,
+// a pair links once whichever end asks, and a rejected attempt attaches
+// no wire.
+func TestConnectPeerRejectsSelfAndDuplicates(t *testing.T) {
+	e := sim.NewEngine()
+	newNIC := func() *NIC { return NewNIC(e, &core.IDSource{}, DefaultNICConfig(), &sinkMem{e: e}, nil) }
+	a, b, c := newNIC(), newNIC(), newNIC()
+	links := func() [3]int { return [3]int{a.NumLinks(), b.NumLinks(), c.NumLinks()} }
+
+	if err := a.ConnectPeerLatency(a, 0); err == nil {
+		t.Error("self link accepted")
+	}
+	if got := links(); got != [3]int{0, 0, 0} {
+		t.Fatalf("rejected self link attached wires: %v", got)
+	}
+	if err := a.ConnectPeerLatency(b, sim.Microsecond); err != nil {
+		t.Fatal(err)
+	}
+	for _, pair := range [][2]*NIC{{a, b}, {b, a}} {
+		if err := pair[0].ConnectPeerLatency(pair[1], sim.Microsecond); err == nil {
+			t.Error("duplicate link accepted")
+		}
+	}
+	if got := links(); got != [3]int{1, 1, 0} {
+		t.Fatalf("rejected duplicates attached wires: %v", got)
+	}
+	if err := b.ConnectPeerLatency(c, 0); err != nil {
+		t.Fatalf("distinct pair rejected: %v", err)
+	}
+	if got := links(); got != [3]int{1, 2, 1} {
+		t.Fatalf("links after b-c = %v, want [1 2 1]", got)
+	}
+}

@@ -3,13 +3,12 @@ package trace
 import "sort"
 
 // MergeTraces combines several recorders' archived traces — one
-// recorder per rack server (or shard) — into a single deterministically
+// recorder per cluster server — into a single deterministically
 // ordered timeline: ascending issue time, then end time, then packet
 // id, with argument order breaking residual ties (the sort is stable
-// over the concatenation). Rack-level reporting and the sharded-rack
-// equivalence suite flush per-server rings through here, so the merged
-// view is identical however the servers were distributed over engines.
-// Nil recorders are skipped.
+// over the concatenation). The merged view is identical however the
+// servers were distributed over engines; the sharded-ring equivalence
+// suite checks exactly that. Nil recorders are skipped.
 func MergeTraces(recorders ...*Recorder) []PacketTrace {
 	var out []PacketTrace
 	for _, r := range recorders {

@@ -9,9 +9,10 @@ import (
 
 // TestClusterOneRackMatchesBareRack: a 1-rack cluster behind a
 // passthrough leaf/spine is byte-identical — per-server state digest —
-// to the bare Rack running the same workload. The fabric only ever
-// receives broadcast copies it drops (unknown MACs, split horizon), so
-// the servers cannot tell the switches exist.
+// to the switchless rack running the same workload. The fabric only
+// ever receives broadcast copies it drops (split horizon: the leaf
+// never forwards host to host), so the servers cannot tell the
+// switches exist.
 func TestClusterOneRackMatchesBareRack(t *testing.T) {
 	want := sequentialRackDigest(t, 4)
 
@@ -21,7 +22,7 @@ func TestClusterOneRackMatchesBareRack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	provisionEquivWorkload(t, c.Servers)
+	provisionEquivWorkload(t, c)
 	c.Run(equivRun)
 
 	if got := StateDigest(c.Servers); got != want {
@@ -79,25 +80,13 @@ func TestClusterShardInvariance(t *testing.T) {
 	}
 }
 
-// TestClusterWiringValidation is the satellite-1 regression: link
-// latencies below the PDES lookahead window are rejected at wiring
-// time with the minimum window named, on both the sharded rack and the
-// cluster topology.
+// TestClusterWiringValidation: a bad topology is an error at wiring
+// time, not a panic mid-run.
 func TestClusterWiringValidation(t *testing.T) {
-	pr := NewParallelRack(equivConfig(), ParallelRackConfig{Servers: 2, Shards: 2})
-	err := pr.ConnectLatency(0, 1, 0)
-	if err == nil {
-		t.Fatal("zero-latency cross-shard link accepted")
-	}
-	if !strings.Contains(err.Error(), pr.LinkLatency().String()) ||
-		!strings.Contains(err.Error(), "lookahead window") {
-		t.Errorf("wiring error does not name the minimum window: %v", err)
-	}
-
 	if _, err := NewCluster(ClusterConfig{Racks: 0}); err == nil {
 		t.Error("0-rack cluster accepted")
 	}
-	_, err = NewCluster(ClusterConfig{Racks: 2, ServersPerRack: 1, Shards: 3})
+	_, err := NewCluster(ClusterConfig{Racks: 2, ServersPerRack: 1, Shards: 3})
 	if err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Errorf("bad shard count error = %v", err)
 	}

@@ -94,16 +94,13 @@ func memScheduler(t *testing.T, algo string) func(*System) {
 // on every booted server before any traffic flows.
 func rack2Sched(t *testing.T, setup func(*System)) string {
 	t.Helper()
-	rack := NewRack(equivConfig(), 2)
-	if err := rack.ConnectRing(DefaultLinkLatency); err != nil {
-		t.Fatal(err)
-	}
+	rack := switchless(t, equivConfig(), 1, 2, 1, 1)
 	if setup != nil {
 		for _, s := range rack.Servers {
 			setup(s)
 		}
 	}
-	provisionEquivWorkload(t, rack.Servers)
+	provisionEquivWorkload(t, rack)
 	for i, s := range rack.Servers {
 		s.RunWorkload(1, NewSTREAM(uint64(100+i)))
 	}
@@ -120,6 +117,19 @@ func rack2Sched(t *testing.T, setup func(*System)) string {
 	}
 	rack.Run(equivRun)
 	return StateDigest(rack.Servers)
+}
+
+// sweepRing runs the rack sweep's workload (`pardbench -shards`,
+// BenchmarkRackParallel*): four default servers in a switchless ring of
+// one-server racks, 25 frames each, for 1 ms.
+func sweepRing(t *testing.T, shards, workers int) *Cluster {
+	t.Helper()
+	c := switchless(t, DefaultConfig(), 4, 1, shards, workers)
+	if err := ProvisionClusterWorkload(c, 25); err != nil {
+		t.Fatal(err)
+	}
+	c.Run(Millisecond)
+	return c
 }
 
 func TestTrajectoryGoldens(t *testing.T) {
@@ -168,7 +178,7 @@ func TestTrajectoryGoldens(t *testing.T) {
 		}},
 		{"rack4", "6aa91d62922e56e1", func(t *testing.T) string {
 			// Four Figure 8 servers on one engine.
-			rack := NewRack(goldenConfig(), 4)
+			rack := switchless(t, goldenConfig(), 1, 4, 1, 1)
 			for i, s := range rack.Servers {
 				goldenServer(t, s, int64(1+i))
 			}
@@ -182,6 +192,22 @@ func TestTrajectoryGoldens(t *testing.T) {
 		{"rack2_sched", "cb8ecb6fcc0c8bed", func(t *testing.T) string {
 			return rack2Sched(t, nil)
 		}},
+		// Recorded before the sequential and sharded racks became
+		// switchless clusters: the rack sweep at 4 shards (BENCH.json's
+		// rack_parallel digest), the sequential ring the equivalence
+		// suites compare against, and the reference cluster's full
+		// digest, switch tables included.
+		{"ring4_sharded", "73e8f65ac7f3996d", func(t *testing.T) string {
+			return StateDigest(sweepRing(t, 4, 4).Servers)
+		}},
+		{"ring4", "3894e78e9a8f4f07", func(t *testing.T) string {
+			return sequentialRackDigest(t, 4)
+		}},
+		{"cluster4x2", "4ccce76f858594b8", func(t *testing.T) string {
+			c := refCluster(t, 1, 1)
+			c.Run(equivRun)
+			return c.Digest()
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -189,5 +215,40 @@ func TestTrajectoryGoldens(t *testing.T) {
 				t.Errorf("state digest hash %s, golden %s", got, c.want)
 			}
 		})
+	}
+}
+
+// TestShardCounts pins the barrier protocol's exact counts, the only
+// output that shows the lookahead table: registering twice the ring
+// latency, or none at all, simulates the same machine and leaves every
+// digest unchanged, but moves the windows run or the idle skips.
+// Worker count never changes them.
+func TestShardCounts(t *testing.T) {
+	sweep := func(shards, workers int) *Cluster { return sweepRing(t, shards, workers) }
+	ref := func(shards, workers int) *Cluster {
+		c := refCluster(t, shards, workers)
+		c.Run(equivRun)
+		return c
+	}
+	cases := []struct {
+		name                 string
+		run                  func(shards, workers int) *Cluster
+		shards               int
+		windows, idle, cross uint64
+	}{
+		{"sweep ring", sweep, 2, 983, 0, 200},
+		{"sweep ring", sweep, 4, 983, 11, 200},
+		{"cluster 4x2", ref, 2, 995, 0, 160},
+		{"cluster 4x2", ref, 4, 993, 0, 240},
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{1, tc.shards} {
+			g := tc.run(tc.shards, workers).Group
+			if g.WindowsRun != tc.windows || g.IdleSkips != tc.idle || g.CrossSends != tc.cross {
+				t.Errorf("%s shards=%d workers=%d: windows/idle_skips/cross_sends %d/%d/%d, want %d/%d/%d",
+					tc.name, tc.shards, workers, g.WindowsRun, g.IdleSkips, g.CrossSends,
+					tc.windows, tc.idle, tc.cross)
+			}
+		}
 	}
 }

@@ -26,37 +26,57 @@ func equivConfig() Config {
 	return cfg
 }
 
-// provisionEquivWorkload installs LDoms, flow rules and pumps on an
-// already-linked set of rack servers.
-func provisionEquivWorkload(t *testing.T, servers []*System) {
+// switchless builds a switchless cluster of racks × perRack servers
+// over shards shards, without a workload.
+func switchless(t *testing.T, cfg Config, racks, perRack, shards, workers int) *Cluster {
 	t.Helper()
-	if err := ProvisionScalingWorkload(servers, equivFrames); err != nil {
+	c, err := NewCluster(ClusterConfig{
+		Racks: racks, ServersPerRack: perRack, Switchless: true,
+		Shards: shards, Workers: workers, Server: cfg,
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
+	return c
+}
+
+// provisionEquivWorkload installs LDoms, flow rules and pumps.
+func provisionEquivWorkload(t *testing.T, c *Cluster) {
+	t.Helper()
+	if err := ProvisionClusterWorkload(c, equivFrames); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sequentialRack runs the equivalence workload on one switchless rack
+// of n servers: a single engine, ring-linked at the rack latency.
+func sequentialRack(t *testing.T, cfg Config, n int) *Cluster {
+	t.Helper()
+	c := switchless(t, cfg, 1, n, 1, 1)
+	provisionEquivWorkload(t, c)
+	c.Run(equivRun)
+	return c
+}
+
+// shardedRing runs the equivalence workload on n switchless one-server
+// racks spread over shards shards: the same ring, cut across engines.
+func shardedRing(t *testing.T, cfg Config, n, shards, workers int) *Cluster {
+	t.Helper()
+	c := switchless(t, cfg, n, 1, shards, workers)
+	provisionEquivWorkload(t, c)
+	c.Run(equivRun)
+	return c
 }
 
 func sequentialRackDigest(t *testing.T, n int) string {
 	t.Helper()
-	rack := NewRack(equivConfig(), n)
-	if err := rack.ConnectRing(DefaultLinkLatency); err != nil {
-		t.Fatal(err)
-	}
-	provisionEquivWorkload(t, rack.Servers)
-	rack.Run(equivRun)
-	return StateDigest(rack.Servers)
+	return StateDigest(sequentialRack(t, equivConfig(), n).Servers)
 }
 
-func parallelRackDigest(t *testing.T, n, shards, workers int) (string, *ParallelRack) {
+func parallelRackDigest(t *testing.T, n, shards, workers int) (string, *Cluster) {
 	t.Helper()
-	pr := NewParallelRack(equivConfig(), ParallelRackConfig{
-		Servers: n, Shards: shards, Workers: workers,
-	})
-	if err := pr.ConnectRing(); err != nil {
-		t.Fatal(err)
-	}
-	provisionEquivWorkload(t, pr.Servers)
-	pr.Run(equivRun)
-	return StateDigest(pr.Servers), pr
+	c := shardedRing(t, equivConfig(), n, shards, workers)
+	return StateDigest(c.Servers), c
 }
 
 // firstDiff locates the first differing line of two digests, for
@@ -121,12 +141,7 @@ func TestParallelRackMergedTraces(t *testing.T) {
 		}
 		return out
 	}
-	seq := NewRack(equivConfig(), 4)
-	if err := seq.ConnectRing(DefaultLinkLatency); err != nil {
-		t.Fatal(err)
-	}
-	provisionEquivWorkload(t, seq.Servers)
-	seq.Run(equivRun)
+	seq := sequentialRack(t, equivConfig(), 4)
 	want := trace.MergeTraces(recorders(seq.Servers)...)
 
 	_, pr := parallelRackDigest(t, 4, 2, 2)
@@ -137,27 +152,6 @@ func TestParallelRackMergedTraces(t *testing.T) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("merged trace %d differs: %+v != %+v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestParallelRackValidation(t *testing.T) {
-	pr := NewParallelRack(equivConfig(), ParallelRackConfig{Servers: 4, Shards: 2})
-	if pr.ShardOf(0) != 0 || pr.ShardOf(1) != 1 || pr.ShardOf(2) != 0 {
-		t.Fatal("round-robin shard placement broken")
-	}
-	if err := pr.Connect(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := pr.Connect(1, 0); err == nil {
-		t.Error("duplicate link accepted")
-	}
-	if err := pr.ConnectLatency(2, 3, pr.LinkLatency()-1); err == nil {
-		t.Error("link latency below lookahead window accepted")
-	}
-	for _, pair := range [][2]int{{0, 0}, {-1, 1}, {0, 9}} {
-		if err := pr.Connect(pair[0], pair[1]); err == nil {
-			t.Errorf("link %v accepted", pair)
 		}
 	}
 }

@@ -137,12 +137,12 @@ type System struct {
 func NewSystem(cfg Config) *System {
 	ids := &core.IDSource{}
 	ids.EnablePool()
-	return NewSystemOn(cfg, sim.NewEngine(), ids)
+	return newSystemOn(cfg, sim.NewEngine(), ids)
 }
 
-// NewSystemOn builds a server on a shared engine and packet-id source,
-// so several servers can coexist in one simulation (see Rack).
-func NewSystemOn(cfg Config, e *sim.Engine, ids *core.IDSource) *System {
+// newSystemOn builds a server on a given engine and packet-id source,
+// so several servers can share one simulation (see NewCluster).
+func newSystemOn(cfg Config, e *sim.Engine, ids *core.IDSource) *System {
 	cfg.fillDefaults()
 	s := &System{
 		Cfg:              cfg,

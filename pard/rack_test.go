@@ -8,10 +8,7 @@ func TestRackDSIDPropagation(t *testing.T) {
 	// Two servers; a flow's DS-id follows it across the wire: server0's
 	// "front" LDom sends flow 7 to server1, whose SDN rule maps flow 7
 	// to its "back" LDom regardless of MAC.
-	rack := NewRack(DefaultConfig(), 2)
-	if err := rack.Connect(0, 1); err != nil {
-		t.Fatal(err)
-	}
+	rack := switchless(t, DefaultConfig(), 1, 2, 1, 1)
 	s0, s1 := rack.Servers[0], rack.Servers[1]
 
 	front, err := s0.CreateLDom(LDomConfig{
@@ -58,8 +55,7 @@ func TestRackDSIDPropagation(t *testing.T) {
 }
 
 func TestRackWithoutFlowRuleUsesMAC(t *testing.T) {
-	rack := NewRack(DefaultConfig(), 2)
-	rack.Connect(0, 1)
+	rack := switchless(t, DefaultConfig(), 1, 2, 1, 1)
 	s0, s1 := rack.Servers[0], rack.Servers[1]
 	s0.CreateLDom(LDomConfig{Name: "a", Cores: []int{0}, MAC: 0xA0, NICBuf: 0x1000})
 	s1.CreateLDom(LDomConfig{Name: "b", Cores: []int{0}, MAC: 0xB0, NICBuf: 0x1000})
@@ -72,8 +68,7 @@ func TestRackWithoutFlowRuleUsesMAC(t *testing.T) {
 
 func TestRackSharedEngineDeterminism(t *testing.T) {
 	run := func() uint64 {
-		rack := NewRack(DefaultConfig(), 2)
-		rack.Connect(0, 1)
+		rack := switchless(t, DefaultConfig(), 1, 2, 1, 1)
 		for i, s := range rack.Servers {
 			s.CreateLDom(LDomConfig{Name: "w", Cores: []int{0}, MAC: uint64(0xA0 + i), NICBuf: 0x1000})
 			s.RunWorkload(0, NewSTREAM(0))
@@ -86,72 +81,30 @@ func TestRackSharedEngineDeterminism(t *testing.T) {
 	}
 }
 
-func TestRackDuplicateLinkRejected(t *testing.T) {
-	rack := NewRack(DefaultConfig(), 3)
-	if err := rack.Connect(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := rack.Connect(0, 1); err == nil {
-		t.Error("duplicate link 0-1 accepted")
-	}
-	if err := rack.Connect(1, 0); err == nil {
-		t.Error("reversed duplicate link 1-0 accepted")
-	}
-	if err := rack.Connect(1, 2); err != nil {
-		t.Errorf("distinct link rejected: %v", err)
-	}
-}
-
+// TestRackTopologyHelpers counts the links switchless wiring gives
+// each server: the rack ring, the ring over racks, and both at once.
 func TestRackTopologyHelpers(t *testing.T) {
-	ring := NewRack(DefaultConfig(), 4)
-	if err := ring.ConnectRing(0); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name                   string
+		racks, perRack, shards int
+		want                   int
+	}{
+		{"rack ring of 4", 1, 4, 1, 2},
+		{"rack ring of 2", 1, 2, 1, 1},
+		{"lone server", 1, 1, 1, 0},
+		{"ring of 4 racks", 4, 1, 1, 2},
+		{"sharded ring of 4 racks", 4, 1, 4, 2},
+		{"2 racks of 2", 2, 2, 2, 2},
 	}
-	for i, s := range ring.Servers {
-		if got := s.NIC.NumLinks(); got != 2 {
-			t.Errorf("ring: server %d has %d links, want 2", i, got)
+	for _, tc := range cases {
+		c := switchless(t, DefaultConfig(), tc.racks, tc.perRack, tc.shards, 1)
+		for i, s := range c.Servers {
+			if got := s.NIC.NumLinks(); got != tc.want {
+				t.Errorf("%s: server %d has %d links, want %d", tc.name, i, got, tc.want)
+			}
+		}
+		if len(c.Switches()) != 0 {
+			t.Errorf("%s: switchless cluster built %d switches", tc.name, len(c.Switches()))
 		}
 	}
-
-	pair := NewRack(DefaultConfig(), 2)
-	if err := pair.ConnectRing(0); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range pair.Servers {
-		if got := s.NIC.NumLinks(); got != 1 {
-			t.Errorf("2-ring: server %d has %d links, want 1", i, got)
-		}
-	}
-
-	mesh := NewRack(DefaultConfig(), 4)
-	if err := mesh.ConnectFullMesh(0); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range mesh.Servers {
-		if got := s.NIC.NumLinks(); got != 3 {
-			t.Errorf("mesh: server %d has %d links, want 3", i, got)
-		}
-	}
-
-	if err := NewRack(DefaultConfig(), 1).ConnectRing(0); err == nil {
-		t.Error("1-server ring accepted")
-	}
-	if err := NewRack(DefaultConfig(), 1).ConnectFullMesh(0); err == nil {
-		t.Error("1-server mesh accepted")
-	}
-}
-
-func TestRackValidation(t *testing.T) {
-	rack := NewRack(DefaultConfig(), 2)
-	for _, pair := range [][2]int{{0, 0}, {-1, 1}, {0, 5}} {
-		if err := rack.Connect(pair[0], pair[1]); err == nil {
-			t.Errorf("link %v accepted", pair)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("zero-server rack did not panic")
-		}
-	}()
-	NewRack(DefaultConfig(), 0)
 }

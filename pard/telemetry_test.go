@@ -27,26 +27,12 @@ func telemetryEquivConfig(disable bool) Config {
 
 func rackDigestTelemetry(t *testing.T, n int, disable bool) string {
 	t.Helper()
-	rack := NewRack(telemetryEquivConfig(disable), n)
-	if err := rack.ConnectRing(DefaultLinkLatency); err != nil {
-		t.Fatal(err)
-	}
-	provisionEquivWorkload(t, rack.Servers)
-	rack.Run(equivRun)
-	return StateDigest(rack.Servers)
+	return StateDigest(sequentialRack(t, telemetryEquivConfig(disable), n).Servers)
 }
 
 func parallelDigestTelemetry(t *testing.T, n, shards int, disable bool) string {
 	t.Helper()
-	pr := NewParallelRack(telemetryEquivConfig(disable), ParallelRackConfig{
-		Servers: n, Shards: shards, Workers: shards,
-	})
-	if err := pr.ConnectRing(); err != nil {
-		t.Fatal(err)
-	}
-	provisionEquivWorkload(t, pr.Servers)
-	pr.Run(equivRun)
-	return StateDigest(pr.Servers)
+	return StateDigest(shardedRing(t, telemetryEquivConfig(disable), n, shards, shards).Servers)
 }
 
 // TestTelemetryDigestInvariance is the acceptance gate: scraping and
@@ -86,12 +72,7 @@ func exportAll(sys *System) string {
 // and journal are byte-deterministic across repeated runs.
 func TestTelemetryExportDeterminism(t *testing.T) {
 	run := func() string {
-		rack := NewRack(telemetryEquivConfig(false), 2)
-		if err := rack.ConnectRing(DefaultLinkLatency); err != nil {
-			t.Fatal(err)
-		}
-		provisionEquivWorkload(t, rack.Servers)
-		rack.Run(equivRun)
+		rack := sequentialRack(t, telemetryEquivConfig(false), 2)
 		var b strings.Builder
 		for _, s := range rack.Servers {
 			b.WriteString(exportAll(s))
