@@ -1,5 +1,5 @@
 # Tier-1 gate: everything CI (and the next PR) runs.
-.PHONY: check build fmt vet lint test race bench benchgate fuzz digests figures
+.PHONY: check build fmt vet lint test race bench benchgate fuzz digests figures loc
 
 check: build fmt vet lint test
 
@@ -79,3 +79,15 @@ FUZZTIME ?= 30s
 fuzz:
 	go test ./internal/policy -fuzz FuzzParsePolicy -fuzztime $(FUZZTIME)
 	go test ./internal/policy -fuzz FuzzParseIntent -fuzztime $(FUZZTIME)
+
+# Line-count ledger: non-test and test Go lines added, deleted and net
+# between BASE (default HEAD) and the working tree, untracked Go files
+# included. `make loc BASE=<ref>` prints the figures a CHANGES.md entry
+# records.
+BASE ?= HEAD
+loc:
+	@{ git diff --numstat --no-renames $(BASE) -- '*.go'; \
+	  git ls-files --others --exclude-standard -- '*.go' | while read -r f; do echo "$$(wc -l < "$$f") 0 $$f"; done; } | \
+	awk '{ k = ($$3 ~ /_test\.go$$/) ? "test" : "non-test"; a[k] += $$1; d[k] += $$2 } \
+	  END { printf "non-test Go: +%d -%d net %+d\n", a["non-test"], d["non-test"], a["non-test"] - d["non-test"]; \
+	        printf "test Go:     +%d -%d net %+d\n", a["test"], d["test"], a["test"] - d["test"] }'

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/metric"
 	"repro/internal/sim"
 )
 
@@ -39,10 +40,8 @@ type RuleState struct {
 	Fired      uint64 // firings whose writes were applied
 	Suppressed uint64 // firings suppressed by cooldown or rate limit
 
-	recent []sim.Tick // applied-firing times inside the rate window
-	hist   [HistoryCap]Firing
-	n      int // firings recorded (saturates visibility at HistoryCap)
-	next   int // ring write index
+	recent []sim.Tick           // applied-firing times inside the rate window
+	hist   *metric.Ring[Firing] // last HistoryCap firings; nil before the first
 }
 
 // AllowRate reports whether another firing fits inside the `limit N
@@ -69,24 +68,18 @@ func (s *RuleState) Record(f Firing) {
 	} else {
 		s.Suppressed++
 	}
-	s.hist[s.next] = f
-	s.next = (s.next + 1) % HistoryCap
-	if s.n < HistoryCap {
-		s.n++
+	if s.hist == nil {
+		s.hist = metric.NewRing[Firing](HistoryCap)
 	}
+	s.hist.Push(f)
 }
 
 // History returns the retained firings, oldest first.
 func (s *RuleState) History() []Firing {
-	out := make([]Firing, 0, s.n)
-	start := s.next - s.n
-	if start < 0 {
-		start += HistoryCap
+	if s.hist == nil {
+		return nil
 	}
-	for i := 0; i < s.n; i++ {
-		out = append(out, s.hist[(start+i)%HistoryCap])
-	}
-	return out
+	return s.hist.AppendTo(nil)
 }
 
 // FormatTick renders a simulation tick (1 ps) as a human time.

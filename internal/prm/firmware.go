@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/metric"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -124,16 +125,12 @@ type Firmware struct {
 	ActionErrors       uint64
 	TriggersSuppressed uint64
 
-	logLines []string
+	// log holds the newest logCapacity firmware log lines.
+	log *metric.Ring[string]
 
 	// journal, when set, receives audit events for every control-plane
 	// verb the firmware performs. A nil journal drops everything.
 	journal *telemetry.Journal
-
-	// scraper, when set, is the telemetry registry whose post-scrape
-	// hooks the CSV monitors ride, so cat-style stat files and /metrics
-	// sample at identical sim-times.
-	scraper *telemetry.Registry
 
 	// origin labels where the currently executing command came from
 	// ("console", "pardctl", "policy:<set>/<rule>"); empty means the
@@ -156,13 +153,14 @@ func NewFirmware(e *sim.Engine, cfg Config, platform Platform) *Firmware {
 		policies:   make(map[string]*policySet),
 		ldoms:      make(map[core.DSID]*LDom),
 		extraStats: make(map[int][]ldomStat),
+		log:        metric.NewRing[string](logCapacity),
 	}
 	fw.fs.Mkdir("/sys/cpa")
 	fw.fs.Mkdir("/log")
 	fw.fs.AddFile("/log/triggers.log", func() (string, error) {
-		return strings.Join(fw.logLines, "\n"), nil
+		return fw.logText(), nil
 	}, func(s string) error {
-		fw.logLines = append(fw.logLines, s)
+		fw.log.Push(s)
 		return nil
 	})
 	registerBuiltinActions(fw)
@@ -177,9 +175,6 @@ func (fw *Firmware) SetJournal(j *telemetry.Journal) { fw.journal = j }
 
 // Journal returns the wired audit journal (nil when telemetry is off).
 func (fw *Firmware) Journal() *telemetry.Journal { return fw.journal }
-
-// SetScraper wires the telemetry registry the CSV monitors ride.
-func (fw *Firmware) SetScraper(r *telemetry.Registry) { fw.scraper = r }
 
 // Origin reports who is driving the firmware right now, for journal
 // stamping; outside any command context it is the firmware itself.
@@ -200,13 +195,28 @@ func (fw *Firmware) WithOrigin(origin string, fn func()) {
 	fw.origin = prev
 }
 
+// logCapacity bounds the firmware log: older lines are displaced, so a
+// trigger storm cannot grow it without limit.
+const logCapacity = 512
+
 // Logf appends to the firmware log.
 func (fw *Firmware) Logf(format string, args ...interface{}) {
-	fw.logLines = append(fw.logLines, fmt.Sprintf(format, args...))
+	fw.log.Push(fmt.Sprintf(format, args...))
 }
 
-// Log returns the firmware log lines.
-func (fw *Firmware) Log() []string { return fw.logLines }
+// Log returns the retained firmware log lines, oldest first.
+func (fw *Firmware) Log() []string { return fw.log.AppendTo(nil) }
+
+// logText renders the retained log — /log/triggers.log and the `log`
+// shell command — headed by a marker line once older lines have been
+// displaced.
+func (fw *Firmware) logText() string {
+	text := strings.Join(fw.Log(), "\n")
+	if n := fw.log.Dropped(); n > 0 {
+		return fmt.Sprintf("truncated: %d older lines displaced\n", n) + text
+	}
+	return text
+}
 
 // RegisterAction installs a named trigger handler.
 func (fw *Firmware) RegisterAction(name string, fn Action) {

@@ -79,7 +79,7 @@ func (fw *Firmware) Sh(cmdline string) (string, error) {
 		return b.String(), nil
 
 	case "log":
-		return strings.Join(fw.logLines, "\n"), nil
+		return fw.logText(), nil
 	}
 	return "", fmt.Errorf("prm: unknown command %q", fields[0])
 }

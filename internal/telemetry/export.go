@@ -6,7 +6,6 @@ import (
 	"io"
 	"strings"
 
-	"repro/internal/metric"
 	"repro/internal/sim"
 )
 
@@ -132,8 +131,8 @@ func WriteJournalJSON(w io.Writer, r *Registry, j *Journal, since uint64, limit 
 // sparkGlyphs match metric.Series.Sparkline's ramp.
 var sparkGlyphs = []rune("▁▂▃▄▅▆▇█")
 
-// spark renders a ring's samples as a fixed-width sparkline.
-func spark(s *metric.Ring, width int) string {
+// spark renders a series' samples as a fixed-width sparkline.
+func spark(s *Series, width int) string {
 	if s.Len() == 0 {
 		return ""
 	}

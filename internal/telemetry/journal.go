@@ -15,6 +15,7 @@ package telemetry
 
 import (
 	"repro/internal/core"
+	"repro/internal/metric"
 	"repro/internal/sim"
 )
 
@@ -51,20 +52,14 @@ type Event struct {
 // a valid sink that drops everything, so hooks wire unconditionally.
 type Journal struct {
 	eng     *sim.Engine
-	buf     []Event
-	head    int // index of the oldest event
-	n       int
+	ring    *metric.Ring[Event]
 	nextSeq uint64
-	dropped uint64
 }
 
 // NewJournal returns a journal holding at most capacity events,
 // stamping When from the engine clock at record time.
 func NewJournal(eng *sim.Engine, capacity int) *Journal {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Journal{eng: eng, buf: make([]Event, capacity)}
+	return &Journal{eng: eng, ring: metric.NewRing[Event](capacity)}
 }
 
 // Record appends one event, stamping Seq and When. When full the
@@ -76,21 +71,7 @@ func (j *Journal) Record(ev Event) {
 	ev.Seq = j.nextSeq
 	j.nextSeq++
 	ev.When = j.eng.Now()
-	if j.n < len(j.buf) {
-		i := j.head + j.n
-		if i >= len(j.buf) {
-			i -= len(j.buf)
-		}
-		j.buf[i] = ev
-		j.n++
-		return
-	}
-	j.buf[j.head] = ev
-	j.head++
-	if j.head == len(j.buf) {
-		j.head = 0
-	}
-	j.dropped++
+	j.ring.Push(ev)
 }
 
 // Len returns the number of retained events.
@@ -98,7 +79,7 @@ func (j *Journal) Len() int {
 	if j == nil {
 		return 0
 	}
-	return j.n
+	return j.ring.Len()
 }
 
 // NextSeq returns the sequence number the next event will get (equal to
@@ -115,20 +96,12 @@ func (j *Journal) Dropped() uint64 {
 	if j == nil {
 		return 0
 	}
-	return j.dropped
+	return j.ring.Dropped()
 }
 
-// At returns the i-th retained event, oldest first.
-func (j *Journal) At(i int) Event {
-	if i < 0 || i >= j.n {
-		panic("telemetry: journal index out of range")
-	}
-	k := j.head + i
-	if k >= len(j.buf) {
-		k -= len(j.buf)
-	}
-	return j.buf[k]
-}
+// At returns the i-th retained event, oldest first. It panics when i
+// is out of [0, Len()).
+func (j *Journal) At(i int) Event { return j.ring.At(i) }
 
 // Since appends every retained event with Seq >= seq onto buf, oldest
 // first, and returns the extended slice. Events older than seq that
@@ -138,9 +111,8 @@ func (j *Journal) Since(seq uint64, buf []Event) []Event {
 	if j == nil {
 		return buf
 	}
-	for i := 0; i < j.n; i++ {
-		ev := j.At(i)
-		if ev.Seq >= seq {
+	for i := 0; i < j.ring.Len(); i++ {
+		if ev := j.ring.At(i); ev.Seq >= seq {
 			buf = append(buf, ev)
 		}
 	}

@@ -27,9 +27,8 @@ type Registry struct {
 
 	planes []*planeSource
 	gauges []*gauge
-	hooks  []func(now sim.Tick)
 
-	series  []*metric.Ring // every ring, in creation order
+	series  []*Series // every series, in creation order
 	scrapes uint64
 	started bool
 }
@@ -43,8 +42,8 @@ type planeSource struct {
 	gen    uint64 // stats-table generation the caches were built against
 
 	rows  []core.DSID
-	rings [][]*metric.Ring // parallel to rows, one ring per stat column
-	byDS  map[core.DSID][]*metric.Ring
+	rings [][]*Series // parallel to rows, one series per stat column
+	byDS  map[core.DSID][]*Series
 	tmpls []*gaugeTemplate
 }
 
@@ -54,14 +53,38 @@ type planeSource struct {
 type gaugeTemplate struct {
 	name   string
 	read   func(core.DSID) float64
-	byDS   map[core.DSID]*metric.Ring
-	active []*metric.Ring // parallel to the source's rows
+	byDS   map[core.DSID]*Series
+	active []*Series // parallel to the source's rows
 }
 
 // gauge is a scalar source sampled once per scrape.
 type gauge struct {
-	ring *metric.Ring
-	read func() float64
+	series *Series
+	read   func() float64
+}
+
+// Series is one named time series: a fixed-capacity ring of samples.
+// When full, recording displaces the oldest sample and counts it in
+// Dropped.
+type Series struct {
+	name string
+	metric.Ring[metric.Sample]
+}
+
+// newSeries returns an empty series holding at most capacity samples.
+func newSeries(name string, capacity int) *Series {
+	//pardlint:ignore hotalloc constructor: one series per registered name, at registration or first sight of a DS-id
+	return &Series{name: name, Ring: *metric.NewRing[metric.Sample](capacity)}
+}
+
+// Name returns the series name.
+func (s *Series) Name() string { return s.name }
+
+// Record appends a sample. It never allocates, and it stays within the
+// compiler's inlining budget so the scrape loop carries no call per
+// sample: it writes through Next rather than building a Push argument.
+func (s *Series) Record(when sim.Tick, v float64) {
+	*s.Next() = metric.Sample{When: when, Value: v}
 }
 
 // NewRegistry returns a registry scraping every interval ticks into
@@ -82,7 +105,7 @@ func (r *Registry) AddPlane(prefix string, p *core.Plane) {
 	r.planes = append(r.planes, &planeSource{
 		prefix: prefix,
 		plane:  p,
-		byDS:   make(map[core.DSID][]*metric.Ring),
+		byDS:   make(map[core.DSID][]*Series),
 	})
 }
 
@@ -96,7 +119,7 @@ func (r *Registry) AddPlaneGauge(prefix, name string, read func(core.DSID) float
 			src.tmpls = append(src.tmpls, &gaugeTemplate{
 				name: name,
 				read: read,
-				byDS: make(map[core.DSID]*metric.Ring),
+				byDS: make(map[core.DSID]*Series),
 			})
 			src.synced = false // force a resync to instantiate existing rows
 			return
@@ -106,20 +129,12 @@ func (r *Registry) AddPlaneGauge(prefix, name string, read func(core.DSID) float
 }
 
 // AddGauge registers a scalar gauge sampled once per scrape and returns
-// its ring.
-func (r *Registry) AddGauge(name string, read func() float64) *metric.Ring {
-	ring := metric.NewRing(name, r.capacity)
-	r.gauges = append(r.gauges, &gauge{ring: ring, read: read})
-	r.series = append(r.series, ring)
-	return ring
-}
-
-// AddHook registers a function run after every scrape at the scrape's
-// sim-time. The PRM's CSV monitor rides here (satellite of the scraper)
-// so cat-style stat files and /metrics report identical values at
-// identical sim-times.
-func (r *Registry) AddHook(fn func(now sim.Tick)) {
-	r.hooks = append(r.hooks, fn)
+// its series.
+func (r *Registry) AddGauge(name string, read func() float64) *Series {
+	s := newSeries(name, r.capacity)
+	r.gauges = append(r.gauges, &gauge{series: s, read: read})
+	r.series = append(r.series, s)
+	return s
 }
 
 // Start schedules the first scrape one interval from now. It is a
@@ -140,16 +155,11 @@ func (r *Registry) RunEvent() {
 }
 
 // Scrape performs one scrape at the current sim-time: resync row caches
-// if any table's row set changed, sample every source, then run the
-// post-scrape hooks. Exported so benchgate can measure the steady state
-// without driving the engine.
+// if any table's row set changed, then sample every source. Exported so
+// benchgate can measure the steady state without driving the engine.
 func (r *Registry) Scrape() {
 	r.maybeResync()
-	now := r.eng.Now()
-	r.scrape(now)
-	for _, h := range r.hooks {
-		h(now)
-	}
+	r.scrape(r.eng.Now())
 	r.scrapes++
 }
 
@@ -183,10 +193,10 @@ func (r *Registry) resync(src *planeSource) {
 		rowRings, ok := src.byDS[ds]
 		if !ok {
 			//pardlint:ignore hotalloc first sight of a DS-id: resync runs on stat-table generation change (LDom create/destroy), not per scrape
-			rowRings = make([]*metric.Ring, len(cols))
+			rowRings = make([]*Series, len(cols))
 			for ci, c := range cols {
-				//pardlint:ignore hotalloc first sight of a DS-id: one ring name per (DS-id, column), bounded by LDom count
-				ring := metric.NewRing(fmt.Sprintf("%s.ds%d.%s", src.prefix, ds, c.Name), r.capacity)
+				//pardlint:ignore hotalloc first sight of a DS-id: one series per (DS-id, column), bounded by LDom count
+				ring := newSeries(fmt.Sprintf("%s.ds%d.%s", src.prefix, ds, c.Name), r.capacity)
 				rowRings[ci] = ring
 				r.series = append(r.series, ring)
 			}
@@ -196,8 +206,8 @@ func (r *Registry) resync(src *planeSource) {
 		for _, t := range src.tmpls {
 			g, ok := t.byDS[ds]
 			if !ok {
-				//pardlint:ignore hotalloc first sight of a DS-id: one gauge ring per (DS-id, template), bounded by LDom count
-				g = metric.NewRing(fmt.Sprintf("%s.ds%d.%s", src.prefix, ds, t.name), r.capacity)
+				//pardlint:ignore hotalloc first sight of a DS-id: one gauge series per (DS-id, template), bounded by LDom count
+				g = newSeries(fmt.Sprintf("%s.ds%d.%s", src.prefix, ds, t.name), r.capacity)
 				t.byDS[ds] = g
 				r.series = append(r.series, g)
 			}
@@ -229,16 +239,16 @@ func (r *Registry) scrape(now sim.Tick) {
 		}
 	}
 	for _, g := range r.gauges {
-		g.ring.Record(now, g.read())
+		g.series.Record(now, g.read())
 	}
 }
 
-// Series returns every ring in creation order. The slice is the
+// Series returns every series in creation order. The slice is the
 // registry's own — callers must not mutate it.
-func (r *Registry) Series() []*metric.Ring { return r.series }
+func (r *Registry) Series() []*Series { return r.series }
 
-// Find returns the ring with the given series name, or nil.
-func (r *Registry) Find(name string) *metric.Ring {
+// Find returns the series with the given name, or nil.
+func (r *Registry) Find(name string) *Series {
 	for _, s := range r.series {
 		if s.Name() == name {
 			return s

@@ -102,9 +102,8 @@ type Recorder struct {
 	active map[uint64]*PacketTrace
 	pool   []*PacketTrace
 
-	spans   []PacketTrace // completed traces, bounded ring
+	archive *metric.Ring[PacketTrace] // completed traces; built at the first Finish
 	spanCap int
-	spanPos int
 
 	hists map[histKey]*hopHist
 
@@ -136,8 +135,7 @@ func (r *Recorder) SampleEvery() uint64 { return r.mask + 1 }
 // only). Call before traffic.
 func (r *Recorder) SetSpanCapacity(n int) {
 	r.spanCap = n
-	r.spans = nil
-	r.spanPos = 0
+	r.archive = nil
 }
 
 // RegisterHop names a hop and returns its id, reusing the id of an
@@ -290,14 +288,14 @@ func (r *Recorder) Finish(hop int, p *core.Packet) {
 	t.End = now
 	r.finished++
 	if r.spanCap > 0 {
+		// Built here rather than in NewRecorder, so booting a system
+		// does not pay for the full-capacity archive up front.
+		if r.archive == nil {
+			r.archive = metric.NewRing[PacketTrace](r.spanCap)
+		}
 		// Archive by value: the active struct goes back to the pool and
 		// the packet may be recycled, but the ring entry is a copy.
-		if len(r.spans) < r.spanCap {
-			r.spans = append(r.spans, *t)
-		} else {
-			r.spans[r.spanPos] = *t
-			r.spanPos = (r.spanPos + 1) % r.spanCap
-		}
+		*r.archive.Next() = *t
 	}
 	delete(r.active, p.ID)
 	r.pool = append(r.pool, t)
@@ -341,16 +339,10 @@ func (r *Recorder) ActiveCount() int {
 
 // Traces returns the archived completed traces, oldest first.
 func (r *Recorder) Traces() []PacketTrace {
-	if r == nil {
+	if r == nil || r.archive == nil {
 		return nil
 	}
-	if len(r.spans) < r.spanCap {
-		return append([]PacketTrace(nil), r.spans...)
-	}
-	out := make([]PacketTrace, 0, r.spanCap)
-	out = append(out, r.spans[r.spanPos:]...)
-	out = append(out, r.spans[:r.spanPos]...)
-	return out
+	return r.archive.AppendTo(make([]PacketTrace, 0, r.archive.Len()))
 }
 
 // SpanCount returns the number of closed spans observed for (hop, ds).
@@ -387,8 +379,7 @@ func (r *Recorder) Reset() {
 	if r == nil {
 		return
 	}
-	r.spans = r.spans[:0]
-	r.spanPos = 0
+	r.archive = nil
 	r.hists = make(map[histKey]*hopHist)
 	r.finished = 0
 	r.dropped = 0

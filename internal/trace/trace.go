@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/metric"
 	"repro/internal/sim"
 )
 
@@ -24,15 +25,14 @@ type Record struct {
 	Size uint32
 }
 
-// Key aggregates counters per (kind, DS-id).
-type Key struct {
-	Kind core.Kind
-	DSID core.DSID
-}
-
-// numKinds sizes the dense per-DSID counter rows (core.Kind is a small
+// numKinds sizes the per-DS-id counter rows (core.Kind is a small
 // contiguous enum ending at KindInterrupt).
 const numKinds = int(core.KindInterrupt) + 1
+
+// probeRow holds one DS-id's packet and byte counters, indexed by kind.
+type probeRow struct {
+	pkts, bytes [numKinds]uint64
+}
 
 // Probe is a transparent core.Target wrapper.
 type Probe struct {
@@ -41,91 +41,54 @@ type Probe struct {
 	engine *sim.Engine
 	next   core.Target
 
-	counts map[Key]uint64
-	bytes  map[Key]uint64
+	// rows is the counter table, indexed by DS-id. It grows on the
+	// first sight of a DS-id, so the steady state never allocates.
+	rows []probeRow
 
-	// Dense fast-path counters, indexed [DSID][Kind], active after
-	// Prealloc. The hot path then increments in place — no map-bucket
-	// allocation on first sight of a (kind, DS-id) pair. Out-of-range
-	// DS-ids fall back to the maps.
-	denseCounts [][numKinds]uint64
-	denseBytes  [][numKinds]uint64
-
-	ring    []Record
-	ringCap int
-	ringPos int
-	total   uint64
-
-	// Filter, if non-nil, limits ring capture (counters always run).
-	Filter func(*core.Packet) bool
+	ring  *metric.Ring[Record] // recent packets; nil when capture is off
+	total uint64
 }
 
 // NewProbe wraps next. ringCap bounds the recent-packet buffer
 // (0 disables capture; counters still work).
 func NewProbe(name string, e *sim.Engine, next core.Target, ringCap int) *Probe {
-	return &Probe{
-		Name:    name,
-		engine:  e,
-		next:    next,
-		counts:  make(map[Key]uint64),
-		bytes:   make(map[Key]uint64),
-		ring:    make([]Record, 0, ringCap),
-		ringCap: ringCap,
+	p := &Probe{Name: name, engine: e, next: next}
+	if ringCap > 0 {
+		p.ring = metric.NewRing[Record](ringCap)
 	}
-}
-
-// Prealloc sizes the dense counter index for DS-ids 0..maxDSID, so the
-// hot path stops allocating map buckets on first sight of each
-// (kind, DS-id). Counters already accumulated in the maps migrate into
-// the dense index; DS-ids above maxDSID keep using the maps.
-func (p *Probe) Prealloc(maxDSID core.DSID) {
-	n := int(maxDSID) + 1
-	if n <= len(p.denseCounts) {
-		return
-	}
-	dc := make([][numKinds]uint64, n)
-	db := make([][numKinds]uint64, n)
-	copy(dc, p.denseCounts)
-	copy(db, p.denseBytes)
-	p.denseCounts, p.denseBytes = dc, db
-	for k, c := range p.counts {
-		if int(k.DSID) < n && int(k.Kind) < numKinds {
-			p.denseCounts[k.DSID][k.Kind] += c
-			delete(p.counts, k)
-		}
-	}
-	for k, b := range p.bytes {
-		if int(k.DSID) < n && int(k.Kind) < numKinds {
-			p.denseBytes[k.DSID][k.Kind] += b
-			delete(p.bytes, k)
-		}
-	}
+	return p
 }
 
 // Request records the packet and forwards it unchanged.
 func (p *Probe) Request(pkt *core.Packet) {
-	if int(pkt.DSID) < len(p.denseCounts) && int(pkt.Kind) < numKinds {
-		p.denseCounts[pkt.DSID][pkt.Kind]++
-		p.denseBytes[pkt.DSID][pkt.Kind] += uint64(pkt.Size)
-	} else {
-		k := Key{Kind: pkt.Kind, DSID: pkt.DSID}
-		p.counts[k]++
-		p.bytes[k] += uint64(pkt.Size)
+	if int(pkt.DSID) >= len(p.rows) {
+		p.grow(pkt.DSID)
 	}
+	row := &p.rows[pkt.DSID]
+	row.pkts[pkt.Kind]++
+	row.bytes[pkt.Kind] += uint64(pkt.Size)
 	p.total++
-	if p.ringCap > 0 && (p.Filter == nil || p.Filter(pkt)) {
-		r := Record{
+	if p.ring != nil {
+		*p.ring.Next() = Record{
 			When: p.engine.Now(), ID: pkt.ID, Kind: pkt.Kind,
 			DSID: pkt.DSID, Addr: pkt.Addr, Size: pkt.Size,
 		}
-		if len(p.ring) < p.ringCap {
-			p.ring = append(p.ring, r)
-		} else {
-			p.ring[p.ringPos] = r
-			p.ringPos = (p.ringPos + 1) % p.ringCap
-		}
 	}
 	p.next.Request(pkt)
+}
+
+// grow extends the counter table to cover ds.
+func (p *Probe) grow(ds core.DSID) {
+	//pardlint:ignore hotalloc first sight of a DS-id: the table grows once per new DS-id, bounded by LDom count
+	p.rows = append(p.rows, make([]probeRow, int(ds)+1-len(p.rows))...)
+}
+
+// row returns ds's counters, or nil before the first sight of ds.
+func (p *Probe) row(ds core.DSID) *probeRow {
+	if int(ds) >= len(p.rows) {
+		return nil
+	}
+	return &p.rows[ds]
 }
 
 // Total returns the number of packets observed.
@@ -133,103 +96,79 @@ func (p *Probe) Total() uint64 { return p.total }
 
 // Count returns the packet count for one (kind, DS-id).
 func (p *Probe) Count(kind core.Kind, ds core.DSID) uint64 {
-	n := p.counts[Key{Kind: kind, DSID: ds}]
-	if int(ds) < len(p.denseCounts) && int(kind) < numKinds {
-		n += p.denseCounts[ds][kind]
+	if r := p.row(ds); r != nil {
+		return r.pkts[kind]
 	}
-	return n
+	return 0
 }
 
 // Bytes returns accumulated bytes for one (kind, DS-id).
 func (p *Probe) Bytes(kind core.Kind, ds core.DSID) uint64 {
-	b := p.bytes[Key{Kind: kind, DSID: ds}]
-	if int(ds) < len(p.denseBytes) && int(kind) < numKinds {
-		b += p.denseBytes[ds][kind]
+	if r := p.row(ds); r != nil {
+		return r.bytes[kind]
 	}
-	return b
+	return 0
 }
 
 // CountByDSID sums packet counts across kinds for ds.
 func (p *Probe) CountByDSID(ds core.DSID) uint64 {
 	var n uint64
-	for k, c := range p.counts {
-		if k.DSID == ds {
-			n += c
-		}
-	}
-	if int(ds) < len(p.denseCounts) {
-		for _, c := range p.denseCounts[ds] {
+	if r := p.row(ds); r != nil {
+		for _, c := range r.pkts {
 			n += c
 		}
 	}
 	return n
 }
 
-// Recent returns the captured ring in arrival order.
+// Recent returns the captured packets in arrival order.
 func (p *Probe) Recent() []Record {
-	if len(p.ring) < p.ringCap {
-		return append([]Record(nil), p.ring...)
+	if p.ring == nil {
+		return nil
 	}
-	out := make([]Record, 0, p.ringCap)
-	out = append(out, p.ring[p.ringPos:]...)
-	out = append(out, p.ring[:p.ringPos]...)
-	return out
+	return p.ring.AppendTo(nil)
 }
 
-// Reset clears counters and the ring. A Prealloc'd dense index keeps
-// its capacity (zeroed), so the hot path stays allocation-free.
+// Reset clears counters and the capture ring. The counter table keeps
+// its rows (zeroed), so the hot path stays allocation-free.
 func (p *Probe) Reset() {
-	p.counts = make(map[Key]uint64)
-	p.bytes = make(map[Key]uint64)
-	for i := range p.denseCounts {
-		p.denseCounts[i] = [numKinds]uint64{}
-		p.denseBytes[i] = [numKinds]uint64{}
+	clear(p.rows)
+	if p.ring != nil {
+		p.ring = metric.NewRing[Record](p.ring.Cap())
 	}
-	p.ring = p.ring[:0]
-	p.ringPos = 0
 	p.total = 0
 }
 
-// each calls f for every (kind, DS-id) with a nonzero packet count,
-// merging the dense index and the overflow maps.
-func (p *Probe) each(f func(k Key, pkts, bytes uint64)) {
-	for i := range p.denseCounts {
-		for kind := 0; kind < numKinds; kind++ {
-			if c := p.denseCounts[i][kind]; c > 0 {
-				k := Key{Kind: core.Kind(kind), DSID: core.DSID(i)}
-				f(k, c, p.denseBytes[i][kind])
+// Summary renders the counter table sorted by count (then DS-id, then
+// kind), for reports.
+func (p *Probe) Summary() string {
+	type line struct {
+		kind core.Kind
+		ds   core.DSID
+		n, b uint64
+	}
+	var lines []line
+	for ds := range p.rows {
+		r := &p.rows[ds]
+		for kind, n := range r.pkts {
+			if n > 0 {
+				lines = append(lines, line{core.Kind(kind), core.DSID(ds), n, r.bytes[kind]})
 			}
 		}
 	}
-	for k, c := range p.counts {
-		f(k, c, p.bytes[k])
-	}
-}
-
-// Summary renders the counter table sorted by count, for reports.
-func (p *Probe) Summary() string {
-	type row struct {
-		k    Key
-		n, b uint64
-	}
-	rows := make([]row, 0, len(p.counts))
-	p.each(func(k Key, n, b uint64) {
-		rows = append(rows, row{k, n, b})
-	})
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].n != rows[j].n {
-			return rows[i].n > rows[j].n
+	sort.Slice(lines, func(i, j int) bool {
+		if lines[i].n != lines[j].n {
+			return lines[i].n > lines[j].n
 		}
-		if rows[i].k.DSID != rows[j].k.DSID {
-			return rows[i].k.DSID < rows[j].k.DSID
+		if lines[i].ds != lines[j].ds {
+			return lines[i].ds < lines[j].ds
 		}
-		return rows[i].k.Kind < rows[j].k.Kind
+		return lines[i].kind < lines[j].kind
 	})
 	var b strings.Builder
 	fmt.Fprintf(&b, "probe %s: %d packets\n", p.Name, p.total)
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-10v %-6v %10d pkts %12d bytes\n",
-			r.k.Kind, r.k.DSID, r.n, r.b)
+	for _, l := range lines {
+		fmt.Fprintf(&b, "  %-10v %-6v %10d pkts %12d bytes\n", l.kind, l.ds, l.n, l.b)
 	}
 	return b.String()
 }

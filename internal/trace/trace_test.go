@@ -40,6 +40,44 @@ func TestProbeForwardsAndCounts(t *testing.T) {
 	if p.CountByDSID(1) != 5 || p.CountByDSID(2) != 3 {
 		t.Fatal("CountByDSID wrong")
 	}
+
+	// A DS-id first seen after a larger one lands in its own row.
+	observe(p, ids, core.KindWriteback, 6, 2)
+	observe(p, ids, core.KindMemRead, 1, 4)
+	if p.Count(core.KindMemRead, 1) != 9 || p.Bytes(core.KindMemRead, 1) != 9*64 {
+		t.Fatalf("ds1 after ds6: count=%d bytes=%d", p.Count(core.KindMemRead, 1), p.Bytes(core.KindMemRead, 1))
+	}
+	if p.Count(core.KindWriteback, 6) != 2 || p.CountByDSID(6) != 2 || p.CountByDSID(5) != 0 {
+		t.Fatal("ds6 counters wrong")
+	}
+	if p.Count(core.KindMemRead, 99) != 0 || p.CountByDSID(99) != 0 {
+		t.Fatal("an unseen DS-id reports packets")
+	}
+	want := "probe llc: 14 packets\n" +
+		"  MemRead    ds1             9 pkts          576 bytes\n" +
+		"  Writeback  ds2             3 pkts          192 bytes\n" +
+		"  Writeback  ds6             2 pkts          128 bytes\n"
+	if got := p.Summary(); got != want {
+		t.Fatalf("Summary:\n%s\nwant:\n%s", got, want)
+	}
+
+	// Reset zeroes the rows in place: counting resumes without
+	// allocating, for the early and the late DS-id alike.
+	p.Reset()
+	if p.Total() != 0 || p.CountByDSID(1) != 0 || p.CountByDSID(6) != 0 {
+		t.Fatal("Reset left counters behind")
+	}
+	pkts := []*core.Packet{
+		core.NewPacket(ids, core.KindMemRead, 1, 0, 64, 0),
+		core.NewPacket(ids, core.KindWriteback, 6, 0, 64, 0),
+	}
+	i := 0
+	if avg := testing.AllocsPerRun(100, func() { p.Request(pkts[i%2]); i++ }); avg != 0 {
+		t.Fatalf("Request after Reset: %v allocs/op", avg)
+	}
+	if p.Count(core.KindMemRead, 1)+p.Count(core.KindWriteback, 6) != uint64(i) || p.Total() != uint64(i) {
+		t.Fatalf("counts after Reset: ds1=%d ds6=%d total=%d", p.Count(core.KindMemRead, 1), p.Count(core.KindWriteback, 6), p.Total())
+	}
 }
 
 func TestProbeRingWraps(t *testing.T) {
@@ -68,22 +106,6 @@ func TestProbeZeroRingStillCounts(t *testing.T) {
 	observe(p, &core.IDSource{}, core.KindDMAWrite, 3, 7)
 	if p.Total() != 7 || len(p.Recent()) != 0 {
 		t.Fatal("zero-capacity ring misbehaved")
-	}
-}
-
-func TestProbeFilterLimitsRingOnly(t *testing.T) {
-	e := sim.NewEngine()
-	p := NewProbe("x", e, &sink{}, 16)
-	p.Filter = func(pkt *core.Packet) bool { return pkt.DSID == 2 }
-	ids := &core.IDSource{}
-	observe(p, ids, core.KindMemRead, 1, 4)
-	observe(p, ids, core.KindMemRead, 2, 2)
-	if p.Total() != 6 {
-		t.Fatal("filter suppressed counters")
-	}
-	recent := p.Recent()
-	if len(recent) != 2 || recent[0].DSID != 2 {
-		t.Fatalf("filtered ring: %+v", recent)
 	}
 }
 

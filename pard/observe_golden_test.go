@@ -1,0 +1,97 @@
+package pard
+
+import (
+	"bytes"
+	"os"
+	"testing"
+
+	"repro/internal/telemetry"
+)
+
+// Absolute observation goldens: the FNV-64a hash of every export and
+// console surface that reads the observation stores (series rings,
+// audit journal, flight-recorder archive, memory probe, policy firing
+// history, firmware log). StateDigest covers only the recorder's
+// aggregate and span hash; these pin the bytes an operator sees. A
+// change that moves any of them must update the hash deliberately.
+
+// observeSystem boots the Figure 8 server with the memory probe on,
+// loads llc_guard.pard and runs 30 ms — long enough for the 512-sample
+// series rings to wrap.
+func observeSystem(t *testing.T) *System {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.SampleInterval = 50 * Microsecond
+	cfg.TraceSample = 16
+	cfg.ProbeMemory = true
+	s := NewSystem(cfg)
+	if _, err := s.CreateLDom(LDomConfig{
+		Name: "memcached", Cores: []int{0},
+		MemBase: 0, MemSize: 2 << 30, Priority: 1, RowBuf: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	src, err := os.ReadFile("../examples/policies/llc_guard.pard")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.LoadPolicy("llc_guard", string(src)); err != nil {
+		t.Fatal(err)
+	}
+	s.RunWorkload(0, NewMemcached(MemcachedConfig{
+		RPS: 20000, ComputeCycles: 66000, Accesses: 800,
+		FootprintBytes: 2304 << 10, Seed: 42,
+	}))
+	for i := 1; i <= 3; i++ {
+		if _, err := s.CreateLDom(LDomConfig{
+			Name: "stream", Cores: []int{i},
+			MemBase: uint64(i) * (2 << 30), MemSize: 2 << 30,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		s.RunWorkload(i, NewSTREAM(uint64(i)))
+	}
+	s.Run(30 * Millisecond)
+	return s
+}
+
+func TestObservationGoldens(t *testing.T) {
+	s := observeSystem(t)
+	if s.Telemetry.Series()[0].Dropped() == 0 {
+		t.Fatal("series rings did not wrap: the scenario no longer covers displacement")
+	}
+	render := func(f func(*bytes.Buffer) error) string {
+		var b bytes.Buffer
+		if err := f(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	console := func(line string) string {
+		out, err := Dispatch(s, line)
+		if err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		return out
+	}
+	surfaces := []struct{ name, out, want string }{
+		{"series json", render(func(b *bytes.Buffer) error { return telemetry.WriteSeriesJSON(b, s.Telemetry, "") }), "b568778d153fd865"},
+		{"journal json", render(func(b *bytes.Buffer) error { return telemetry.WriteJournalJSON(b, s.Telemetry, s.Journal, 0, 0) }), "69a469a9ad6830a7"},
+		{"prometheus", render(func(b *bytes.Buffer) error { return telemetry.WritePrometheus(b, s.Telemetry, s.Journal) }), "31dcd85aa24df76c"},
+		{"trace", console("trace"), "9ed1ddb2aaf0dbe1"},
+		{"top", console("top"), "6020a8eb568b336b"},
+		{"journal 0", console("journal 0"), "6a2157434da1de9f"},
+		{"telemetry", console("telemetry"), "429cea67ec64be8c"},
+		{"policy explain", console("policy explain llc_guard"), "8fdaeb1f23eb97d4"},
+		{"log", console("log"), "b21caf70e39a9dfe"},
+		{"perfetto", render(func(b *bytes.Buffer) error {
+			_, err := s.Recorder.WritePerfettoWith(b, s.CounterTracks())
+			return err
+		}), "e8df01889c281390"},
+	}
+	for _, sf := range surfaces {
+		if got := goldenHash(sf.out); got != sf.want {
+			t.Errorf("%s: hash %s, want %s", sf.name, got, sf.want)
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -23,7 +22,6 @@ func (s *System) attachTelemetry() {
 	s.Journal = telemetry.NewJournal(s.Engine, tcfg.JournalCapacity)
 	s.Telemetry = telemetry.NewRegistry(s.Engine, tcfg.Interval, tcfg.SeriesCapacity)
 	s.Firmware.SetJournal(s.Journal)
-	s.Firmware.SetScraper(s.Telemetry)
 
 	for i := 0; ; i++ {
 		cpa, err := s.Firmware.CPA(i)
@@ -79,37 +77,4 @@ func (s *System) CounterTracks() []trace.CounterTrack {
 		}
 	}
 	return tracks
-}
-
-// ShardSeriesInto records a parallel rack's PDES runtime profiles into
-// a registry as "pdes.shard<i>.*" gauge samples stamped at the group's
-// current sim-time, plus group-level window counters. Call it between
-// Run chunks (never while the group executes) to build per-shard series
-// the ordinary export surfaces — /metrics, JSON dumps, Perfetto counter
-// tracks — render like any other telemetry.
-func ShardSeriesInto(reg *telemetry.Registry, g *sim.ShardGroup) {
-	now := g.Now()
-	rec := func(name string, v float64) {
-		ring := reg.Find(name)
-		if ring == nil {
-			ring = reg.AddGauge(name, func() float64 { return 0 })
-		}
-		ring.Record(now, v)
-	}
-	for i := 0; i < g.NumShards(); i++ {
-		p := g.Profile(i)
-		base := fmt.Sprintf("pdes.shard%d.", i)
-		rec(base+"events", float64(p.Events))
-		rec(base+"active_windows", float64(p.ActiveWindows))
-		rec(base+"cross_sends", float64(p.Sends))
-		rec(base+"mailbox_peak", float64(p.MailboxPeak))
-		rec(base+"run_ns", float64(p.RunNs))
-		rec(base+"wait_ns", float64(p.WaitNs))
-		if total := p.RunNs + p.WaitNs; total > 0 {
-			rec(base+"barrier_wait_share", float64(p.WaitNs)/float64(total))
-		}
-	}
-	rec("pdes.windows_run", float64(g.WindowsRun))
-	rec("pdes.cross_sends", float64(g.CrossSends))
-	rec("pdes.horizon_utilization", g.HorizonUtilization())
 }

@@ -7,12 +7,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -85,55 +83,6 @@ func TestTelemetryExportDeterminism(t *testing.T) {
 	}
 	if !strings.Contains(a, "pard_scrapes_total") || !strings.Contains(a, "pard-journal/v1") {
 		t.Fatal("export missing expected surfaces")
-	}
-}
-
-// TestMonitorRidesScraper is the satellite-1 regression: with the
-// telemetry registry wired, a prm.Monitor samples on scrape ticks, so
-// its CSV rows and the registry's rings report identical values at
-// identical sim-times, tick for tick.
-func TestMonitorRidesScraper(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.LLC.SizeBytes = 256 * 1024
-	sys := NewSystem(cfg)
-	if _, err := sys.CreateLDom(LDomConfig{Name: "svc", Cores: []int{0}, Priority: 1}); err != nil {
-		t.Fatal(err)
-	}
-	sys.RunWorkload(0, &workload.Stream{Base: 0, Footprint: 512 << 10, Compute: 4})
-
-	const statPath = "/sys/cpa/cpa0/ldoms/ldom0/statistics/miss_rate"
-	mon, err := sys.Firmware.StartMonitor("lat", cfg.SampleInterval, []string{statPath})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Run(5 * Millisecond)
-
-	ring := sys.Telemetry.Find("cpa0.ds0.miss_rate")
-	if ring == nil {
-		t.Fatal("no cpa0.ds0.miss_rate series")
-	}
-	csv := sys.Firmware.MustSh("cat /log/lat.csv")
-	rows := strings.Split(strings.TrimSpace(csv), "\n")[1:] // drop header
-	if len(rows) == 0 {
-		t.Fatal("monitor recorded no rows")
-	}
-	if mon.Samples() != ring.Len() {
-		t.Fatalf("monitor has %d rows, registry ring %d samples", mon.Samples(), ring.Len())
-	}
-	for i, row := range rows {
-		parts := strings.SplitN(row, ",", 2)
-		smp := ring.At(i)
-		wantT := fmt.Sprintf("%d.%03d", uint64(smp.When/sim.Millisecond), uint64(smp.When%sim.Millisecond/sim.Microsecond))
-		if parts[0] != wantT {
-			t.Fatalf("row %d stamped %s, scrape was at %s", i, parts[0], wantT)
-		}
-		v, err := strconv.ParseFloat(parts[1], 64)
-		if err != nil {
-			t.Fatalf("row %d value %q: %v", i, parts[1], err)
-		}
-		if v != smp.Value {
-			t.Fatalf("row %d: CSV %v vs ring %v at t=%d", i, v, smp.Value, smp.When)
-		}
 	}
 }
 

@@ -145,8 +145,8 @@ func TestFlightRecorderPerfettoExport(t *testing.T) {
 }
 
 // Latency percentiles surface through the PRM device tree and are
-// sampleable by prm.Monitor like any other statistic.
-func TestLatencyStatFilesAndMonitor(t *testing.T) {
+// scraped into telemetry series like any other statistic.
+func TestLatencyStatFilesAndSeries(t *testing.T) {
 	sys := tracedSystem(t, false)
 	sys.RunWorkload(0, NewSTREAM(0))
 	sys.Run(2 * Millisecond)
@@ -172,23 +172,11 @@ func TestLatencyStatFilesAndMonitor(t *testing.T) {
 		t.Fatal("memory service p50 is 0 after 2ms of STREAM")
 	}
 
-	m, err := sys.Firmware.StartMonitor("lat", Millisecond, []string{
-		"/sys/cpa/cpa1/ldoms/ldom0/statistics/lat_p50_service",
-		"/sys/cpa/cpa0/ldoms/ldom0/statistics/lat_p99_queue",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Run(5 * Millisecond)
-	if m.Samples() == 0 {
-		t.Fatal("monitor took no samples of the latency files")
-	}
-	log, err := sys.Sh("cat /log/lat.csv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(log, "lat_p50_service") {
-		t.Fatalf("monitor header missing latency column:\n%s", log)
+	for _, name := range []string{"cpa1.ds0.lat_p50_service", "cpa0.ds0.lat_p99_queue"} {
+		s := sys.Telemetry.Find(name)
+		if s == nil || s.Len() == 0 {
+			t.Fatalf("series %s holds no samples", name)
+		}
 	}
 }
 
