@@ -1,5 +1,5 @@
 # Tier-1 gate: everything CI (and the next PR) runs.
-.PHONY: check build fmt vet lint test race bench benchgate fuzz digests figures loc
+.PHONY: check build fmt vet lint test race bench benchgate fuzz digests figures examples loc
 
 check: build fmt vet lint test
 
@@ -61,6 +61,21 @@ figures:
 	@out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
 	go run ./cmd/pardbench -run all -scale quick > "$$out" || exit 1; \
 	diff -u results/quick_all.txt "$$out" && echo "figures: stdout equals results/quick_all.txt"
+
+# Example gate: run every examples/*/main.go and fail on a non-zero
+# exit or on any byte difference from results/examples.txt, which
+# holds each example's stdout under an `== examples/<name>` header.
+# Every example is deterministic. A deliberate move re-records the file
+# with this target's loop and names its cause in CHANGES.md. About 30
+# seconds on 2 vCPUs.
+examples:
+	@out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
+	for main in examples/*/main.go; do \
+	  dir=$$(dirname "$$main"); \
+	  echo "== $$dir" >> "$$out"; \
+	  go run "./$$dir" >> "$$out" || { echo "examples: $$dir exited non-zero"; exit 1; }; \
+	done; \
+	diff -u results/examples.txt "$$out" && echo "examples: stdout equals results/examples.txt"
 
 # Trajectory-regression gate: re-measure the engine and hot-path
 # micro-benchmarks and compare against the committed BENCH.json —

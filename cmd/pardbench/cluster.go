@@ -1,18 +1,19 @@
 package main
 
 // The -cluster smoke: build the reference 4-rack × 2-server leaf/spine
-// cluster at shard counts 1, 2 and 4 (plus a repeat run), drive the
-// cross-rack workload, and require every run's digest — per-server
-// state plus every switch's tables and counters — to be byte-identical.
-// Stdout carries only deterministic lines (digests, frame counts), the
-// same contract as the -shards rack sweep.
+// cluster (bench.RefCluster) at shard counts 1, 2 and 4 (plus a repeat
+// run), drive the cross-rack workload, and require every run's digest
+// — per-server state plus every switch's tables and counters — to be
+// byte-identical. Stdout carries only deterministic lines (digests,
+// frame counts), the same contract as the -shards rack sweep.
 
 import (
 	"fmt"
 	"hash/fnv"
 	"strings"
 
-	"repro/pard"
+	"repro/internal/bench"
+	"repro/internal/cluster"
 )
 
 // clusterSmokeShards are the shard counts the smoke sweeps; the last
@@ -24,24 +25,17 @@ var clusterSmokeShards = []int{1, 2, 4, 4}
 // stdout block; a digest mismatch is a determinism regression.
 func runClusterSmoke() (string, error) {
 	var out strings.Builder
-	fmt.Fprintf(&out, "cluster smoke: 4 racks x 2 servers, leaf/spine fabric, %v simulated\n",
-		pard.Millisecond)
+	ref := cluster.Ref()
+	fmt.Fprintf(&out, "cluster smoke: %d racks x %d servers, leaf/spine fabric, %v simulated\n",
+		ref.Racks, ref.ServersPerRack, bench.RefClusterRun)
 
 	want := ""
 	for _, shards := range clusterSmokeShards {
-		scfg := pard.DefaultConfig()
-		scfg.Cores = 2
-		c, err := pard.NewCluster(pard.ClusterConfig{
-			Racks: 4, ServersPerRack: 2, Shards: shards, Workers: shards,
-			Server: scfg,
-		})
+		c, err := bench.RefCluster(shards)
 		if err != nil {
 			return "", fmt.Errorf("pardbench: %w", err)
 		}
-		if err := pard.ProvisionClusterWorkload(c, 25); err != nil {
-			return "", fmt.Errorf("pardbench: %w", err)
-		}
-		c.Run(pard.Millisecond)
+		c.Run(bench.RefClusterRun)
 		if c.CrossRackFrames() == 0 {
 			return "", fmt.Errorf("pardbench: cluster smoke saw no cross-rack frames; the workload is vacuous")
 		}

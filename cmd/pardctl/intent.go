@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"repro/internal/cluster"
 	"repro/internal/policy"
 	"repro/pard"
 )
@@ -31,17 +32,19 @@ intent memtier {
 `
 
 // bootRefCluster builds the reference cluster every intent subcommand
-// compiles against: 4 racks × 2 small servers behind a leaf/spine
-// fabric, with an LLC sized so the demo workload's miss rate crosses
-// the example intents' envelopes. withWorkload also provisions the
-// cross-rack workload (one svc LDom per server plus frame pumps).
+// compiles against: cluster.Ref's 4 racks × 2 small servers behind a
+// leaf/spine fabric, with an LLC sized so the demo workload's miss
+// rate crosses the example intents' envelopes. withWorkload also
+// provisions the cross-rack workload (one svc LDom per server plus
+// frame pumps).
 func bootRefCluster(withWorkload bool) (*pard.Cluster, error) {
 	scfg := pard.DefaultConfig()
 	scfg.Cores = 2
 	scfg.LLC.SizeBytes = 256 * 1024
 	scfg.SampleInterval = 50 * pard.Microsecond
+	ref := cluster.Ref()
 	c, err := pard.NewCluster(pard.ClusterConfig{
-		Racks: 4, ServersPerRack: 2, Server: scfg,
+		Racks: ref.Racks, ServersPerRack: ref.ServersPerRack, Spines: ref.Spines, Server: scfg,
 	})
 	if err != nil {
 		return nil, err

@@ -29,6 +29,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"repro/internal/cluster"
 	"repro/internal/lint"
 	"repro/pard"
 )
@@ -85,11 +86,20 @@ func main() {
 
 	diags := lint.Run(pkgs, lint.All()...)
 
-	// Policy files ride along on whole-module runs: boot a default
-	// system so pardcheck sees the real control-plane schemas.
+	// Policy files ride along on whole-module runs: boot the reference
+	// cluster `pardctl intent` boots, of default servers, so pardcheck
+	// compiles policies against a real server's control-plane schemas
+	// and intent files against the cluster's servers and switches.
 	if wholeModule && !*noPolicy {
-		sys := pard.NewSystem(pard.DefaultConfig())
-		policyDiags, err := lint.CheckPolicyFiles(".", sys.Firmware.ValidatePolicy, sys.Firmware.PolicyRegistry())
+		ref := cluster.Ref()
+		c, err := pard.NewCluster(pard.ClusterConfig{
+			Racks: ref.Racks, ServersPerRack: ref.ServersPerRack, Spines: ref.Spines, Server: pard.DefaultConfig(),
+		})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "pardlint:", err)
+			os.Exit(2)
+		}
+		policyDiags, err := lint.CheckPolicyFiles(".", c.Servers[0].Firmware.ValidatePolicy, c.Controller.IntentTopology())
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "pardlint:", err)
 			os.Exit(2)

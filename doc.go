@@ -4,6 +4,7 @@
 //
 // The public API lives in package repro/pard; the experiment harnesses
 // regenerating every table and figure live in repro/internal/exp and
-// are driven by cmd/pardbench and by the benchmarks in bench_test.go.
+// are driven by cmd/pardbench; bench_test.go holds the component
+// micro-benchmarks.
 // See README.md for a tour and DESIGN.md for the system inventory.
 package repro

@@ -21,29 +21,17 @@ func run(withTrigger bool) (p95 float64, util float64, trigFired uint64) {
 	sys := pard.NewSystem(pard.DefaultConfig())
 
 	// LDom0: the latency-critical service, high memory priority.
-	sys.CreateLDom(pard.LDomConfig{
-		Name: "memcached", Cores: []int{0}, MemBase: 0, Priority: 1, RowBuf: 1,
-	})
+	// LDom1..3: batch co-runners that thrash the shared LLC.
+	mc, err := pard.Colocation{RPS: krps * 1000, Streams: true}.Provision(sys)
+	if err != nil {
+		panic(err)
+	}
 	if withTrigger {
 		// The paper's pardtrigger invocation, against the LLC control
 		// plane (cpa0). 300 is 30.0% in the table's 0.1% units.
 		out := sys.Firmware.MustSh(
 			"pardtrigger cpa0 -ldom=0 -stats=miss_rate -cond=gt,300 -action=llc_grow_to_half")
 		fmt.Println("  ", out)
-	}
-
-	mc := pard.NewMemcached(pard.MemcachedConfig{
-		RPS: krps * 1000, ComputeCycles: 66000, Accesses: 800,
-		FootprintBytes: 2304 << 10, Seed: 42,
-	})
-	sys.RunWorkload(0, mc)
-
-	// LDom1..3: batch co-runners that thrash the shared LLC.
-	for i := 1; i <= 3; i++ {
-		sys.CreateLDom(pard.LDomConfig{
-			Name: "stream", Cores: []int{i}, MemBase: uint64(i) * (2 << 30),
-		})
-		sys.RunWorkload(i, pard.NewSTREAM(0))
 	}
 
 	sys.Run(warmup)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/pard"
 )
 
@@ -19,43 +20,52 @@ type ClusterMicro struct {
 	CrossRackFrames uint64  `json:"cross_rack_frames"`
 }
 
-// clusterSteadyRacks et al. pin the reference measurement topology: the
-// same 4-rack × 2-server leaf/spine cluster the equivalence tests and
-// `pardbench -cluster` drive. Changing these invalidates the committed
-// cluster_steady record.
+// RefClusterRun is how long the reference cluster runs, and
+// refClusterFrames how many frames each server pumps. Changing either,
+// or cluster.Ref, invalidates the committed cluster_steady record.
 const (
-	clusterSteadyRacks   = 4
-	clusterSteadyServers = 2
-	clusterSteadyFrames  = 25
-	clusterSteadyRun     = pard.Millisecond
+	RefClusterRun    = pard.Millisecond
+	refClusterFrames = 25
 )
 
-// MeasureClusterSteady times one steady-state run of the reference
-// cluster: build it sequentially (Shards=1 — the measurement is the
-// per-event cost of the fabric-extended simulation, not the parallel
-// speedup, which BENCH.json's rack_parallel section already tracks),
-// drive the cross-rack workload for a fixed simulated window, and
-// normalize wall time by engine events executed. Allocation counts are
-// not measured — a whole-cluster run has warmup allocations by design —
-// so AllocsPerEvent stays zero and benchgate's alloc gate is inert for
-// this section.
-func MeasureClusterSteady() (ClusterMicro, error) {
+// RefCluster builds cluster.Ref's 4-rack × 2-server leaf/spine cluster
+// of two-core servers (the fabric, not the cores, is under test) over
+// shards shards, one worker each, with the cross-rack workload
+// provisioned: the cluster `pardbench -cluster` checks and
+// MeasureClusterSteady times.
+func RefCluster(shards int) (*pard.Cluster, error) {
 	scfg := pard.DefaultConfig()
-	scfg.Cores = 2 // small servers: the fabric, not the cores, is under test
+	scfg.Cores = 2
+	ref := cluster.Ref()
 	c, err := pard.NewCluster(pard.ClusterConfig{
-		Racks:          clusterSteadyRacks,
-		ServersPerRack: clusterSteadyServers,
-		Shards:         1,
-		Server:         scfg,
+		Racks: ref.Racks, ServersPerRack: ref.ServersPerRack, Spines: ref.Spines,
+		Shards: shards, Workers: shards, Server: scfg,
 	})
 	if err != nil {
-		return ClusterMicro{}, fmt.Errorf("bench: cluster_steady: %w", err)
+		return nil, fmt.Errorf("bench: reference cluster: %w", err)
 	}
-	if err := pard.ProvisionClusterWorkload(c, clusterSteadyFrames); err != nil {
-		return ClusterMicro{}, fmt.Errorf("bench: cluster_steady: %w", err)
+	if err := pard.ProvisionClusterWorkload(c, refClusterFrames); err != nil {
+		return nil, fmt.Errorf("bench: reference cluster: %w", err)
+	}
+	return c, nil
+}
+
+// MeasureClusterSteady times one steady-state run of RefCluster, built
+// sequentially (Shards=1 — the measurement is the per-event cost of
+// the fabric-extended simulation, not the parallel speedup, which
+// BENCH.json's rack_parallel section already tracks): drive the
+// cross-rack workload for RefClusterRun and normalize wall time by
+// engine events executed. Allocation counts are not measured — a
+// whole-cluster run has warmup allocations by design — so
+// AllocsPerEvent stays zero and benchgate's alloc gate is inert for
+// this section.
+func MeasureClusterSteady() (ClusterMicro, error) {
+	c, err := RefCluster(1)
+	if err != nil {
+		return ClusterMicro{}, err
 	}
 	start := time.Now()
-	c.Run(clusterSteadyRun)
+	c.Run(RefClusterRun)
 	wall := time.Since(start)
 
 	var events uint64
@@ -68,7 +78,7 @@ func MeasureClusterSteady() (ClusterMicro, error) {
 			EventsPerSec: 1e9 / ns,
 			NsPerEvent:   ns,
 		},
-		SimTicksPerSec:  float64(clusterSteadyRun) / wall.Seconds(),
+		SimTicksPerSec:  float64(RefClusterRun) / wall.Seconds(),
 		CrossRackFrames: c.CrossRackFrames(),
 	}, nil
 }

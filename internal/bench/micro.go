@@ -34,8 +34,8 @@ func fromResult(r testing.BenchmarkResult) Micro {
 	}
 }
 
-// engineTick is a self-rescheduling eventer: the same workload as
-// BenchmarkEngineThroughput in bench_test.go.
+// engineTick is a self-rescheduling eventer: the engine micro's
+// workload.
 type engineTick struct {
 	e        *sim.Engine
 	n, limit int
@@ -48,18 +48,21 @@ func (t *engineTick) RunEvent() {
 	}
 }
 
-// MeasureEngine times schedule-dispatch round trips through the
-// specialized event heap, one event in flight.
-func MeasureEngine() Micro {
-	return fromResult(testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		e := sim.NewEngine()
-		tick := &engineTick{e: e, limit: b.N}
-		e.ScheduleEventer(1, tick)
-		b.ResetTimer()
-		e.Drain(0)
-	}))
+// EngineBody is the engine micro: schedule-dispatch round trips
+// through the specialized event heap, one event in flight, allocating
+// nothing. MeasureEngine times it for BENCH.json and the root
+// BenchmarkEngineThroughput runs it under go test.
+func EngineBody(b *testing.B) {
+	b.ReportAllocs()
+	e := sim.NewEngine()
+	tick := &engineTick{e: e, limit: b.N}
+	e.ScheduleEventer(1, tick)
+	b.ResetTimer()
+	e.Drain(0)
 }
+
+// MeasureEngine times EngineBody.
+func MeasureEngine() Micro { return fromResult(testing.Benchmark(EngineBody)) }
 
 // nopMem completes every request on the spot: the cache's miss path
 // never runs, so the measurement isolates the hit path.
@@ -111,34 +114,47 @@ func MeasurePIFOPop() Micro {
 	}))
 }
 
-// MeasureLLCHitPath times a pooled cache-hit round trip end to end —
-// the same workload as BenchmarkLLCHitPathPooled: NewPacket recycles a
-// pooled packet, the lookup schedules through the packet's embedded
-// event slot, and Complete returns the packet to the pool. Steady state
-// allocates nothing, and benchgate holds that line.
-func MeasureLLCHitPath() Micro {
-	return fromResult(testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		e := sim.NewEngine()
-		ids := &core.IDSource{}
+// HitPathLLC builds the LLC the hit-path micro-benchmarks drive: 4 MiB,
+// 16 ways, control plane on, in front of a memory that completes every
+// request on the spot, with block 0 already cached for DS-id 1. pooled
+// turns on packet pooling.
+func HitPathLLC(pooled bool) (*sim.Engine, *core.IDSource, *cache.Cache) {
+	e := sim.NewEngine()
+	ids := &core.IDSource{}
+	if pooled {
 		ids.EnablePool()
-		c := cache.New(e, sim.NewClock(e, 500), ids, cache.Config{
-			Name: "llc", SizeBytes: 4 << 20, Ways: 16, BlockSize: 64,
-			HitLatency: 20, ControlPlane: true,
-		}, nopMem{e})
-		warm := core.NewPacket(ids, core.KindMemRead, 1, 0, 64, 0)
-		c.Request(warm)
-		e.StepUntil(warm.Completed)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p := core.NewPacket(ids, core.KindMemRead, 1, 0, 64, e.Now())
-			c.Request(p)
-			for !p.Completed() {
-				e.Step()
-			}
-		}
-	}))
+	}
+	c := cache.New(e, sim.NewClock(e, 500), ids, cache.Config{
+		Name: "llc", SizeBytes: 4 << 20, Ways: 16, BlockSize: 64,
+		HitLatency: 20, ControlPlane: true,
+	}, nopMem{e})
+	warm := core.NewPacket(ids, core.KindMemRead, 1, 0, 64, 0)
+	c.Request(warm)
+	e.StepUntil(warm.Completed)
+	return e, ids, c
 }
+
+// LLCHitPathBody is the pooled cache-hit round trip, end to end:
+// NewPacket recycles a pooled packet, the lookup schedules through the
+// packet's embedded event slot, and Complete returns the packet to the
+// pool. Steady state allocates nothing, and benchgate holds that line.
+// MeasureLLCHitPath times it for BENCH.json and the root
+// BenchmarkLLCHitPathPooled runs it under go test.
+func LLCHitPathBody(b *testing.B) {
+	b.ReportAllocs()
+	e, ids, c := HitPathLLC(true)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := core.NewPacket(ids, core.KindMemRead, 1, 0, 64, e.Now())
+		c.Request(p)
+		for !p.Completed() {
+			e.Step()
+		}
+	}
+}
+
+// MeasureLLCHitPath times LLCHitPathBody.
+func MeasureLLCHitPath() Micro { return fromResult(testing.Benchmark(LLCHitPathBody)) }
 
 // MeasureTelemetryScrape times one steady-state telemetry scrape over a
 // realistic source population: two planes of five stat columns with

@@ -40,9 +40,27 @@ type RackSweep struct {
 	Points      []RackPoint `json:"points"`
 }
 
-// MeasureRackSweep runs the switchless server ring (one-server racks
-// under pard.ProvisionClusterWorkload, the traffic
-// TestParallelRackEquivalence drives) at each requested shard count and
+// RackRing builds the rack sweep's cluster: servers default servers in
+// a switchless ring of one-server racks over shards shards, one worker
+// each, every server running STREAM and pumping 25 flow-tagged frames
+// to its successor (pard.ProvisionClusterWorkload, the traffic
+// TestParallelRackEquivalence drives). The root
+// BenchmarkRackParallel* build it too.
+func RackRing(servers, shards int) (*pard.Cluster, error) {
+	c, err := pard.NewCluster(pard.ClusterConfig{
+		Racks: servers, ServersPerRack: 1, Switchless: true,
+		Shards: shards, Workers: shards, Server: pard.DefaultConfig(),
+	})
+	if err != nil {
+		return nil, fmt.Errorf("bench: rack ring: %w", err)
+	}
+	if err := pard.ProvisionClusterWorkload(c, 25); err != nil {
+		return nil, fmt.Errorf("bench: rack ring: %w", err)
+	}
+	return c, nil
+}
+
+// MeasureRackSweep runs RackRing at each requested shard count and
 // verifies every run's state digest is identical — a mismatch is a
 // determinism regression, not noise, and fails the measurement. Shared
 // by cmd/pardbench (which records the curve into BENCH.json) and
@@ -65,15 +83,9 @@ func MeasureRackSweep(shardCounts []int, scale exp.Scale) (*RackSweep, error) {
 		CPUs:        runtime.NumCPU(),
 	}
 	for _, shards := range shardCounts {
-		c, err := pard.NewCluster(pard.ClusterConfig{
-			Racks: servers, ServersPerRack: 1, Switchless: true,
-			Shards: shards, Workers: shards, Server: pard.DefaultConfig(),
-		})
+		c, err := RackRing(servers, shards)
 		if err != nil {
-			return nil, fmt.Errorf("bench: rack sweep: %w", err)
-		}
-		if err := pard.ProvisionClusterWorkload(c, 25); err != nil {
-			return nil, fmt.Errorf("bench: rack sweep: %w", err)
+			return nil, err
 		}
 		start := time.Now()
 		c.Run(simTime)

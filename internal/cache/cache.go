@@ -276,7 +276,7 @@ func (c *Cache) tagOf(block uint64) uint64 {
 
 // Request accepts a packet. Lookup completes HitLatency cycles later;
 // the control-plane parameter lookup overlaps the tag pipeline and adds
-// no cycles (verified by BenchmarkLLCControlPlaneLatency). The delay is
+// no cycles (verified by exp TestLLCLatencyZeroOverhead). The delay is
 // scheduled through the packet's embedded event slot, so the whole
 // Request→lookup chain is allocation-free in steady state
 // (TestRequestChainZeroAlloc).

@@ -46,6 +46,12 @@ type Topology struct {
 	Shards int
 }
 
+// Ref is the reference cluster's shape: 4 racks of 2 servers, each
+// rack behind one leaf, every leaf linked to one spine. `pardctl
+// intent` and pardlint boot it to compile intent files against, and
+// `pardbench -cluster` and the cluster_steady micro-benchmark run it.
+func Ref() Topology { return Topology{Racks: 4, ServersPerRack: 2, Spines: 1} }
+
 // DefaultLatency is a link latency left unspecified: one microsecond,
 // roughly a top-of-rack switch hop. As the default FabricLatency it is
 // also the default PDES lookahead window, so larger values mean fewer

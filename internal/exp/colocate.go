@@ -1,8 +1,9 @@
 package exp
 
 import (
+	"cmp"
+
 	"repro/internal/sim"
-	"repro/internal/workload"
 	"repro/pard"
 )
 
@@ -28,87 +29,43 @@ func (a Arm) String() string {
 	return "?"
 }
 
-// memcachedModel returns the calibrated service model of §7.1.2: the
-// client+server pair sharing one core, with a footprint sized so the
-// LLC is the contended resource.
-func memcachedModel(rps float64) *workload.Memcached {
-	return workload.NewMemcached(workload.MemcachedConfig{
-		RPS:            rps,
-		ComputeCycles:  66000,      // 33 µs protocol work at 2 GHz
-		Accesses:       800,        // dependent probes over the value store
-		FootprintBytes: 2304 << 10, // slightly over half the LLC, like the paper (solo ~7%, partitioned ~10%)
-		Base:           0,
-		Seed:           42,
-	})
-}
-
-// installLLCGuard installs the paper's §7.1.2 rule —
-// LLC.miss_rate > 30% => grow memcached's LLC share to half —
-// either as the classic pardtrigger line or, when policy source is
-// given (Fig8Config/Fig9Config.LLCGuardPolicy, pardbench -policy), as a
-// compiled .pard policy. The shipped examples/policies/llc_guard.pard
-// reproduces the built-in llc_grow_to_half action exactly, so the
-// experiment output is byte-identical either way. The source rides in
-// the per-run config rather than a package global: experiment code is
-// shard-executable, and shardisolation proves no cross-shard mutable
-// state hides here.
-func installLLCGuard(sys *pard.System, policy string) {
-	if policy == "" {
-		sys.Firmware.MustSh("pardtrigger cpa0 -ldom=0 -stats=miss_rate -cond=gt,300 -action=llc_grow_to_half")
-		return
-	}
-	if err := sys.LoadPolicy("llc_guard", policy); err != nil {
-		panic("exp: llc guard policy: " + err.Error())
-	}
-}
-
 // colocation is one assembled Figure 8/9 run.
 type colocation struct {
 	Sys *pard.System
-	MC  *workload.Memcached
+	MC  *pard.Memcached
 }
 
-// newColocation builds the four-LDom server: memcached in LDom0 on
-// core 0, and (for non-solo arms) STREAM in LDom1–3 on cores 1–3,
-// started after streamDelay (Figure 9 staggers them so the miss-rate
-// climb is visible). For ArmTrigger the paper's rule is installed
-// first:
+// newColocation builds the four-LDom server (pard.Colocation) at the
+// statistics window the trigger is calibrated against. Non-solo arms
+// add the STREAM LDoms after streamDelay (Figure 9 staggers them so
+// the miss-rate climb is visible); ArmTrigger installs the paper's
+// rule first:
 //
 //	LLC.miss_rate > 30% => llc_grow_to_half
 func newColocation(rps float64, arm Arm, streamDelay sim.Tick, guardPolicy string) *colocation {
 	cfg := pard.DefaultConfig()
 	cfg.SampleInterval = 50 * sim.Microsecond
 	sys := pard.NewSystem(cfg)
-
-	sys.CreateLDom(pard.LDomConfig{
-		Name: "memcached", Cores: []int{0},
-		MemBase: 0, MemSize: 2 << 30, Priority: 1, RowBuf: 1,
-	})
+	server := pard.Colocation{RPS: rps, Streams: arm != ArmSolo, StreamStart: streamDelay}
 	if arm == ArmTrigger {
-		installLLCGuard(sys, guardPolicy)
+		server.Guard = llcGuard(guardPolicy)
 	}
-
-	mc := memcachedModel(rps)
-	sys.RunWorkload(0, mc)
-
-	if arm != ArmSolo {
-		start := func() {
-			for i := 1; i <= 3; i++ {
-				sys.CreateLDom(pard.LDomConfig{
-					Name: "stream", Cores: []int{i},
-					MemBase: uint64(i) * (2 << 30), MemSize: 2 << 30,
-				})
-				sys.RunWorkload(i, workload.NewSTREAM(0))
-			}
-		}
-		if streamDelay == 0 {
-			start()
-		} else {
-			sys.Engine.Schedule(streamDelay, start)
-		}
+	mc, err := server.Provision(sys)
+	if err != nil {
+		panic("exp: " + err.Error())
 	}
 	return &colocation{Sys: sys, MC: mc}
 }
+
+// llcGuard is the Colocation.Guard for a run's LLCGuardPolicy: the
+// .pard source when one is given (pardbench -policy), else the
+// built-in pardtrigger. The shipped examples/policies/llc_guard.pard
+// reproduces the built-in llc_grow_to_half action exactly, so the
+// experiment output is byte-identical either way. The source rides in
+// the per-run config rather than a package global: experiment code is
+// shard-executable, and shardisolation proves no cross-shard mutable
+// state hides here.
+func llcGuard(policy string) string { return cmp.Or(policy, pard.LLCGuardTrigger) }
 
 // run executes warmup (discarding its latency samples) then the
 // measurement window.

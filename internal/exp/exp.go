@@ -2,8 +2,7 @@
 // evaluation (§7), plus the ablation studies called out in DESIGN.md.
 // Each harness builds the systems it needs, runs the workload mix, and
 // returns a structured result with a Print method producing the same
-// rows/series the paper reports. cmd/pardbench and the root bench_test.go
-// both drive these harnesses.
+// rows/series the paper reports. cmd/pardbench drives these harnesses.
 package exp
 
 import (

@@ -64,7 +64,9 @@ func Fig9(cfg Fig9Config) *Fig9Result {
 
 	e := c.Sys.Engine
 	e.Schedule(cfg.InstallAt, func() {
-		installLLCGuard(c.Sys, cfg.LLCGuardPolicy)
+		if err := c.Sys.InstallLLCGuard(llcGuard(cfg.LLCGuardPolicy)); err != nil {
+			panic("exp: llc guard: " + err.Error())
+		}
 	})
 
 	var sample func()

@@ -22,7 +22,6 @@ var simClocked = map[string]bool{
 	"internal/exp":      true,
 	"internal/workload": true,
 	"cmd/pardbench":     true,
-	"cmd/pardsim":       true,
 }
 
 // wallClock are the time-package functions that read or wait on the

@@ -26,31 +26,16 @@ import (
 // platform assembly just to know the plane schemas.
 type PolicyCompiler func(filename, source string) (*policy.Program, error)
 
-// refIntentTopology is the synthetic cluster intent files are checked
-// against: two racks of two servers — every server presenting the
-// injected registry's plane schemas — behind a leaf/spine fabric. It
-// mirrors the reference topology `pardctl intent validate` boots.
-func refIntentTopology(reg policy.Registry) policy.IntentTopology {
-	return policy.IntentTopology{
-		Servers: []policy.IntentServer{
-			{Name: "rack0-srv0", Reg: reg},
-			{Name: "rack0-srv1", Reg: reg},
-			{Name: "rack1-srv0", Reg: reg},
-			{Name: "rack1-srv1", Reg: reg},
-		},
-		Switches: []string{"leaf0", "leaf1", "spine0"},
-	}
-}
-
 var pardIgnoreRe = regexp.MustCompile(`#\s*pardlint:ignore\s+([A-Za-z0-9_,]+)`)
 
 // CheckPolicyFiles compiles and abstractly interprets every .pard file
 // under root (skipping testdata and hidden directories) and returns
 // pardcheck diagnostics: compile failures plus policy.Lint findings
 // not covered by an ignore comment. Files declaring intents compile
-// through the intent compiler against a synthetic reference cluster
-// built over reg (nil reg reports intent files as uncheckable).
-func CheckPolicyFiles(root string, compile PolicyCompiler, reg policy.Registry) ([]Diagnostic, error) {
+// through the intent compiler against topo, the reference cluster
+// `pardctl intent` boots (a topology without servers reports intent
+// files as uncheckable).
+func CheckPolicyFiles(root string, compile PolicyCompiler, topo policy.IntentTopology) ([]Diagnostic, error) {
 	var files []string
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -75,7 +60,7 @@ func CheckPolicyFiles(root string, compile PolicyCompiler, reg policy.Registry) 
 
 	var out []Diagnostic
 	for _, path := range files {
-		diags, err := checkPolicyFile(path, compile, reg)
+		diags, err := checkPolicyFile(path, compile, topo)
 		if err != nil {
 			return nil, err
 		}
@@ -85,7 +70,7 @@ func CheckPolicyFiles(root string, compile PolicyCompiler, reg policy.Registry) 
 	return out, nil
 }
 
-func checkPolicyFile(path string, compile PolicyCompiler, reg policy.Registry) ([]Diagnostic, error) {
+func checkPolicyFile(path string, compile PolicyCompiler, topo policy.IntentTopology) ([]Diagnostic, error) {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -102,10 +87,10 @@ func checkPolicyFile(path string, compile PolicyCompiler, reg policy.Registry) (
 		}}
 	}
 
-	// Intent files take the cluster path: compile against the synthetic
-	// reference topology, then lint every emitted per-server program.
+	// Intent files take the cluster path: compile against the reference
+	// topology, then lint every emitted per-server program.
 	if f, perr := policy.Parse(filepath.Base(path), string(src)); perr == nil && len(f.Intents) > 0 {
-		return checkIntentFile(path, f, reg, report)
+		return checkIntentFile(f, topo, report)
 	}
 
 	prog, err := compile(filepath.Base(path), string(src))
@@ -127,11 +112,11 @@ func checkPolicyFile(path string, compile PolicyCompiler, reg policy.Registry) (
 	return out, nil
 }
 
-func checkIntentFile(path string, f *policy.File, reg policy.Registry, report func(policy.Pos, string) []Diagnostic) ([]Diagnostic, error) {
-	if reg == nil {
-		return report(policy.Pos{Line: 1, Col: 1}, "intent file cannot be checked without a control-plane registry"), nil
+func checkIntentFile(f *policy.File, topo policy.IntentTopology, report func(policy.Pos, string) []Diagnostic) ([]Diagnostic, error) {
+	if len(topo.Servers) == 0 {
+		return report(policy.Pos{Line: 1, Col: 1}, "intent file cannot be checked without a reference topology"), nil
 	}
-	cis, err := policy.CompileIntents(f, refIntentTopology(reg), policy.Options{AllowUnboundLDoms: true})
+	cis, err := policy.CompileIntents(f, topo, policy.Options{AllowUnboundLDoms: true})
 	if err != nil {
 		if pe, ok := err.(*policy.PosError); ok {
 			return report(pe.Pos, fmt.Sprintf("intent does not compile: %s", pe.Msg)), nil

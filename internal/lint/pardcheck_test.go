@@ -1,26 +1,35 @@
 package lint
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/policy"
 	"repro/pard"
 )
 
-// livePolicyCompiler boots a default system so fixture policies
-// compile against the real control-plane schemas — the same registry
-// `pardlint ./...` and `pardctl policy validate` use.
-func livePolicyCompiler(t *testing.T) (PolicyCompiler, policy.Registry) {
+// livePolicyCompiler boots the reference cluster of default servers,
+// as `pardlint ./...` does, so fixture policies compile against a real
+// server's control-plane schemas and intent files against the cluster
+// `pardctl intent validate` compiles against.
+func livePolicyCompiler(t *testing.T) (PolicyCompiler, policy.IntentTopology) {
 	t.Helper()
-	sys := pard.NewSystem(pard.DefaultConfig())
-	return sys.Firmware.ValidatePolicy, sys.Firmware.PolicyRegistry()
+	ref := cluster.Ref()
+	c, err := pard.NewCluster(pard.ClusterConfig{
+		Racks: ref.Racks, ServersPerRack: ref.ServersPerRack, Spines: ref.Spines, Server: pard.DefaultConfig(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.Servers[0].Firmware.ValidatePolicy, c.Controller.IntentTopology()
 }
 
 func TestPardcheckFixtures(t *testing.T) {
-	compile, reg := livePolicyCompiler(t)
-	diags, err := CheckPolicyFiles(filepath.Join("testdata", "policies"), compile, reg)
+	compile, topo := livePolicyCompiler(t)
+	diags, err := CheckPolicyFiles(filepath.Join("testdata", "policies"), compile, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,12 +60,35 @@ func TestPardcheckFixtures(t *testing.T) {
 // `pardlint ./...` enforces in CI. Fixture directories are skipped by
 // CheckPolicyFiles's testdata rule.
 func TestPolicyFilesCleanAtHead(t *testing.T) {
-	compile, reg := livePolicyCompiler(t)
-	diags, err := CheckPolicyFiles(filepath.Join("..", ".."), compile, reg)
+	compile, topo := livePolicyCompiler(t)
+	diags, err := CheckPolicyFiles(filepath.Join("..", ".."), compile, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range diags {
 		t.Errorf("head is not pardcheck-clean: %v", d)
+	}
+}
+
+// An intent may name any server of the reference cluster `pardctl
+// intent validate` boots, the last rack included.
+func TestIntentFilesSeeReferenceCluster(t *testing.T) {
+	dir := t.TempDir()
+	src := `intent last_rack {
+    servers rack3-*;
+    target miss_rate <= 30% on llc;
+    protect ldom svc on cpa*;
+}
+`
+	if err := os.WriteFile(filepath.Join(dir, "last_rack.pard"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	compile, topo := livePolicyCompiler(t)
+	diags, err := CheckPolicyFiles(dir, compile, topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		t.Errorf("intent naming rack3 servers: %v", d)
 	}
 }

@@ -85,7 +85,7 @@ func actionLLCGrowToHalf(fw *Firmware, n core.Notification) error {
 	if err := fw.echoMask(idx, n.DSID, highMask); err != nil {
 		return err
 	}
-	for ds := range fw.ldoms {
+	for _, ds := range core.SortedKeys(fw.ldoms) {
 		if ds == n.DSID {
 			continue
 		}

@@ -73,7 +73,8 @@ func (fw *Firmware) Sh(cmdline string) (string, error) {
 
 	case "ldoms":
 		var b strings.Builder
-		for ds, ld := range fw.ldoms {
+		for _, ds := range core.SortedKeys(fw.ldoms) {
+			ld := fw.ldoms[ds]
 			fmt.Fprintf(&b, "ldom%d ds=%d name=%s cores=%v\n", ds, ds, ld.Spec.Name, ld.Spec.Cores)
 		}
 		return b.String(), nil

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/policy"
 )
 
@@ -35,13 +36,14 @@ func TestClusterOneRackMatchesBareRack(t *testing.T) {
 	}
 }
 
-// refCluster builds the reference 4-rack × 2-server cluster with the
-// standard cross-rack workload provisioned.
+// refCluster builds the reference 4-rack × 2-server cluster
+// (cluster.Ref) with the standard cross-rack workload provisioned.
 func refCluster(t *testing.T, shards, workers int) *Cluster {
 	t.Helper()
+	ref := cluster.Ref()
 	c, err := NewCluster(ClusterConfig{
-		Racks: 4, ServersPerRack: 2, Shards: shards, Workers: workers,
-		Server: equivConfig(),
+		Racks: ref.Racks, ServersPerRack: ref.ServersPerRack, Spines: ref.Spines,
+		Shards: shards, Workers: workers, Server: equivConfig(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -114,8 +116,9 @@ func gateCluster(t *testing.T) *Cluster {
 	scfg.Cores = 2
 	scfg.LLC.SizeBytes = 256 * 1024
 	scfg.SampleInterval = 50 * Microsecond
+	ref := cluster.Ref()
 	c, err := NewCluster(ClusterConfig{
-		Racks: 4, ServersPerRack: 2, Server: scfg,
+		Racks: ref.Racks, ServersPerRack: ref.ServersPerRack, Spines: ref.Spines, Server: scfg,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -100,7 +101,9 @@ func Dispatch(sys *System, line string) (string, error) {
 
 	case "stats":
 		var b strings.Builder
-		for ds, ld := range sys.Firmware.LDoms() {
+		ldoms := sys.Firmware.LDoms()
+		for _, ds := range core.SortedKeys(ldoms) {
+			ld := ldoms[ds]
 			fmt.Fprintf(&b, "ldom%d (%s): LLC %.2f MB, mem %d MB/s, miss %d.%d%%\n",
 				ds, ld.Spec.Name,
 				float64(sys.LLCOccupancyBytes(ds))/(1<<20),
@@ -188,10 +191,7 @@ func namedWorkload(name string, coreID int) (Workload, error) {
 	case "flush":
 		return &workload.CacheFlush{Base: 1 << 30, Footprint: 16 << 20, Seed: int64(coreID) + 1}, nil
 	case "memcached":
-		return NewMemcached(MemcachedConfig{
-			RPS: 20000, ComputeCycles: 66000, Accesses: 800,
-			FootprintBytes: 2304 << 10, Seed: 42,
-		}), nil
+		return Colocation{RPS: 20000}.memcached(), nil
 	case "dd":
 		return &workload.DiskCopy{TotalBytes: 512 << 20, ChunkBytes: 64 << 10, Write: true, Loop: true, Compute: 200}, nil
 	case "lbm":

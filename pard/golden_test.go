@@ -24,32 +24,31 @@ func goldenHash(d string) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// goldenServer provisions the Figure 8 server on s: calibrated
-// memcached at 17.5 KRPS in LDom0 (memory priority 1, row buffer 1),
-// STREAM in LDoms 1-3 and the LLC miss-rate guard. seed reaches only
-// memcached's arrivals and probes.
-func goldenServer(t *testing.T, s *System, seed int64) {
+// goldenColocation provisions c on s with the STREAM placement the
+// goldens were recorded with: STREAM i walks from base i, where
+// Colocation starts every STREAM at 0.
+func goldenColocation(t *testing.T, s *System, c Colocation) {
 	t.Helper()
-	if _, err := s.CreateLDom(LDomConfig{
-		Name: "memcached", Cores: []int{0},
-		MemBase: 0, MemSize: 2 << 30, Priority: 1, RowBuf: 1,
-	}); err != nil {
+	if _, err := c.Provision(s); err != nil {
 		t.Fatal(err)
 	}
-	s.Firmware.MustSh("pardtrigger cpa0 -ldom=0 -stats=miss_rate -cond=gt,300 -action=llc_grow_to_half")
-	s.RunWorkload(0, NewMemcached(MemcachedConfig{
-		RPS: 17500, ComputeCycles: 66000, Accesses: 800,
-		FootprintBytes: 2304 << 10, Seed: seed,
-	}))
-	for i := 1; i < len(s.Cores); i++ {
+	for i := 1; i <= 3; i++ {
 		if _, err := s.CreateLDom(LDomConfig{
 			Name: "stream", Cores: []int{i},
-			MemBase: uint64(i) * (2 << 30), MemSize: 2 << 30,
+			MemBase: uint64(i) * colocationLDomBytes, MemSize: colocationLDomBytes,
 		}); err != nil {
 			t.Fatal(err)
 		}
 		s.RunWorkload(i, NewSTREAM(uint64(i)))
 	}
+}
+
+// goldenServer provisions the Figure 8 server on s: memcached at 17.5
+// KRPS under the built-in LLC guard, beside STREAM in LDoms 1-3. seed
+// reaches only memcached's arrivals and probes.
+func goldenServer(t *testing.T, s *System, seed int64) {
+	t.Helper()
+	goldenColocation(t, s, Colocation{RPS: 17500, Guard: LLCGuardTrigger, seed: seed})
 }
 
 func goldenConfig() Config {

@@ -25,32 +25,11 @@ func observeSystem(t *testing.T) *System {
 	cfg.TraceSample = 16
 	cfg.ProbeMemory = true
 	s := NewSystem(cfg)
-	if _, err := s.CreateLDom(LDomConfig{
-		Name: "memcached", Cores: []int{0},
-		MemBase: 0, MemSize: 2 << 30, Priority: 1, RowBuf: 1,
-	}); err != nil {
-		t.Fatal(err)
-	}
 	src, err := os.ReadFile("../examples/policies/llc_guard.pard")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.LoadPolicy("llc_guard", string(src)); err != nil {
-		t.Fatal(err)
-	}
-	s.RunWorkload(0, NewMemcached(MemcachedConfig{
-		RPS: 20000, ComputeCycles: 66000, Accesses: 800,
-		FootprintBytes: 2304 << 10, Seed: 42,
-	}))
-	for i := 1; i <= 3; i++ {
-		if _, err := s.CreateLDom(LDomConfig{
-			Name: "stream", Cores: []int{i},
-			MemBase: uint64(i) * (2 << 30), MemSize: 2 << 30,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		s.RunWorkload(i, NewSTREAM(uint64(i)))
-	}
+	goldenColocation(t, s, Colocation{RPS: 20000, Guard: string(src)})
 	s.Run(30 * Millisecond)
 	return s
 }
@@ -88,6 +67,9 @@ func TestObservationGoldens(t *testing.T) {
 			_, err := s.Recorder.WritePerfettoWith(b, s.CounterTracks())
 			return err
 		}), "e8df01889c281390"},
+		// The built-in guard's repartition, journaled in DS-id order
+		// (TestColocationOutputInDSIDOrder).
+		{"guard journal", telemetry.JournalText(guardBoot(t).Journal, 0), "1fd61b7904387a60"},
 	}
 	for _, sf := range surfaces {
 		if got := goldenHash(sf.out); got != sf.want {
