@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/metric"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -59,8 +58,8 @@ type Config struct {
 	// statistics, triggers). L1s leave it false.
 	ControlPlane bool
 	TriggerSlots int
-	// SampleInterval is the statistics window for miss-rate/capacity
-	// publication and trigger evaluation. 0 means 100 µs.
+	// SampleInterval is the statistics window for miss-rate publication
+	// and trigger evaluation. 0 means core.DefaultSampleInterval.
 	SampleInterval sim.Tick
 }
 
@@ -132,10 +131,8 @@ type Cache struct {
 
 	plane *core.Plane // nil without a control plane
 
-	// Per-DS-id measurement state.
-	missRatio map[core.DSID]*metric.Ratio
+	// occupancy counts the blocks each DS-id owns.
 	occupancy map[core.DSID]uint64
-	bytesIn   map[core.DSID]*metric.Rate
 
 	// Aggregate counters (all DS-ids), for tests and reports.
 	Hits, Misses, Writebacks, Fills uint64
@@ -174,9 +171,6 @@ func New(e *sim.Engine, clock *sim.Clock, ids *core.IDSource, cfg Config, next c
 	if cfg.MSHRs == 0 {
 		cfg.MSHRs = 64
 	}
-	if cfg.SampleInterval == 0 {
-		cfg.SampleInterval = 100 * sim.Microsecond
-	}
 	if cfg.TriggerSlots == 0 {
 		cfg.TriggerSlots = 64
 	}
@@ -193,9 +187,7 @@ func New(e *sim.Engine, clock *sim.Clock, ids *core.IDSource, cfg Config, next c
 		trees:     make([]plru, sets),
 		reserved:  make([]uint64, sets),
 		mshrs:     make(map[mshrKey]*mshrEntry),
-		missRatio: make(map[core.DSID]*metric.Ratio),
 		occupancy: make(map[core.DSID]uint64),
-		bytesIn:   make(map[core.DSID]*metric.Rate),
 
 		WritebacksByOwner:     make(map[core.DSID]uint64),
 		WritebacksByRequester: make(map[core.DSID]uint64),
@@ -230,12 +222,12 @@ func New(e *sim.Engine, clock *sim.Clock, ids *core.IDSource, cfg Config, next c
 		stats := core.NewTable(
 			core.Column{Name: StatHitCnt},
 			core.Column{Name: StatMissCnt},
-			core.Column{Name: StatMissRate},
+			core.Column{Name: StatMissRate, Window: core.WindowMean, Scale: 1000},
 			core.Column{Name: StatCapacity},
 		)
 		c.plane = core.NewPlane(e, "CACHE_CP", core.PlaneTypeCache, params, stats, cfg.TriggerSlots)
 		c.plane.SetSchedulerHook([]string{SchedFIFO}, nil)
-		e.Schedule(cfg.SampleInterval, c.sample)
+		c.plane.Sample(cfg.SampleInterval)
 	}
 	return c
 }
@@ -606,39 +598,16 @@ func (c *Cache) decOccupancy(ds core.DSID) {
 }
 
 func (c *Cache) account(ds core.DSID, hit bool) {
-	r, ok := c.missRatio[ds]
-	if !ok {
-		//pardlint:ignore hotalloc first sight of a DS-id: bounded by LDom count, not request count
-		r = &metric.Ratio{}
-		c.missRatio[ds] = r
+	if c.plane == nil {
+		return
 	}
 	if hit {
-		r.Add(0, 1)
+		c.plane.AddStat(ds, StatHitCnt, 1)
+		c.plane.Observe(ds, StatMissRate, 0, 1)
 	} else {
-		r.Add(1, 1)
+		c.plane.AddStat(ds, StatMissCnt, 1)
+		c.plane.Observe(ds, StatMissRate, 1, 1)
 	}
-	if c.plane != nil {
-		if hit {
-			c.plane.AddStat(ds, StatHitCnt, 1)
-		} else {
-			c.plane.AddStat(ds, StatMissCnt, 1)
-		}
-	}
-}
-
-// sample closes the statistics window: publishes per-DS-id miss rates to
-// the statistics table and evaluates triggers. It runs off the access
-// critical path (paper §4.2 step 5).
-func (c *Cache) sample() {
-	for _, ds := range core.SortedKeys(c.missRatio) {
-		r := c.missRatio[ds]
-		rate := r.Roll()
-		if r.Valid() {
-			c.plane.SetStat(ds, StatMissRate, rate)
-		}
-	}
-	c.plane.EvaluateAll()
-	c.engine.Schedule(c.cfg.SampleInterval, c.sample)
 }
 
 // InvalidateDSID evicts every block owned by ds, writing dirty blocks
@@ -711,8 +680,5 @@ func (c *Cache) InvalidateDSID(ds core.DSID) uint64 {
 // MissRate returns ds's last-window miss rate in 0.1% units (for tests
 // and reports; the firmware reads the same value through the file tree).
 func (c *Cache) MissRate(ds core.DSID) uint64 {
-	if r, ok := c.missRatio[ds]; ok {
-		return r.Last()
-	}
-	return 0
+	return c.plane.Stat(ds, StatMissRate)
 }

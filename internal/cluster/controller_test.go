@@ -37,6 +37,8 @@ func newMember(t *testing.T, e *sim.Engine, name string) (Server, *core.Plane) {
 			core.Column{Name: "rowbuf", Writable: true},
 			core.Column{Name: "addr_limit", Writable: true}),
 		core.NewTable(core.Column{Name: "avg_qlat"}), 8)
+	cp.Sample(sim.Second) // the firmware needs a sampler; no test runs long enough to reach it
+	mp.Sample(sim.Second)
 	fw.Mount(core.NewCPA(cp, 0))
 	fw.Mount(core.NewCPA(mp, 0))
 	for _, ld := range []string{"svc", "batch"} {

@@ -71,7 +71,21 @@ type Plane struct {
 	// the Go-level SetParam API and CPA register-file writes — with the
 	// displaced value. The telemetry journal hangs off it.
 	paramObs ParamObserver
+
+	// The statistics window: win[ds] holds ds's accumulators, one per
+	// statistics column, or nil while ds has observed nothing since its
+	// row was last deleted. interval is the sampler's period, 0 if none.
+	win      [][]accum
+	interval sim.Tick
 }
+
+// accum sums one statistics column's observations for one DS-id over
+// the current sampling window.
+type accum struct{ num, den uint64 }
+
+// DefaultSampleInterval is the statistics window of a plane whose
+// owner asks for none.
+const DefaultSampleInterval = 100 * sim.Microsecond
 
 // ParamObserver receives sanctioned parameter writes for auditing.
 type ParamObserver func(ds DSID, name string, old, new uint64)
@@ -181,10 +195,14 @@ func (p *Plane) CreateRow(ds DSID) {
 	p.stats.EnsureRow(ds)
 }
 
-// DeleteRow tears down an LDom's rows and disables its triggers.
+// DeleteRow tears down an LDom's rows, its statistics window and its
+// triggers.
 func (p *Plane) DeleteRow(ds DSID) {
 	p.params.DeleteRow(ds)
 	p.stats.DeleteRow(ds)
+	if int(ds) < len(p.win) {
+		p.win[ds] = nil
+	}
 	for i := range p.triggers {
 		if p.triggers[i].DSID == ds {
 			p.triggers[i] = Trigger{}
@@ -258,10 +276,68 @@ func (p *Plane) Stat(ds DSID, name string) uint64 {
 	return v
 }
 
+// Observe adds one observation to ds's current window of the windowed
+// statistics column name: num/den to a WindowMean column, num bytes to
+// a WindowMBps column (den unused). It is the data-path half of the
+// sampler that Sample starts. Counter and unknown columns panic.
+func (p *Plane) Observe(ds DSID, name string, num, den uint64) {
+	i, ok := p.stats.ColumnIndex(name)
+	if !ok || p.stats.cols[i].Window == Counter {
+		panic("core: " + p.ident + ": no windowed stat column " + name)
+	}
+	for int(ds) >= len(p.win) {
+		p.win = append(p.win, nil)
+	}
+	if p.win[ds] == nil {
+		//pardlint:ignore hotalloc first observation of a DS-id, or its first since DeleteRow: one window per LDom lifetime, not per request
+		p.win[ds] = make([]accum, len(p.stats.cols))
+	}
+	a := &p.win[ds][i]
+	a.num += num
+	a.den += den
+}
+
+// Sample starts the plane's sampler (DefaultSampleInterval when
+// interval is 0). At the end of every window it publishes each windowed
+// statistics column in DS-id order, then evaluates the trigger table,
+// off the access critical path (paper §4.2 step 5). A plane without a
+// sampler never evaluates its triggers on its own.
+func (p *Plane) Sample(interval sim.Tick) {
+	if interval == 0 {
+		interval = DefaultSampleInterval
+	}
+	p.interval = interval
+	p.engine.Schedule(interval, p.sample)
+}
+
+// SampleInterval returns the sampler's period, or 0 when the plane
+// runs no sampler.
+func (p *Plane) SampleInterval() sim.Tick { return p.interval }
+
+// sample closes the statistics window, evaluates the trigger table and
+// reschedules itself.
+func (p *Plane) sample() {
+	winSec := float64(p.interval) / float64(sim.Second)
+	for ds, row := range p.win {
+		for i := range row {
+			a, c := &row[i], &p.stats.cols[i]
+			switch {
+			case c.Window == WindowMean && a.den > 0:
+				p.SetStat(DSID(ds), c.Name, c.Scale*a.num/a.den)
+			case c.Window == WindowMBps:
+				p.SetStat(DSID(ds), c.Name, uint64(float64(a.num)/1e6/winSec))
+			}
+			*a = accum{}
+		}
+	}
+	p.evaluateAll()
+	p.engine.Schedule(p.interval, p.sample)
+}
+
 // Evaluate scans the trigger table for the given DS-id against current
-// statistics and raises interrupts for newly-true conditions. Components
-// call it at their statistics sampling cadence, never on the access
-// critical path (paper §4.2 step 5).
+// statistics and raises interrupts for newly-true conditions. The
+// sampler runs it for every row each window; a component calls it only
+// for an event that cannot wait for the window (a bounds violation).
 func (p *Plane) Evaluate(ds DSID) {
 	for slot := range p.triggers {
 		tr := &p.triggers[slot]
@@ -301,8 +377,8 @@ func (p *Plane) Evaluate(ds DSID) {
 	}
 }
 
-// EvaluateAll runs Evaluate for every DS-id with a statistics row.
-func (p *Plane) EvaluateAll() {
+// evaluateAll runs Evaluate for every DS-id with a statistics row.
+func (p *Plane) evaluateAll() {
 	for _, ds := range p.stats.Rows() {
 		p.Evaluate(ds)
 	}

@@ -182,7 +182,9 @@ func TestDeleteRowDisablesTriggers(t *testing.T) {
 }
 
 func TestEvaluateAllCoversAllRows(t *testing.T) {
-	p := newTestPlane(sim.NewEngine())
+	e := sim.NewEngine()
+	p := newTestPlane(e)
+	p.Sample(10 * sim.Microsecond)
 	var fired int
 	p.SetInterrupt(func(Notification) { fired++ })
 	for ds := DSID(1); ds <= 3; ds++ {
@@ -190,9 +192,9 @@ func TestEvaluateAllCoversAllRows(t *testing.T) {
 		p.InstallTrigger(slot, Trigger{DSID: ds, StatCol: 0, Op: OpGT, Value: 0, Enabled: true})
 		p.SetStat(ds, "miss_rate", 5)
 	}
-	p.EvaluateAll()
+	e.Run(10 * sim.Microsecond)
 	if fired != 3 {
-		t.Fatalf("EvaluateAll fired %d, want 3", fired)
+		t.Fatalf("one sample fired %d, want 3", fired)
 	}
 }
 
@@ -225,4 +227,90 @@ func TestParseCmpOp(t *testing.T) {
 	if _, err := ParseCmpOp("~="); err == nil {
 		t.Error("ParseCmpOp accepted garbage")
 	}
+}
+
+// windowPlane builds a plane with one windowed column of each kind and
+// starts its sampler at a 10 µs window.
+func windowPlane(e *sim.Engine) *Plane {
+	stats := NewTable(
+		Column{Name: "hits"},
+		Column{Name: "miss_rate", Window: WindowMean, Scale: 1000},
+		Column{Name: "bandwidth", Window: WindowMBps},
+	)
+	p := NewPlane(e, "TEST_CP", PlaneTypeCache, NewTable(), stats, 4)
+	p.Sample(10 * sim.Microsecond)
+	return p
+}
+
+// A mean column publishes Scale·Σnum/Σden over each window and keeps
+// its last value through a window with no observations.
+func TestWindowMeanScaledAndHeld(t *testing.T) {
+	e := sim.NewEngine()
+	p := windowPlane(e)
+	p.Observe(3, "miss_rate", 1, 1)
+	p.Observe(3, "miss_rate", 0, 1)
+	p.Observe(3, "miss_rate", 0, 1)
+	e.Run(10 * sim.Microsecond)
+	if got := p.Stat(3, "miss_rate"); got != 333 {
+		t.Fatalf("miss_rate = %d, want 333 (1 of 3, in 0.1%% units)", got)
+	}
+	e.Run(20 * sim.Microsecond)
+	if got := p.Stat(3, "miss_rate"); got != 333 {
+		t.Fatalf("miss_rate after an empty window = %d, want 333 held", got)
+	}
+	p.Observe(3, "miss_rate", 1, 10)
+	e.Run(30 * sim.Microsecond)
+	if got := p.Stat(3, "miss_rate"); got != 100 {
+		t.Fatalf("miss_rate = %d, want 100 from the new window alone", got)
+	}
+}
+
+// A MB/s column publishes every window, an empty one as zero, with the
+// window length as its time base.
+func TestWindowMBpsPublishedEveryWindow(t *testing.T) {
+	e := sim.NewEngine()
+	p := windowPlane(e)
+	p.Observe(2, "bandwidth", 4000, 0)
+	p.Observe(2, "bandwidth", 1000, 0)
+	e.Run(10 * sim.Microsecond)
+	// 5000 B in 10 us is 500 MB/s; the float quotient truncates to 499.
+	if got := p.Stat(2, "bandwidth"); got != 499 {
+		t.Fatalf("bandwidth = %d MB/s, want 499", got)
+	}
+	e.Run(20 * sim.Microsecond)
+	if got := p.Stat(2, "bandwidth"); got != 0 {
+		t.Fatalf("bandwidth after an empty window = %d, want 0", got)
+	}
+	if got := p.Stat(2, "miss_rate"); got != 0 || p.Stats().HasRow(3) {
+		t.Fatal("a bandwidth observation published another column or DS-id")
+	}
+}
+
+// The sampler publishes before it evaluates: a trigger fires in the
+// very sample that publishes the crossing value, and its notification
+// carries that value.
+func TestSamplePublishesBeforeEvaluating(t *testing.T) {
+	e := sim.NewEngine()
+	p := windowPlane(e)
+	var fired []Notification
+	p.SetInterrupt(func(n Notification) { fired = append(fired, n) })
+	col, _ := p.Stats().ColumnIndex("miss_rate")
+	if err := p.InstallTrigger(0, Trigger{DSID: 1, StatCol: col, Op: OpGT, Value: 300, Enabled: true}); err != nil {
+		t.Fatal(err)
+	}
+	p.Observe(1, "miss_rate", 1, 2)
+	e.Run(10 * sim.Microsecond)
+	if len(fired) != 1 || fired[0].Value != 500 || fired[0].When != 10*sim.Microsecond {
+		t.Fatalf("fired %+v, want one firing at 10us with value 500", fired)
+	}
+}
+
+func TestObserveCounterColumnPanics(t *testing.T) {
+	p := windowPlane(sim.NewEngine())
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Observe on a counter column did not panic")
+		}
+	}()
+	p.Observe(1, "hits", 1, 1)
 }

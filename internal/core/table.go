@@ -17,7 +17,27 @@ type Column struct {
 	// for DS-ids that have no row yet). E.g. the LLC way mask defaults
 	// to "all ways".
 	Default uint64
+	// Window is how the plane's sampler publishes a statistics column
+	// (see Plane.Observe). Scale multiplies a WindowMean column's mean:
+	// 1000 for a ratio in 0.1% units, 10 for a mean in 0.1 units.
+	Window Window
+	Scale  uint64
 }
+
+// Window selects how the plane's sampler treats a statistics column.
+type Window uint8
+
+const (
+	// Counter columns are written by their component; the sampler
+	// leaves them alone. It is the zero value.
+	Counter Window = iota
+	// WindowMean publishes Scale·Σnum/Σden at the end of each window
+	// that saw an observation; an empty window keeps the last value.
+	WindowMean
+	// WindowMBps sums bytes over each window and publishes them as MB/s
+	// at the end of every window, zero included.
+	WindowMBps
+)
 
 // Table is a DS-id indexed control-plane table (parameter or statistics
 // table in the paper's basic control-plane structure, Figure 2).
@@ -98,6 +118,7 @@ func (t *Table) Generation() uint64 { return t.gen }
 // calls (the telemetry scraper) pay no allocation once it has grown.
 func (t *Table) AppendRows(buf []DSID) []DSID {
 	start := len(buf)
+	//pardlint:ignore determinism the DS-ids are collected, then sorted
 	for ds := range t.rows {
 		//pardlint:ignore hotalloc grows the caller's scratch only on first sight of a larger row set
 		buf = append(buf, ds)
@@ -109,6 +130,7 @@ func (t *Table) AppendRows(buf []DSID) []DSID {
 // Rows returns the DS-ids that have explicit rows, sorted.
 func (t *Table) Rows() []DSID {
 	out := make([]DSID, 0, len(t.rows))
+	//pardlint:ignore determinism the DS-ids are collected, then sorted
 	for ds := range t.rows {
 		out = append(out, ds)
 	}
@@ -167,6 +189,7 @@ func (t *Table) SetName(ds DSID, name string, v uint64) error {
 // EXPERIMENTS.md (and the determinism invariant pardlint enforces).
 func SortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 	keys := make([]K, 0, len(m))
+	//pardlint:ignore determinism the keys are collected, then sorted
 	for k := range m {
 		keys = append(keys, k)
 	}

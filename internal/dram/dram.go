@@ -55,10 +55,13 @@ type Config struct {
 	CompressionEngine bool
 	CompressLatency   uint64 // engine cycles; 0 means 8
 
-	SampleInterval sim.Tick
+	SampleInterval sim.Tick // 0 means core.DefaultSampleInterval
 }
 
-// DefaultConfig returns Table 2's memory system.
+// DefaultConfig returns Table 2's memory system. Its SampleInterval
+// is set, not left zero, because pard.Config passes its own window down
+// only to a zero field: the memory plane keeps 100 µs under every server
+// config.
 func DefaultConfig() Config {
 	return Config{
 		Name: "mem",
@@ -163,19 +166,12 @@ type Controller struct {
 
 	// Measurement.
 	QueueDelay   []*metric.Histogram // per priority level, in memory cycles
-	qlatWin      map[core.DSID]*qlatWindow
-	bytesWin     map[core.DSID]*metric.Rate
 	Served       uint64
 	Violations   uint64 // out-of-bounds accesses faulted
 	Compressed   uint64 // requests routed through the compression engine
 	RowHits      uint64
 	RowConflicts uint64
 	HighWater    int
-}
-
-type qlatWindow struct {
-	sum   uint64
-	count uint64
 }
 
 // burstWin is one reserved data-burst window [End-Width, End].
@@ -195,9 +191,6 @@ func New(e *sim.Engine, ids *core.IDSource, cfg Config) *Controller {
 	if cfg.TriggerSlots == 0 {
 		cfg.TriggerSlots = 64
 	}
-	if cfg.SampleInterval == 0 {
-		cfg.SampleInterval = 100 * sim.Microsecond
-	}
 	if cfg.CompressLatency == 0 {
 		cfg.CompressLatency = 8
 	}
@@ -206,13 +199,11 @@ func New(e *sim.Engine, ids *core.IDSource, cfg Config) *Controller {
 		levels = 1
 	}
 	c := &Controller{
-		cfg:      cfg,
-		engine:   e,
-		ids:      ids,
-		levels:   levels,
-		banks:    make([]bank, cfg.Ranks*cfg.BanksPerRank),
-		qlatWin:  make(map[core.DSID]*qlatWindow),
-		bytesWin: make(map[core.DSID]*metric.Rate),
+		cfg:    cfg,
+		engine: e,
+		ids:    ids,
+		levels: levels,
+		banks:  make([]bank, cfg.Ranks*cfg.BanksPerRank),
 	}
 	//pardlint:hotpath prebound burst-completion callback
 	c.completeFn = func(p *core.Packet) {
@@ -247,14 +238,14 @@ func New(e *sim.Engine, ids *core.IDSource, cfg Config) *Controller {
 		params := core.NewTable(cols...)
 		stats := core.NewTable(
 			core.Column{Name: StatServCnt},
-			core.Column{Name: StatAvgQLat},
-			core.Column{Name: StatBandwidth},
+			core.Column{Name: StatAvgQLat, Window: core.WindowMean, Scale: 10},
+			core.Column{Name: StatBandwidth, Window: core.WindowMBps},
 			core.Column{Name: StatViolations},
 		)
 		c.plane = core.NewPlane(e, "MEM_CP", core.PlaneTypeMemory, params, stats, cfg.TriggerSlots)
 		c.plane.SetSchedulerHook([]string{SchedFRFCFS, SchedStrict, SchedEDF},
 			func(algo string) { c.sched = algo })
-		e.Schedule(cfg.SampleInterval, c.sample)
+		c.plane.Sample(cfg.SampleInterval)
 	}
 	return c
 }
@@ -553,47 +544,15 @@ func (c *Controller) service(r *request, now sim.Tick) {
 	delay := uint64((now - r.enq) / c.cfg.TCK)
 	c.QueueDelay[r.lvl].Observe(delay)
 
-	ds := r.pkt.DSID
-	w, ok := c.qlatWin[ds]
-	if !ok {
-		//pardlint:ignore hotalloc first sight of a DS-id: bounded by LDom count, not request count
-		w = &qlatWindow{}
-		c.qlatWin[ds] = w
-	}
-	w.sum += delay
-	w.count++
-	rate, ok := c.bytesWin[ds]
-	if !ok {
-		//pardlint:ignore hotalloc first sight of a DS-id: bounded by LDom count, not request count
-		rate = &metric.Rate{}
-		c.bytesWin[ds] = rate
-	}
-	rate.Add(uint64(r.pkt.Size))
 	if c.plane != nil {
+		ds := r.pkt.DSID
+		c.plane.Observe(ds, StatAvgQLat, delay, 1)
+		c.plane.Observe(ds, StatBandwidth, uint64(r.pkt.Size), 0)
 		c.plane.AddStat(ds, StatServCnt, 1)
 	}
 
 	r.pkt.ScheduleCallAt(c.engine, now+latency, c.completeFn)
 	c.putReq(r)
-}
-
-// sample publishes windowed statistics and evaluates triggers.
-func (c *Controller) sample() {
-	winSec := float64(c.cfg.SampleInterval) / float64(sim.Second)
-	for _, ds := range core.SortedKeys(c.qlatWin) {
-		w := c.qlatWin[ds]
-		if w.count > 0 {
-			c.plane.SetStat(ds, StatAvgQLat, w.sum*10/w.count)
-		}
-		w.sum, w.count = 0, 0
-		if rate, ok := c.bytesWin[ds]; ok {
-			bytes := rate.Roll()
-			mbs := float64(bytes) / 1e6 / winSec
-			c.plane.SetStat(ds, StatBandwidth, uint64(mbs))
-		}
-	}
-	c.plane.EvaluateAll()
-	c.engine.Schedule(c.cfg.SampleInterval, c.sample)
 }
 
 // BandwidthMBs reads ds's last-window bandwidth (for reports).

@@ -47,9 +47,6 @@ type Config struct {
 	// 1-rack cluster byte-identical to a switchless one.
 	BytesPerSec  uint64
 	TriggerSlots int
-	// SampleInterval is the trigger-evaluation cadence; 0 disables
-	// sampling (the common case for passthrough test fabrics).
-	SampleInterval sim.Tick
 }
 
 // PortClass distinguishes server-facing ports from inter-switch trunks.
@@ -142,9 +139,6 @@ func New(e *sim.Engine, cfg Config) *Switch {
 	}
 	s.plane = core.NewPlane(e, "SWITCH_CP", core.PlaneTypeSwitch, params, stats, cfg.TriggerSlots)
 	s.plane.SetSchedulerHook(SchedAlgos, func(algo string) { s.algo = algo })
-	if cfg.SampleInterval > 0 {
-		e.Schedule(cfg.SampleInterval, s.sample)
-	}
 	return s
 }
 
@@ -336,12 +330,6 @@ func (s *Switch) forward(out *port, f frame) {
 func (s *Switch) drop(ds core.DSID) {
 	s.Dropped++
 	s.plane.AddStat(ds, StatDrops, 1)
-}
-
-// sample is the self-rescheduling trigger-evaluation event.
-func (s *Switch) sample() {
-	s.plane.EvaluateAll()
-	s.engine.Schedule(s.cfg.SampleInterval, s.sample)
 }
 
 // IngressWire adapts a switch port to iodev.Wire so a NIC (or another

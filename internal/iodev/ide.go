@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/metric"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -20,7 +19,7 @@ type IDEConfig struct {
 	Disks       int
 
 	TriggerSlots   int
-	SampleInterval sim.Tick
+	SampleInterval sim.Tick // 0 means core.DefaultSampleInterval
 
 	// InterruptVector, when nonzero, raises a tagged completion
 	// interrupt through the APIC after each transfer.
@@ -80,8 +79,6 @@ type IDE struct {
 	deficit map[core.DSID]uint64
 	busy    bool
 
-	bytesWin map[core.DSID]*metric.Rate
-
 	ServedBytes uint64
 	ServedOps   uint64
 
@@ -99,29 +96,25 @@ func NewIDE(e *sim.Engine, ids *core.IDSource, cfg IDEConfig, mem core.Target, a
 	if cfg.TriggerSlots == 0 {
 		cfg.TriggerSlots = 64
 	}
-	if cfg.SampleInterval == 0 {
-		cfg.SampleInterval = 100 * sim.Microsecond
-	}
 	d := &IDE{
-		cfg:      cfg,
-		engine:   e,
-		ids:      ids,
-		dma:      NewDMAEngine(e, ids, mem),
-		apic:     apic,
-		queues:   make(map[core.DSID][]*pendingReq),
-		deficit:  make(map[core.DSID]uint64),
-		bytesWin: make(map[core.DSID]*metric.Rate),
+		cfg:     cfg,
+		engine:  e,
+		ids:     ids,
+		dma:     NewDMAEngine(e, ids, mem),
+		apic:    apic,
+		queues:  make(map[core.DSID][]*pendingReq),
+		deficit: make(map[core.DSID]uint64),
 	}
 	params := core.NewTable(
 		core.Column{Name: ParamBandwidth, Writable: true, Default: 0},
 	)
 	stats := core.NewTable(
-		core.Column{Name: StatBandwidth},
+		core.Column{Name: StatBandwidth, Window: core.WindowMBps},
 		core.Column{Name: StatServBytes},
 	)
 	d.plane = core.NewPlane(e, "IDE_CP", core.PlaneTypeIDE, params, stats, cfg.TriggerSlots)
 	d.plane.SetSchedulerHook([]string{SchedDRR}, nil)
-	e.Schedule(cfg.SampleInterval, d.sample)
+	d.plane.Sample(cfg.SampleInterval)
 	return d
 }
 
@@ -328,13 +321,7 @@ func (d *IDE) serve(entry *pendingReq) {
 		d.ServedBytes += uint64(entry.size)
 		d.ServedOps++
 		d.plane.AddStat(entry.ds, StatServBytes, uint64(entry.size))
-		w, ok := d.bytesWin[entry.ds]
-		if !ok {
-			//pardlint:ignore hotalloc first sight of a DS-id: bounded by LDom count, not request count
-			w = &metric.Rate{}
-			d.bytesWin[entry.ds] = w
-		}
-		w.Add(uint64(entry.size))
+		d.plane.Observe(entry.ds, StatBandwidth, uint64(entry.size), 0)
 
 		// Data movement: the DMA engine is programmed by this request's
 		// DS-id and issues tagged memory traffic (paper §4.1).
@@ -371,15 +358,4 @@ func (d *IDE) serve(entry *pendingReq) {
 		}
 		d.serveNext()
 	})
-}
-
-// sample publishes windowed bandwidth and evaluates triggers.
-func (d *IDE) sample() {
-	winSec := float64(d.cfg.SampleInterval) / float64(sim.Second)
-	for _, ds := range core.SortedKeys(d.bytesWin) {
-		mbs := float64(d.bytesWin[ds].Roll()) / 1e6 / winSec
-		d.plane.SetStat(ds, StatBandwidth, uint64(mbs))
-	}
-	d.plane.EvaluateAll()
-	d.engine.Schedule(d.cfg.SampleInterval, d.sample)
 }

@@ -245,7 +245,7 @@ func TestIDEStatsPublished(t *testing.T) {
 	e.StepUntil(p.Completed)
 	// Run to just past the next sampling edge so the window holding the
 	// transfer is published (later idle windows legitimately decay to 0).
-	interval := ide.cfg.SampleInterval
+	interval := ide.Plane().SampleInterval()
 	edge := (e.Now()/interval + 1) * interval
 	e.Run(edge + sim.Microsecond)
 	if ide.Plane().Stat(2, StatServBytes) != 128<<10 {

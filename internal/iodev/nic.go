@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/metric"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -16,9 +15,8 @@ type NICConfig struct {
 	BytesPerSec uint64 // line rate
 	VNICs       int    // virtual NIC slots
 
-	RxVector       uint8
-	TriggerSlots   int
-	SampleInterval sim.Tick
+	RxVector     uint8
+	TriggerSlots int
 }
 
 // DefaultNICConfig returns a 10 GbE-class adapter (the paper augments an
@@ -79,8 +77,6 @@ type NIC struct {
 	// only, never iterated.
 	linked map[*NIC]bool
 
-	rxWin map[core.DSID]*metric.Rate
-
 	// Prebound TX completion callback: closes the recorder span and
 	// completes the packet without a per-frame closure.
 	txDoneFn func(*core.Packet)
@@ -105,9 +101,6 @@ func NewNIC(e *sim.Engine, ids *core.IDSource, cfg NICConfig, mem core.Target, a
 	if cfg.TriggerSlots == 0 {
 		cfg.TriggerSlots = 64
 	}
-	if cfg.SampleInterval == 0 {
-		cfg.SampleInterval = 100 * sim.Microsecond
-	}
 	n := &NIC{
 		cfg:    cfg,
 		engine: e,
@@ -116,7 +109,6 @@ func NewNIC(e *sim.Engine, ids *core.IDSource, cfg NICConfig, mem core.Target, a
 		apic:   apic,
 		vnics:  make(map[uint64]*vnic),
 		flows:  make(map[uint64]core.DSID),
-		rxWin:  make(map[core.DSID]*metric.Rate),
 	}
 	params := core.NewTable(
 		core.Column{Name: ParamVNICMac, Writable: true, Default: 0},
@@ -330,13 +322,6 @@ func (n *NIC) ReceiveFlow(flowID uint64, dstMAC uint64, bytes uint32) {
 	n.RxFrames++
 	n.plane.AddStat(ds, StatRxBytes, uint64(bytes))
 	n.plane.AddStat(ds, StatRxPkts, 1)
-	if w, ok := n.rxWin[ds]; ok {
-		w.Add(uint64(bytes))
-	} else {
-		r := &metric.Rate{}
-		r.Add(uint64(bytes))
-		n.rxWin[ds] = r
-	}
 	wireDelay := sim.Tick(uint64(bytes) * uint64(sim.Second) / n.cfg.BytesPerSec)
 	addr := v.buf
 	v.buf += uint64(bytes)

@@ -12,6 +12,7 @@ import (
 // bit-reproducibility contract behind EXPERIMENTS.md.
 var simClocked = map[string]bool{
 	"internal/sim":      true,
+	"internal/core":     true,
 	"internal/cache":    true,
 	"internal/dram":     true,
 	"internal/xbar":     true,

@@ -1,6 +1,6 @@
 // Package metric provides the measurement primitives the PARD experiments
 // rely on: latency histograms with percentile queries, CDF export,
-// windowed rate meters and time-series samplers.
+// bounded rings and time-series samplers.
 package metric
 
 import (

@@ -148,64 +148,6 @@ func (s *Series) Sparkline(width int) string {
 	return b.String()
 }
 
-// Rate measures a windowed event rate: callers Add raw counts (bytes,
-// hits, misses) and periodically Roll the window, reading the per-window
-// value. Control planes use it for bandwidth and miss-rate statistics.
-type Rate struct {
-	cur  uint64
-	last uint64
-}
-
-// Add accumulates into the current window.
-func (r *Rate) Add(n uint64) { r.cur += n }
-
-// Roll closes the window: the accumulated value becomes readable via
-// Last and the accumulator resets.
-func (r *Rate) Roll() uint64 {
-	r.last = r.cur
-	r.cur = 0
-	return r.last
-}
-
-// Last returns the most recently closed window's value.
-func (r *Rate) Last() uint64 { return r.last }
-
-// Current returns the in-progress window's value.
-func (r *Rate) Current() uint64 { return r.cur }
-
-// Ratio is a windowed numerator/denominator meter (e.g. miss rate =
-// misses / accesses). Values are reported in 0.1% units to match the
-// integer statistics tables.
-type Ratio struct {
-	num, den   uint64
-	lastPerMil uint64
-	valid      bool
-}
-
-// Add accumulates one observation window entry.
-func (r *Ratio) Add(num, den uint64) {
-	r.num += num
-	r.den += den
-}
-
-// Roll closes the window and returns the ratio in 0.1% units. Windows
-// with no denominator repeat the previous value, so a quiescent interval
-// does not read as a sudden zero miss rate.
-func (r *Ratio) Roll() uint64 {
-	if r.den > 0 {
-		r.lastPerMil = r.num * 1000 / r.den
-		r.valid = true
-	}
-	r.num, r.den = 0, 0
-	return r.lastPerMil
-}
-
-// Last returns the most recently closed window's ratio in 0.1% units.
-func (r *Ratio) Last() uint64 { return r.lastPerMil }
-
-// Valid reports whether any window has closed with data.
-func (r *Ratio) Valid() bool { return r.valid }
-
 // FormatPerMil renders a 0.1%-unit value as a percentage string.
 func FormatPerMil(v uint64) string {
 	return fmt.Sprintf("%d.%d%%", v/10, v%10)

@@ -69,43 +69,6 @@ func TestSparklineWidth(t *testing.T) {
 	}
 }
 
-func TestRateWindows(t *testing.T) {
-	var r Rate
-	r.Add(100)
-	r.Add(50)
-	if r.Current() != 150 {
-		t.Fatalf("Current = %d", r.Current())
-	}
-	if got := r.Roll(); got != 150 {
-		t.Fatalf("Roll = %d", got)
-	}
-	if r.Last() != 150 || r.Current() != 0 {
-		t.Fatal("window did not roll")
-	}
-	if got := r.Roll(); got != 0 {
-		t.Fatalf("empty window Roll = %d", got)
-	}
-}
-
-func TestRatioPerMil(t *testing.T) {
-	var r Ratio
-	r.Add(30, 100)
-	if got := r.Roll(); got != 300 {
-		t.Fatalf("Roll = %d, want 300 (30.0%%)", got)
-	}
-	if !r.Valid() {
-		t.Fatal("Valid = false after data window")
-	}
-	// Empty window repeats the last value rather than dropping to zero.
-	if got := r.Roll(); got != 300 {
-		t.Fatalf("empty window Roll = %d, want sticky 300", got)
-	}
-	r.Add(1, 10)
-	if got := r.Roll(); got != 100 {
-		t.Fatalf("Roll = %d, want 100", got)
-	}
-}
-
 func TestFormatPerMil(t *testing.T) {
 	if got := FormatPerMil(307); got != "30.7%" {
 		t.Fatalf("FormatPerMil = %q", got)

@@ -413,11 +413,22 @@ func (fw *Firmware) InstallTrigger(cpaIdx int, ds core.DSID, stat string, op cor
 
 // InstallTriggerSpec is InstallTrigger with full control over firing
 // semantics (level/hysteresis) and the dispatch cooldown — the policy
-// compiler's installation path.
+// compiler's installation path. A plane that runs no statistics
+// sampler never evaluates its trigger table, so it is refused.
 func (fw *Firmware) InstallTriggerSpec(cpaIdx int, spec TriggerSpec) (int, error) {
 	cpa, err := fw.CPA(cpaIdx)
 	if err != nil {
 		return 0, err
+	}
+	if cpa.Plane.SampleInterval() == 0 {
+		var sampled []string
+		for _, m := range fw.mounts {
+			if m.cpa.Plane.SampleInterval() != 0 {
+				sampled = append(sampled, m.name)
+			}
+		}
+		return 0, fmt.Errorf("prm: cpa%d (%s) runs no statistics sampler, so its triggers would never fire; planes that sample: %s",
+			cpaIdx, cpa.Plane.Ident(), strings.Join(sampled, ", "))
 	}
 	statCol, ok := cpa.Plane.Stats().ColumnIndex(spec.Stat)
 	if !ok {
@@ -578,8 +589,15 @@ func (fw *Firmware) DestroyLDom(ds core.DSID) error {
 	return nil
 }
 
-// LDoms returns the live LDom table.
-func (fw *Firmware) LDoms() map[core.DSID]*LDom { return fw.ldoms }
+// LDoms returns the live LDoms in DS-id order. The slice is the
+// caller's: changing it leaves the firmware's LDom set alone.
+func (fw *Firmware) LDoms() []*LDom {
+	out := make([]*LDom, 0, len(fw.ldoms))
+	for _, ds := range core.SortedKeys(fw.ldoms) {
+		out = append(out, fw.ldoms[ds])
+	}
+	return out
+}
 
 // ldomStat is one platform-registered statistics leaf: its file name
 // and a reader parameterized by the owning LDom's DS-id.

@@ -42,7 +42,9 @@ func (p *fakePlatform) FlushLDom(ds core.DSID) { p.flushed = append(p.flushed, d
 func cachePlane(e *sim.Engine) *core.Plane {
 	params := core.NewTable(core.Column{Name: "waymask", Writable: true, Default: 0xFFFF})
 	stats := core.NewTable(core.Column{Name: "miss_rate"}, core.Column{Name: "capacity"})
-	return core.NewPlane(e, "CACHE_CP", core.PlaneTypeCache, params, stats, 8)
+	p := core.NewPlane(e, "CACHE_CP", core.PlaneTypeCache, params, stats, 8)
+	p.Sample(sim.Second) // the firmware needs a sampler; tests evaluate by hand well before it runs
+	return p
 }
 
 func memPlane(e *sim.Engine) *core.Plane {
@@ -57,7 +59,9 @@ func memPlane(e *sim.Engine) *core.Plane {
 		core.Column{Name: "bandwidth"},
 		core.Column{Name: "violations"},
 	)
-	return core.NewPlane(e, "MEM_CP", core.PlaneTypeMemory, params, stats, 8)
+	p := core.NewPlane(e, "MEM_CP", core.PlaneTypeMemory, params, stats, 8)
+	p.Sample(sim.Second)
+	return p
 }
 
 func newFirmware(t *testing.T) (*sim.Engine, *Firmware, *fakePlatform, *core.Plane, *core.Plane) {
@@ -135,6 +139,28 @@ func TestCreateLDomSetsAddrLimit(t *testing.T) {
 	fw.CreateLDom(LDomSpec{Name: "unbounded"})
 	if mp.Param(1, "addr_limit") != 0 {
 		t.Fatal("addr_limit set without MemSize")
+	}
+}
+
+// LDoms hands out a DS-id-ordered copy: a caller can neither see map
+// order nor change the firmware's LDom set through it.
+func TestLDomsIsSortedCopy(t *testing.T) {
+	_, fw, _, _, _ := newFirmware(t)
+	for _, name := range []string{"a", "b", "c"} {
+		if _, err := fw.CreateLDom(LDomSpec{Name: name}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := fw.MustSh("ldoms")
+	lds := fw.LDoms()
+	for i, ld := range lds {
+		if ld.DSID != core.DSID(i) {
+			t.Fatalf("LDoms()[%d] is ds%d, want DS-id order", i, ld.DSID)
+		}
+	}
+	lds[0], lds[2] = lds[2], nil
+	if got := fw.MustSh("ldoms"); got != before || len(fw.LDoms()) != 3 || fw.LDoms()[0].DSID != 0 {
+		t.Fatalf("editing the returned slice changed the firmware's LDoms:\n%s", got)
 	}
 }
 

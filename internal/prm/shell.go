@@ -73,9 +73,8 @@ func (fw *Firmware) Sh(cmdline string) (string, error) {
 
 	case "ldoms":
 		var b strings.Builder
-		for _, ds := range core.SortedKeys(fw.ldoms) {
-			ld := fw.ldoms[ds]
-			fmt.Fprintf(&b, "ldom%d ds=%d name=%s cores=%v\n", ds, ds, ld.Spec.Name, ld.Spec.Cores)
+		for _, ld := range fw.LDoms() {
+			fmt.Fprintf(&b, "ldom%d ds=%d name=%s cores=%v\n", ld.DSID, ld.DSID, ld.Spec.Name, ld.Spec.Cores)
 		}
 		return b.String(), nil
 

@@ -21,7 +21,7 @@ type Config struct {
 	Latency uint64 // traversal cycles once granted
 
 	TriggerSlots   int
-	SampleInterval sim.Tick
+	SampleInterval sim.Tick // 0 means core.DefaultSampleInterval
 }
 
 // DefaultConfig returns a one-cycle crossbar.
@@ -59,8 +59,6 @@ type Crossbar struct {
 	// port grants one packet per crossbar cycle while packets wait.
 	port *sim.Ticker
 
-	qlat map[core.DSID]*qlatWin
-
 	// Prebound forward callback so grants never allocate.
 	fwdFn func(*core.Packet)
 
@@ -71,15 +69,10 @@ type Crossbar struct {
 	Granted uint64
 }
 
-type qlatWin struct{ sum, count uint64 }
-
 // New builds a crossbar whose grants forward to out.
 func New(e *sim.Engine, clock *sim.Clock, cfg Config, out core.Target) *Crossbar {
 	if cfg.TriggerSlots == 0 {
 		cfg.TriggerSlots = 64
-	}
-	if cfg.SampleInterval == 0 {
-		cfg.SampleInterval = 100 * sim.Microsecond
 	}
 	if cfg.Latency == 0 {
 		cfg.Latency = 1
@@ -90,7 +83,6 @@ func New(e *sim.Engine, clock *sim.Clock, cfg Config, out core.Target) *Crossbar
 		clock:  clock,
 		out:    out,
 		queues: make(map[core.DSID][]entry),
-		qlat:   make(map[core.DSID]*qlatWin),
 	}
 	x.port = sim.NewTicker(e, clock.Period(), x)
 	//pardlint:hotpath prebound post-traversal forward callback
@@ -103,10 +95,10 @@ func New(e *sim.Engine, clock *sim.Clock, cfg Config, out core.Target) *Crossbar
 	)
 	stats := core.NewTable(
 		core.Column{Name: StatFwdCnt},
-		core.Column{Name: StatAvgQLat},
+		core.Column{Name: StatAvgQLat, Window: core.WindowMean, Scale: 10},
 	)
 	x.plane = core.NewPlane(e, "XBAR_CP", core.PlaneTypeBridge, params, stats, cfg.TriggerSlots)
-	e.Schedule(cfg.SampleInterval, x.sample)
+	x.plane.Sample(cfg.SampleInterval)
 	return x
 }
 
@@ -189,29 +181,10 @@ func (x *Crossbar) pending() int {
 func (x *Crossbar) forward(ds core.DSID, e entry) {
 	x.Granted++
 	x.plane.AddStat(ds, StatFwdCnt, 1)
-	w, ok := x.qlat[ds]
-	if !ok {
-		//pardlint:ignore hotalloc first sight of a DS-id: bounded by LDom count, not request count
-		w = &qlatWin{}
-		x.qlat[ds] = w
-	}
-	w.sum += uint64((x.engine.Now() - e.enq) / x.clock.Period())
-	w.count++
+	x.plane.Observe(ds, StatAvgQLat, uint64((x.engine.Now()-e.enq)/x.clock.Period()), 1)
 	// WRR arbitration wait is over; the traversal that follows is service.
 	x.rec.Service(x.hop, e.pkt)
 	e.pkt.ScheduleCall(x.clock, x.cfg.Latency, x.fwdFn)
-}
-
-func (x *Crossbar) sample() {
-	for _, ds := range core.SortedKeys(x.qlat) {
-		w := x.qlat[ds]
-		if w.count > 0 {
-			x.plane.SetStat(ds, StatAvgQLat, w.sum*10/w.count)
-		}
-		w.sum, w.count = 0, 0
-	}
-	x.plane.EvaluateAll()
-	x.engine.Schedule(x.cfg.SampleInterval, x.sample)
 }
 
 func (x *Crossbar) String() string {

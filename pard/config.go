@@ -47,8 +47,12 @@ type Config struct {
 	// PRM tree, and Perfetto export via Recorder.WritePerfetto.
 	TraceSample uint64
 
-	// SampleInterval is the statistics window used by all control
-	// planes when their own configs leave it zero.
+	// SampleInterval is the statistics window passed to the LLC and
+	// IDE planes when their own configs leave it zero. The memory plane
+	// keeps dram.DefaultConfig's explicit 100 µs and the crossbar its
+	// own window (core.DefaultSampleInterval unless CrossbarCfg sets
+	// one); the NIC and bridge planes run no sampler. The telemetry
+	// scrape inherits it too.
 	SampleInterval sim.Tick
 
 	// Telemetry configures the time-series registry and audit journal.
@@ -149,9 +153,6 @@ func (c *Config) fillDefaults() {
 		}
 		if c.IDE.SampleInterval == 0 {
 			c.IDE.SampleInterval = c.SampleInterval
-		}
-		if c.NIC.SampleInterval == 0 {
-			c.NIC.SampleInterval = c.SampleInterval
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -60,7 +59,7 @@ func Dispatch(sys *System, line string) (string, error) {
 		}
 		ld, err := sys.CreateLDom(LDomConfig{
 			Name: fields[1], Cores: []int{coreID},
-			MemBase: uint64(coreID) * (2 << 30), Priority: prio, RowBuf: prio,
+			MemBase: uint64(coreID) * (2 << 30), MemSize: 2 << 30, Priority: prio, RowBuf: prio,
 		})
 		if err != nil {
 			return "", err
@@ -101,9 +100,8 @@ func Dispatch(sys *System, line string) (string, error) {
 
 	case "stats":
 		var b strings.Builder
-		ldoms := sys.Firmware.LDoms()
-		for _, ds := range core.SortedKeys(ldoms) {
-			ld := ldoms[ds]
+		for _, ld := range sys.Firmware.LDoms() {
+			ds := ld.DSID
 			fmt.Fprintf(&b, "ldom%d (%s): LLC %.2f MB, mem %d MB/s, miss %d.%d%%\n",
 				ds, ld.Spec.Name,
 				float64(sys.LLCOccupancyBytes(ds))/(1<<20),
