@@ -1,5 +1,5 @@
 # Tier-1 gate: everything CI (and the next PR) runs.
-.PHONY: check build fmt vet lint test race bench benchgate fuzz digests figures examples loc
+.PHONY: check build fmt vet lint test race bench benchgate fuzz digests figures examples loc ab
 
 check: build fmt vet lint test
 
@@ -106,3 +106,16 @@ loc:
 	awk '{ k = ($$3 ~ /_test\.go$$/) ? "test" : "non-test"; a[k] += $$1; d[k] += $$2 } \
 	  END { printf "non-test Go: +%d -%d net %+d\n", a["non-test"], d["non-test"], a["non-test"] - d["non-test"]; \
 	        printf "test Go:     +%d -%d net %+d\n", a["test"], d["test"], a["test"] - d["test"] }'
+
+# A/B pairs of the repo benchmark, BASE (default HEAD) against the
+# working tree (scripts/ab.py): builds each tree's cmd/pardperf with its
+# own run.sh (BASE from `git archive` under .bench_build/ab/), runs both
+# at once for the benchmark's run_seconds with alternating launch order,
+# fails at the first differing `digest` or `exact` line, and prints each
+# end-to-end metric's medians and quartiles, change, pairs won, and its
+# claim and bound verdicts.
+PAIRS ?= 10
+SEED ?= 42
+WORKLOADS ?= colocate observe cluster_fabric rack8
+ab:
+	python3 scripts/ab.py --base $(BASE) --workloads "$(WORKLOADS)" --pairs $(PAIRS) --seed $(SEED)

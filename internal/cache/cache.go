@@ -6,8 +6,9 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -75,7 +76,10 @@ type mshrKey struct {
 	ds    core.DSID
 }
 
+// mshrEntry is one MSHR: the (block, DS-id) key it is searched by, and
+// the accesses waiting on its fill.
 type mshrEntry struct {
+	key     mshrKey
 	waiters []*core.Packet
 	way     int
 	set     uint64
@@ -108,7 +112,9 @@ type Cache struct {
 	// not be chosen as victims until the fill lands.
 	reserved []uint64
 
-	mshrs map[mshrKey]*mshrEntry
+	// mshrs is the MSHR file: the live entries, at most cfg.MSHRs of
+	// them, searched by key as the hardware's CAM is (see mshr).
+	mshrs []*mshrEntry
 
 	// spifo is the MSHR stall queue: misses waiting for a free MSHR or
 	// way, in a PIFO at constant rank, so seq (push order) is the
@@ -131,8 +137,8 @@ type Cache struct {
 
 	plane *core.Plane // nil without a control plane
 
-	// occupancy counts the blocks each DS-id owns.
-	occupancy map[core.DSID]uint64
+	// occupancy[ds] counts the blocks ds owns.
+	occupancy []uint64
 
 	// Aggregate counters (all DS-ids), for tests and reports.
 	Hits, Misses, Writebacks, Fills uint64
@@ -140,9 +146,10 @@ type Cache struct {
 
 	// Writeback attribution, for the paper's §4.1 design-choice
 	// ablation: PARD tags a writeback with the evicted block's owner;
-	// a naive design would tag it with the evicting requester.
-	WritebacksByOwner     map[core.DSID]uint64
-	WritebacksByRequester map[core.DSID]uint64
+	// a naive design would tag it with the evicting requester. Both are
+	// indexed by DS-id and reach only the largest DS-id counted.
+	WritebacksByOwner     []uint64
+	WritebacksByRequester []uint64
 }
 
 // Statistic and parameter column names of the LLC control plane (Table 3).
@@ -153,6 +160,17 @@ const (
 	StatMissCnt  = "miss_cnt"
 	StatMissRate = "miss_rate" // 0.1% units, windowed
 	StatCapacity = "capacity"  // blocks currently owned
+)
+
+// Column indices of the LLC control plane's parameter and statistics
+// tables, in Table 3 order.
+const colWayMask = 0
+
+const (
+	colHitCnt = iota
+	colMissCnt
+	colMissRate
+	colCapacity
 )
 
 // SchedFIFO is the cache plane's scheduling algorithm (the .pard
@@ -186,11 +204,7 @@ func New(e *sim.Engine, clock *sim.Clock, ids *core.IDSource, cfg Config, next c
 		lines:     make([][]line, sets),
 		trees:     make([]plru, sets),
 		reserved:  make([]uint64, sets),
-		mshrs:     make(map[mshrKey]*mshrEntry),
-		occupancy: make(map[core.DSID]uint64),
-
-		WritebacksByOwner:     make(map[core.DSID]uint64),
-		WritebacksByRequester: make(map[core.DSID]uint64),
+		mshrs:     make([]*mshrEntry, 0, cfg.MSHRs),
 	}
 	for i := range c.lines {
 		c.lines[i] = make([]line, cfg.Ways)
@@ -216,16 +230,17 @@ func New(e *sim.Engine, clock *sim.Clock, ids *core.IDSource, cfg Config, next c
 		c.fill(mshrKey{block: p.Addr, ds: p.DSID}, false)
 	}
 	if cfg.ControlPlane {
-		params := core.NewTable(
-			core.Column{Name: ParamWayMask, Writable: true, Default: 1<<uint(cfg.Ways) - 1},
-		)
-		stats := core.NewTable(
-			core.Column{Name: StatHitCnt},
-			core.Column{Name: StatMissCnt},
-			core.Column{Name: StatMissRate, Window: core.WindowMean, Scale: 1000},
-			core.Column{Name: StatCapacity},
-		)
-		c.plane = core.NewPlane(e, "CACHE_CP", core.PlaneTypeCache, params, stats, cfg.TriggerSlots)
+		params := [...]core.Column{
+			colWayMask: {Name: ParamWayMask, Writable: true, Default: 1<<uint(cfg.Ways) - 1},
+		}
+		stats := [...]core.Column{
+			colHitCnt:   {Name: StatHitCnt},
+			colMissCnt:  {Name: StatMissCnt},
+			colMissRate: {Name: StatMissRate, Window: core.WindowMean, Scale: 1000},
+			colCapacity: {Name: StatCapacity},
+		}
+		c.plane = core.NewPlane(e, "CACHE_CP", core.PlaneTypeCache,
+			core.NewTable(params[:]...), core.NewTable(stats[:]...), cfg.TriggerSlots)
 		c.plane.SetSchedulerHook([]string{SchedFIFO}, nil)
 		c.plane.Sample(cfg.SampleInterval)
 	}
@@ -251,11 +266,11 @@ func (c *Cache) Config() Config { return c.cfg }
 func (c *Cache) NumBlocks() int { return c.numBlocks }
 
 // Occupancy returns the number of blocks currently owned by ds.
-func (c *Cache) Occupancy(ds core.DSID) uint64 { return c.occupancy[ds] }
+func (c *Cache) Occupancy(ds core.DSID) uint64 { return core.At(c.occupancy, ds) }
 
 // OccupancyBytes returns ds's occupancy in bytes (Figure 7's y-axis).
 func (c *Cache) OccupancyBytes(ds core.DSID) uint64 {
-	return c.occupancy[ds] * uint64(c.cfg.BlockSize)
+	return c.Occupancy(ds) * uint64(c.cfg.BlockSize)
 }
 
 func (c *Cache) blockAddr(addr uint64) uint64 { return addr &^ uint64(c.cfg.BlockSize-1) }
@@ -337,7 +352,8 @@ func (c *Cache) miss(p *core.Packet, block, si, tag uint64, retry bool) {
 	}
 
 	key := mshrKey{block: block, ds: p.DSID}
-	if e, ok := c.mshrs[key]; ok {
+	if i := c.mshr(key); i >= 0 {
+		e := c.mshrs[i]
 		e.waiters = append(e.waiters, p)
 		return
 	}
@@ -375,13 +391,11 @@ func (c *Cache) allocateMiss(p *core.Packet, key mshrKey, si, tag uint64, retry 
 
 	e := c.getEntry()
 	e.waiters = append(e.waiters, p)
-	e.way, e.set, e.victim = w, si, victim
-	c.mshrs[key] = e
+	e.key, e.way, e.set, e.victim = key, w, si, victim
+	c.mshrs = append(c.mshrs, e)
 
 	if victim.valid && victim.dirty {
-		c.WritebacksByOwner[victim.owner]++
-		c.WritebacksByRequester[p.DSID]++
-		c.writeback(si, victim)
+		c.writeback(si, victim, p.DSID)
 	}
 
 	if p.Kind == core.KindWriteback {
@@ -403,6 +417,26 @@ func (c *Cache) issueFill(key mshrKey) {
 	c.next.Request(fill)
 }
 
+// mshr searches the MSHR file for key and returns the entry's index, or
+// -1 when no miss on key is outstanding.
+func (c *Cache) mshr(key mshrKey) int {
+	for i, e := range c.mshrs {
+		if e.key == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// unlinkMSHR removes entry i from the MSHR file, moving the last entry
+// into its slot.
+func (c *Cache) unlinkMSHR(i int) {
+	last := len(c.mshrs) - 1
+	c.mshrs[i] = c.mshrs[last]
+	c.mshrs[last] = nil
+	c.mshrs = c.mshrs[:last]
+}
+
 // getEntry pops a recycled MSHR entry, or allocates the pool's first.
 func (c *Cache) getEntry() *mshrEntry {
 	if n := len(c.entryPool); n > 0 {
@@ -421,7 +455,7 @@ func (c *Cache) putEntry(e *mshrEntry) {
 		e.waiters[i] = nil
 	}
 	e.waiters = e.waiters[:0]
-	e.way, e.set, e.victim, e.dead = 0, 0, line{}, false
+	e.key, e.way, e.set, e.victim, e.dead = mshrKey{}, 0, 0, line{}, false
 	c.entryPool = append(c.entryPool, e)
 }
 
@@ -431,7 +465,7 @@ func (c *Cache) putEntry(e *mshrEntry) {
 func (c *Cache) evict(si uint64, ds core.DSID) (w int, ok bool) {
 	mask := uint64(1)<<uint(c.cfg.Ways) - 1
 	if c.plane != nil {
-		m := c.plane.Param(ds, ParamWayMask) & mask
+		m := c.plane.ParamAt(ds, colWayMask) & mask
 		if m != 0 {
 			mask = m
 		}
@@ -502,8 +536,15 @@ func popcount(v uint64) int {
 	return n
 }
 
-func (c *Cache) writeback(si uint64, victim line) {
+// writeback sends victim's dirty block to the next level. requester is
+// the DS-id whose access forced the eviction, counted for the §4.1
+// ablation only.
+func (c *Cache) writeback(si uint64, victim line, requester core.DSID) {
 	c.Writebacks++
+	c.WritebacksByOwner = core.GrowTo(c.WritebacksByOwner, victim.owner)
+	c.WritebacksByOwner[victim.owner]++
+	c.WritebacksByRequester = core.GrowTo(c.WritebacksByRequester, requester)
+	c.WritebacksByRequester[requester]++
 	addr := (victim.tag*uint64(c.sets) + si) * uint64(c.cfg.BlockSize)
 	// The writeback is tagged with the block's owner DS-id, not the
 	// requester that forced the eviction (paper §4.1).
@@ -513,10 +554,11 @@ func (c *Cache) writeback(si uint64, victim line) {
 }
 
 func (c *Cache) fill(key mshrKey, fromWriteback bool) {
-	e, ok := c.mshrs[key]
-	if !ok {
+	i := c.mshr(key)
+	if i < 0 {
 		return
 	}
+	e := c.mshrs[i]
 	if e.dead {
 		// The owning DS-id was invalidated while this fill was in
 		// flight (InvalidateDSID). Never install the stale block. With
@@ -527,11 +569,11 @@ func (c *Cache) fill(key mshrKey, fromWriteback bool) {
 		// requesters are served by fresh data rather than the stale
 		// in-flight block.
 		if len(e.waiters) == 0 {
-			delete(c.mshrs, key)
 			c.reserved[e.set] &^= 1 << uint(e.way)
 			if e.victim.valid {
 				c.decOccupancy(e.victim.owner)
 			}
+			c.unlinkMSHR(i)
 			c.putEntry(e)
 			c.retryStalled()
 			return
@@ -540,7 +582,7 @@ func (c *Cache) fill(key mshrKey, fromWriteback bool) {
 		c.issueFill(key)
 		return
 	}
-	delete(c.mshrs, key)
+	c.unlinkMSHR(i)
 	c.Fills++
 
 	dirty := fromWriteback
@@ -582,18 +624,23 @@ func (c *Cache) retryStalled() {
 }
 
 func (c *Cache) incOccupancy(ds core.DSID) {
+	c.occupancy = core.GrowTo(c.occupancy, ds)
 	c.occupancy[ds]++
 	if c.plane != nil {
-		c.plane.SetStat(ds, StatCapacity, c.occupancy[ds])
+		c.plane.SetStatAt(ds, colCapacity, c.occupancy[ds])
 	}
 }
 
+// decOccupancy takes a block from ds, which owned it, so ds has an
+// occupancy slot. It publishes capacity only while ds has a statistics
+// row: LDom teardown deletes the row before flushing ds's blocks, and
+// the flush must not re-create it.
 func (c *Cache) decOccupancy(ds core.DSID) {
 	if c.occupancy[ds] > 0 {
 		c.occupancy[ds]--
 	}
-	if c.plane != nil {
-		c.plane.SetStat(ds, StatCapacity, c.occupancy[ds])
+	if c.plane != nil && c.plane.Stats().HasRow(ds) {
+		c.plane.SetStatAt(ds, colCapacity, c.occupancy[ds])
 	}
 }
 
@@ -602,11 +649,11 @@ func (c *Cache) account(ds core.DSID, hit bool) {
 		return
 	}
 	if hit {
-		c.plane.AddStat(ds, StatHitCnt, 1)
-		c.plane.Observe(ds, StatMissRate, 0, 1)
+		c.plane.AddStatAt(ds, colHitCnt, 1)
+		c.plane.ObserveAt(ds, colMissRate, 0, 1)
 	} else {
-		c.plane.AddStat(ds, StatMissCnt, 1)
-		c.plane.Observe(ds, StatMissRate, 1, 1)
+		c.plane.AddStatAt(ds, colMissCnt, 1)
+		c.plane.ObserveAt(ds, colMissRate, 1, 1)
 	}
 }
 
@@ -630,9 +677,7 @@ func (c *Cache) InvalidateDSID(ds core.DSID) uint64 {
 				continue
 			}
 			if ln.dirty {
-				c.WritebacksByOwner[ds]++
-				c.WritebacksByRequester[ds]++
-				c.writeback(uint64(si), *ln)
+				c.writeback(uint64(si), *ln, ds)
 			}
 			*ln = line{}
 			n++
@@ -642,18 +687,16 @@ func (c *Cache) InvalidateDSID(ds core.DSID) uint64 {
 
 	now := c.engine.Now()
 
-	// Kill pending fills for ds. Keys are collected and sorted so the
-	// completion order of their waiters is deterministic.
-	var keys []mshrKey
-	//pardlint:ignore determinism keys are collected and sorted before use
-	for k := range c.mshrs {
-		if k.ds == ds {
-			keys = append(keys, k)
+	// Kill pending fills for ds, completing their waiters in block
+	// order.
+	var dead []*mshrEntry
+	for _, e := range c.mshrs {
+		if e.key.ds == ds {
+			dead = append(dead, e)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].block < keys[j].block })
-	for _, k := range keys {
-		e := c.mshrs[k]
+	slices.SortFunc(dead, func(a, b *mshrEntry) int { return cmp.Compare(a.key.block, b.key.block) })
+	for _, e := range dead {
 		e.dead = true
 		// Detach the waiters before completing them: an OnDone callback
 		// may issue new traffic that must not land in this slice.
@@ -680,5 +723,5 @@ func (c *Cache) InvalidateDSID(ds core.DSID) uint64 {
 // MissRate returns ds's last-window miss rate in 0.1% units (for tests
 // and reports; the firmware reads the same value through the file tree).
 func (c *Cache) MissRate(ds core.DSID) uint64 {
-	return c.plane.Stat(ds, StatMissRate)
+	return c.plane.StatAt(ds, colMissRate)
 }

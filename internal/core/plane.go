@@ -210,89 +210,75 @@ func (p *Plane) DeleteRow(ds DSID) {
 	}
 }
 
-// Param reads a parameter on the data path. Unknown columns panic:
-// component code referencing a missing column is a programming error.
-func (p *Plane) Param(ds DSID, name string) uint64 {
-	v, err := p.params.GetName(ds, name)
-	if err != nil {
-		panic("core: " + p.ident + ": " + err.Error())
+// column resolves a column name of t. Unknown names panic: component
+// code referencing a missing column is a programming error.
+func (p *Plane) column(t *Table, name string) int {
+	i, ok := t.byName[name]
+	if !ok {
+		panic("core: " + p.ident + ": no column " + name)
 	}
-	return v
+	return i
 }
+
+// ParamAt reads parameter column col on the data path. Components pass
+// the index of a column they declared, so nothing resolves a name per
+// access; a DS-id without a row reads the column default.
+func (p *Plane) ParamAt(ds DSID, col int) uint64 { return p.params.value(ds, col) }
+
+// Param is ParamAt by column name, for cold paths and tests.
+func (p *Plane) Param(ds DSID, name string) uint64 { return p.ParamAt(ds, p.column(p.params, name)) }
 
 // SetParam stores a parameter value through the plane API. It is the
 // sanctioned path for code that configures a plane without going
 // through a CPA register file (device-side binding state, experiment
 // setup); read-only columns and unknown names panic, mirroring the CPA
-// write checks. Hardware data paths read parameters with Param and
+// write checks. Hardware data paths read parameters with ParamAt and
 // must never call this — pardlint's planeaccess pass enforces that
 // resource packages cannot reach the tables directly at all.
 func (p *Plane) SetParam(ds DSID, name string, v uint64) {
-	i, ok := p.params.ColumnIndex(name)
-	if !ok {
-		panic("core: " + p.ident + ": no parameter column " + name)
-	}
-	if !p.params.Columns()[i].Writable {
+	i := p.column(p.params, name)
+	if !p.params.cols[i].Writable {
 		panic("core: " + p.ident + ": parameter " + name + " is read-only")
 	}
-	old, _ := p.params.Get(ds, i)
-	if err := p.params.Set(ds, i, v); err != nil {
-		panic("core: " + p.ident + ": " + err.Error())
-	}
+	old := p.params.value(ds, i)
+	p.params.ensure(ds)[i] = v
 	p.ObserveParamWrite(ds, name, old, v)
 }
 
-// SetStat stores a statistics value.
+// StatAt reads statistics column col.
+func (p *Plane) StatAt(ds DSID, col int) uint64 { return p.stats.value(ds, col) }
+
+// Stat is StatAt by column name, for cold paths and tests.
+func (p *Plane) Stat(ds DSID, name string) uint64 { return p.StatAt(ds, p.column(p.stats, name)) }
+
+// SetStatAt stores a statistics value, creating ds's row if needed.
+func (p *Plane) SetStatAt(ds DSID, col int, v uint64) { p.stats.ensure(ds)[col] = v }
+
+// SetStat is SetStatAt by column name, for cold paths and tests.
 func (p *Plane) SetStat(ds DSID, name string, v uint64) {
-	if err := p.stats.SetName(ds, name, v); err != nil {
-		panic("core: " + p.ident + ": " + err.Error())
-	}
+	p.SetStatAt(ds, p.column(p.stats, name), v)
 }
 
-// AddStat increments a statistics counter.
-func (p *Plane) AddStat(ds DSID, name string, delta uint64) {
-	i, ok := p.stats.ColumnIndex(name)
-	if !ok {
-		panic("core: " + p.ident + ": no stat column " + name)
-	}
-	p.stats.Add(ds, i, delta)
-}
+// AddStatAt increments statistics counter col.
+func (p *Plane) AddStatAt(ds DSID, col int, delta uint64) { p.stats.Add(ds, col, delta) }
 
-// SubStat decrements a statistics counter, clamped at zero.
-func (p *Plane) SubStat(ds DSID, name string, delta uint64) {
-	i, ok := p.stats.ColumnIndex(name)
-	if !ok {
-		panic("core: " + p.ident + ": no stat column " + name)
-	}
-	p.stats.Sub(ds, i, delta)
-}
+// SubStatAt decrements statistics counter col, clamped at zero.
+func (p *Plane) SubStatAt(ds DSID, col int, delta uint64) { p.stats.Sub(ds, col, delta) }
 
-// Stat reads a statistics value.
-func (p *Plane) Stat(ds DSID, name string) uint64 {
-	v, err := p.stats.GetName(ds, name)
-	if err != nil {
-		panic("core: " + p.ident + ": " + err.Error())
+// ObserveAt adds one observation to ds's current window of windowed
+// statistics column col: num/den to a WindowMean column, num bytes to a
+// WindowMBps column (den unused). It is the data-path half of the
+// sampler that Sample starts. A Counter column panics.
+func (p *Plane) ObserveAt(ds DSID, col int, num, den uint64) {
+	if p.stats.cols[col].Window == Counter {
+		panic("core: " + p.ident + ": no windowed stat column " + p.stats.cols[col].Name)
 	}
-	return v
-}
-
-// Observe adds one observation to ds's current window of the windowed
-// statistics column name: num/den to a WindowMean column, num bytes to
-// a WindowMBps column (den unused). It is the data-path half of the
-// sampler that Sample starts. Counter and unknown columns panic.
-func (p *Plane) Observe(ds DSID, name string, num, den uint64) {
-	i, ok := p.stats.ColumnIndex(name)
-	if !ok || p.stats.cols[i].Window == Counter {
-		panic("core: " + p.ident + ": no windowed stat column " + name)
-	}
-	for int(ds) >= len(p.win) {
-		p.win = append(p.win, nil)
-	}
+	p.win = GrowTo(p.win, ds)
 	if p.win[ds] == nil {
 		//pardlint:ignore hotalloc first observation of a DS-id, or its first since DeleteRow: one window per LDom lifetime, not per request
 		p.win[ds] = make([]accum, len(p.stats.cols))
 	}
-	a := &p.win[ds][i]
+	a := &p.win[ds][col]
 	a.num += num
 	a.den += den
 }
@@ -323,9 +309,9 @@ func (p *Plane) sample() {
 			a, c := &row[i], &p.stats.cols[i]
 			switch {
 			case c.Window == WindowMean && a.den > 0:
-				p.SetStat(DSID(ds), c.Name, c.Scale*a.num/a.den)
+				p.SetStatAt(DSID(ds), i, c.Scale*a.num/a.den)
 			case c.Window == WindowMBps:
-				p.SetStat(DSID(ds), c.Name, uint64(float64(a.num)/1e6/winSec))
+				p.SetStatAt(DSID(ds), i, uint64(float64(a.num)/1e6/winSec))
 			}
 			*a = accum{}
 		}
@@ -377,10 +363,13 @@ func (p *Plane) Evaluate(ds DSID) {
 	}
 }
 
-// evaluateAll runs Evaluate for every DS-id with a statistics row.
+// evaluateAll runs Evaluate for every DS-id with a statistics row, in
+// DS-id order.
 func (p *Plane) evaluateAll() {
-	for _, ds := range p.stats.Rows() {
-		p.Evaluate(ds)
+	for ds, row := range p.stats.rows {
+		if row != nil {
+			p.Evaluate(DSID(ds))
+		}
 	}
 }
 

@@ -45,8 +45,9 @@ func TestPlaneParamStatHelpers(t *testing.T) {
 	if got := p.Param(4, "waymask"); got != 0x00FF {
 		t.Fatalf("Param after set = %#x", got)
 	}
-	p.AddStat(4, "capacity", 10)
-	p.SubStat(4, "capacity", 3)
+	capCol, _ := p.Stats().ColumnIndex("capacity")
+	p.AddStatAt(4, capCol, 10)
+	p.SubStatAt(4, capCol, 3)
 	if got := p.Stat(4, "capacity"); got != 7 {
 		t.Fatalf("capacity = %d, want 7", got)
 	}
@@ -229,6 +230,13 @@ func TestParseCmpOp(t *testing.T) {
 	}
 }
 
+// Column indices of windowPlane's statistics table.
+const (
+	winHits = iota
+	winMissRate
+	winBandwidth
+)
+
 // windowPlane builds a plane with one windowed column of each kind and
 // starts its sampler at a 10 µs window.
 func windowPlane(e *sim.Engine) *Plane {
@@ -247,9 +255,9 @@ func windowPlane(e *sim.Engine) *Plane {
 func TestWindowMeanScaledAndHeld(t *testing.T) {
 	e := sim.NewEngine()
 	p := windowPlane(e)
-	p.Observe(3, "miss_rate", 1, 1)
-	p.Observe(3, "miss_rate", 0, 1)
-	p.Observe(3, "miss_rate", 0, 1)
+	p.ObserveAt(3, winMissRate, 1, 1)
+	p.ObserveAt(3, winMissRate, 0, 1)
+	p.ObserveAt(3, winMissRate, 0, 1)
 	e.Run(10 * sim.Microsecond)
 	if got := p.Stat(3, "miss_rate"); got != 333 {
 		t.Fatalf("miss_rate = %d, want 333 (1 of 3, in 0.1%% units)", got)
@@ -258,7 +266,7 @@ func TestWindowMeanScaledAndHeld(t *testing.T) {
 	if got := p.Stat(3, "miss_rate"); got != 333 {
 		t.Fatalf("miss_rate after an empty window = %d, want 333 held", got)
 	}
-	p.Observe(3, "miss_rate", 1, 10)
+	p.ObserveAt(3, winMissRate, 1, 10)
 	e.Run(30 * sim.Microsecond)
 	if got := p.Stat(3, "miss_rate"); got != 100 {
 		t.Fatalf("miss_rate = %d, want 100 from the new window alone", got)
@@ -270,8 +278,8 @@ func TestWindowMeanScaledAndHeld(t *testing.T) {
 func TestWindowMBpsPublishedEveryWindow(t *testing.T) {
 	e := sim.NewEngine()
 	p := windowPlane(e)
-	p.Observe(2, "bandwidth", 4000, 0)
-	p.Observe(2, "bandwidth", 1000, 0)
+	p.ObserveAt(2, winBandwidth, 4000, 0)
+	p.ObserveAt(2, winBandwidth, 1000, 0)
 	e.Run(10 * sim.Microsecond)
 	// 5000 B in 10 us is 500 MB/s; the float quotient truncates to 499.
 	if got := p.Stat(2, "bandwidth"); got != 499 {
@@ -298,7 +306,7 @@ func TestSamplePublishesBeforeEvaluating(t *testing.T) {
 	if err := p.InstallTrigger(0, Trigger{DSID: 1, StatCol: col, Op: OpGT, Value: 300, Enabled: true}); err != nil {
 		t.Fatal(err)
 	}
-	p.Observe(1, "miss_rate", 1, 2)
+	p.ObserveAt(1, winMissRate, 1, 2)
 	e.Run(10 * sim.Microsecond)
 	if len(fired) != 1 || fired[0].Value != 500 || fired[0].When != 10*sim.Microsecond {
 		t.Fatalf("fired %+v, want one firing at 10us with value 500", fired)
@@ -312,5 +320,5 @@ func TestObserveCounterColumnPanics(t *testing.T) {
 			t.Fatal("Observe on a counter column did not panic")
 		}
 	}()
-	p.Observe(1, "hits", 1, 1)
+	p.ObserveAt(1, winHits, 1, 1)
 }

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // Column describes one field of a control-plane table. Parameter columns
@@ -40,14 +39,19 @@ const (
 )
 
 // Table is a DS-id indexed control-plane table (parameter or statistics
-// table in the paper's basic control-plane structure, Figure 2).
+// table in the paper's basic control-plane structure, Figure 2). Like
+// the hardware's, it is an array indexed by DS-id: rows[ds] is ds's row,
+// nil while ds has none. The index grows only when a row is created, to
+// the largest DS-id that has one; reading an absent DS-id never grows
+// it. Components address columns by index on the data path (see
+// Plane.ParamAt); the names are for the programming interface.
 type Table struct {
 	cols   []Column
 	byName map[string]int
-	rows   map[DSID][]uint64
-	// gen counts row-set changes (EnsureRow creating, DeleteRow removing)
-	// so the telemetry scraper can keep a cached sorted row list and only
-	// rebuild it when an LDom actually came or went.
+	rows   [][]uint64
+	// gen counts row-set changes (a row created or deleted) so the
+	// telemetry scraper can keep a cached row list and only rebuild it
+	// when an LDom actually came or went.
 	gen uint64
 }
 
@@ -56,7 +60,6 @@ func NewTable(cols ...Column) *Table {
 	t := &Table{
 		cols:   append([]Column(nil), cols...),
 		byName: make(map[string]int, len(cols)),
-		rows:   make(map[DSID][]uint64),
 	}
 	for i, c := range cols {
 		if _, dup := t.byName[c.Name]; dup {
@@ -79,17 +82,20 @@ func (t *Table) ColumnIndex(name string) (int, bool) {
 // NumColumns returns the number of columns.
 func (t *Table) NumColumns() int { return len(t.cols) }
 
-// HasRow reports whether ds has an explicit row.
-func (t *Table) HasRow(ds DSID) bool {
-	_, ok := t.rows[ds]
-	return ok
+// row returns ds's row, or nil when ds has none.
+func (t *Table) row(ds DSID) []uint64 { return At(t.rows, ds) }
+
+// ensure returns ds's row, creating it with column defaults if missing.
+func (t *Table) ensure(ds DSID) []uint64 {
+	if row := t.row(ds); row != nil {
+		return row
+	}
+	return t.create(ds)
 }
 
-// EnsureRow creates ds's row (with column defaults) if missing.
-func (t *Table) EnsureRow(ds DSID) {
-	if _, ok := t.rows[ds]; ok {
-		return
-	}
+// create makes ds's row with column defaults, growing the index to ds.
+func (t *Table) create(ds DSID) []uint64 {
+	t.rows = GrowTo(t.rows, ds)
 	//pardlint:ignore hotalloc first sight of a DS-id: one row per LDom lifetime, not per request
 	row := make([]uint64, len(t.cols))
 	for i, c := range t.cols {
@@ -97,14 +103,29 @@ func (t *Table) EnsureRow(ds DSID) {
 	}
 	t.rows[ds] = row
 	t.gen++
+	return row
 }
+
+// value reads (ds, col), or the column default when ds has no row.
+func (t *Table) value(ds DSID, col int) uint64 {
+	if row := t.row(ds); row != nil {
+		return row[col]
+	}
+	return t.cols[col].Default
+}
+
+// HasRow reports whether ds has an explicit row.
+func (t *Table) HasRow(ds DSID) bool { return t.row(ds) != nil }
+
+// EnsureRow creates ds's row (with column defaults) if missing.
+func (t *Table) EnsureRow(ds DSID) { t.ensure(ds) }
 
 // DeleteRow removes ds's row (LDom teardown).
 func (t *Table) DeleteRow(ds DSID) {
-	if _, ok := t.rows[ds]; !ok {
+	if t.row(ds) == nil {
 		return
 	}
-	delete(t.rows, ds)
+	t.rows[ds] = nil
 	t.gen++
 }
 
@@ -113,62 +134,47 @@ func (t *Table) DeleteRow(ds DSID) {
 // AppendRows result is still valid.
 func (t *Table) Generation() uint64 { return t.gen }
 
-// AppendRows appends the DS-ids that have explicit rows, sorted, onto
-// buf and returns the extended slice. Callers that reuse buf across
-// calls (the telemetry scraper) pay no allocation once it has grown.
+// AppendRows appends the DS-ids that have explicit rows, in DS-id
+// order, onto buf and returns the extended slice. Callers that reuse
+// buf across calls (the telemetry scraper) pay no allocation once it
+// has grown.
 func (t *Table) AppendRows(buf []DSID) []DSID {
-	start := len(buf)
-	//pardlint:ignore determinism the DS-ids are collected, then sorted
-	for ds := range t.rows {
-		//pardlint:ignore hotalloc grows the caller's scratch only on first sight of a larger row set
-		buf = append(buf, ds)
+	for ds, row := range t.rows {
+		if row != nil {
+			//pardlint:ignore hotalloc grows the caller's scratch only on first sight of a larger row set
+			buf = append(buf, DSID(ds))
+		}
 	}
-	slices.Sort(buf[start:])
 	return buf
 }
 
-// Rows returns the DS-ids that have explicit rows, sorted.
-func (t *Table) Rows() []DSID {
-	out := make([]DSID, 0, len(t.rows))
-	//pardlint:ignore determinism the DS-ids are collected, then sorted
-	for ds := range t.rows {
-		out = append(out, ds)
+// Rows returns the DS-ids that have explicit rows, in DS-id order.
+func (t *Table) Rows() []DSID { return t.AppendRows(nil) }
+
+// checkCol reports an out-of-range column index.
+func (t *Table) checkCol(col int) error {
+	if col < 0 || col >= len(t.cols) {
+		//pardlint:ignore hotalloc error path for a column index no table has (a trigger's MMIO-written stat column): never taken in steady state
+		return fmt.Errorf("core: column %d out of range (table has %d)", col, len(t.cols))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return nil
 }
 
 // Get returns the value at (ds, col). A DS-id with no explicit row reads
 // the column default, mirroring the paper's "default" parameter row.
 func (t *Table) Get(ds DSID, col int) (uint64, error) {
-	if col < 0 || col >= len(t.cols) {
-		//pardlint:ignore hotalloc error path for an unregistered column: a programming bug, never taken in steady state
-		return 0, fmt.Errorf("core: column %d out of range (table has %d)", col, len(t.cols))
+	if err := t.checkCol(col); err != nil {
+		return 0, err
 	}
-	if row, ok := t.rows[ds]; ok {
-		return row[col], nil
-	}
-	return t.cols[col].Default, nil
-}
-
-// GetName is Get by column name.
-func (t *Table) GetName(ds DSID, name string) (uint64, error) {
-	i, ok := t.byName[name]
-	if !ok {
-		//pardlint:ignore hotalloc error path for an unregistered column: a programming bug, never taken in steady state
-		return 0, fmt.Errorf("core: no column %q", name)
-	}
-	return t.Get(ds, i)
+	return t.value(ds, col), nil
 }
 
 // Set stores a value at (ds, col), creating the row if needed.
 func (t *Table) Set(ds DSID, col int, v uint64) error {
-	if col < 0 || col >= len(t.cols) {
-		//pardlint:ignore hotalloc error path for an unregistered column: a programming bug, never taken in steady state
-		return fmt.Errorf("core: column %d out of range (table has %d)", col, len(t.cols))
+	if err := t.checkCol(col); err != nil {
+		return err
 	}
-	t.EnsureRow(ds)
-	t.rows[ds][col] = v
+	t.ensure(ds)[col] = v
 	return nil
 }
 
@@ -176,10 +182,30 @@ func (t *Table) Set(ds DSID, col int, v uint64) error {
 func (t *Table) SetName(ds DSID, name string, v uint64) error {
 	i, ok := t.byName[name]
 	if !ok {
-		//pardlint:ignore hotalloc error path for an unregistered column: a programming bug, never taken in steady state
 		return fmt.Errorf("core: no column %q", name)
 	}
 	return t.Set(ds, i, v)
+}
+
+// At returns s[ds], or the zero value when ds lies past the end of s:
+// the read side of a slice indexed by DS-id, which never grows it.
+func At[T any](s []T, ds DSID) T {
+	if int(ds) < len(s) {
+		return s[ds]
+	}
+	var zero T
+	return zero
+}
+
+// GrowTo extends s with zero values, if needed, until ds indexes it.
+// Per-DS-id state lives in slices grown through it, so an index reaches
+// only the largest DS-id written, never the whole 16-bit space.
+func GrowTo[T any](s []T, ds DSID) []T {
+	if n := int(ds) + 1; n > len(s) {
+		//pardlint:ignore hotalloc first write for a larger DS-id: at most once per DS-id, not per request
+		s = append(s, make([]T, n-len(s))...)
+	}
+	return s
 }
 
 // SortedKeys returns m's keys in ascending order. Components iterate
@@ -199,19 +225,11 @@ func SortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 
 // Add increments (ds, col) by delta, creating the row if needed. It is
 // the hot-path helper for hardware statistics updates.
-func (t *Table) Add(ds DSID, col int, delta uint64) {
-	t.EnsureRow(ds)
-	t.rows[ds][col] += delta
-}
+func (t *Table) Add(ds DSID, col int, delta uint64) { t.ensure(ds)[col] += delta }
 
 // Sub decrements (ds, col) by delta, clamping at zero (occupancy
 // counters must never wrap).
 func (t *Table) Sub(ds DSID, col int, delta uint64) {
-	t.EnsureRow(ds)
-	row := t.rows[ds]
-	if row[col] < delta {
-		row[col] = 0
-		return
-	}
-	row[col] -= delta
+	row := t.ensure(ds)
+	row[col] -= min(row[col], delta)
 }

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/sim"
 )
 
 func newTestTable() *Table {
@@ -64,8 +67,8 @@ func TestTableOutOfRange(t *testing.T) {
 	if err := tb.Set(1, -1, 0); err == nil {
 		t.Fatal("Set negative column succeeded")
 	}
-	if _, err := tb.GetName(1, "zzz"); err == nil {
-		t.Fatal("GetName unknown column succeeded")
+	if err := tb.SetName(1, "zzz", 0); err == nil {
+		t.Fatal("SetName unknown column succeeded")
 	}
 }
 
@@ -177,4 +180,74 @@ func TestPropertyTableAdd(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Rows walk the DS-id index, so they come back in DS-id order however
+// the rows were created, and a deleted row drops out.
+func TestTableRowsInDSIDOrderAfterDelete(t *testing.T) {
+	tb := newTestTable()
+	for _, ds := range []DSID{9, 2, 30, 5, 0} {
+		tb.EnsureRow(ds)
+	}
+	tb.DeleteRow(5)
+	want := []DSID{0, 2, 9, 30}
+	if got := tb.Rows(); !slices.Equal(got, want) {
+		t.Fatalf("Rows() = %v, want %v", got, want)
+	}
+	if got := tb.AppendRows([]DSID{99}); !slices.Equal(got, append([]DSID{99}, want...)) {
+		t.Fatalf("AppendRows = %v, want 99 then %v", got, want)
+	}
+}
+
+// Reading a DS-id without a row — the policy compiler's synthetic DS-ids
+// start at 0xF000 — reads the defaults and grows no index.
+func TestTableReadGrowsNoIndex(t *testing.T) {
+	tb := newTestTable()
+	tb.EnsureRow(3)
+	p := NewPlane(sim.NewEngine(), "TEST_CP", PlaneTypeCache, tb, newTestTable(), 1)
+	const ds DSID = 0xF000
+	if v, _ := tb.Get(ds, 0); v != 0xFFFF || tb.HasRow(ds) || p.Param(ds, "waymask") != 0xFFFF ||
+		p.ParamAt(ds, 1) != 0 || p.Stat(ds, "priority") != 0 {
+		t.Fatal("a DS-id without a row did not read the column defaults")
+	}
+	if len(tb.rows) != 4 || len(p.Stats().rows) != 0 {
+		t.Fatalf("reads grew the indexes to %d and %d rows, want 4 and 0", len(tb.rows), len(p.Stats().rows))
+	}
+}
+
+// A deleted row that is created again starts from the column defaults,
+// not from the values it held before.
+func TestTableRecreatedRowReadsDefaults(t *testing.T) {
+	tb := newTestTable()
+	tb.Set(4, 0, 0x00FF)
+	tb.Add(4, 1, 7)
+	tb.DeleteRow(4)
+	tb.Add(4, 1, 1)
+	if v, _ := tb.Get(4, 0); v != 0xFFFF {
+		t.Fatalf("re-created waymask = %#x, want the default 0xFFFF", v)
+	}
+	if v, _ := tb.Get(4, 1); v != 1 {
+		t.Fatalf("re-created priority = %d, want 1", v)
+	}
+}
+
+// Generation advances when a row is created or deleted and on nothing
+// else: the telemetry scraper reuses its row list while it holds.
+func TestTableGenerationTracksRowSet(t *testing.T) {
+	tb := newTestTable()
+	step := func(what string, f func(), moves bool) {
+		t.Helper()
+		before := tb.Generation()
+		f()
+		if moved := tb.Generation() != before; moved != moves {
+			t.Fatalf("%s: generation moved %v, want %v", what, moved, moves)
+		}
+	}
+	step("create by Set", func() { tb.Set(2, 0, 1) }, true)
+	step("write an existing row", func() { tb.Set(2, 1, 5); tb.Add(2, 1, 1); tb.Sub(2, 1, 9) }, false)
+	step("EnsureRow on an existing row", func() { tb.EnsureRow(2) }, false)
+	step("read rows and absent DS-ids", func() { tb.Get(7, 0); tb.HasRow(7); tb.Rows() }, false)
+	step("create by Add", func() { tb.Add(7, 1, 1) }, true)
+	step("delete", func() { tb.DeleteRow(2) }, true)
+	step("delete an absent row", func() { tb.DeleteRow(2); tb.DeleteRow(1000) }, false)
 }

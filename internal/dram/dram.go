@@ -93,6 +93,25 @@ const (
 	StatViolations = "violations" // out-of-bounds accesses faulted
 )
 
+// Column indices of the memory control plane's tables. compress is the
+// last parameter column: a controller without the compression engine
+// builds its table from the others.
+const (
+	colAddrBase = iota
+	colPriority
+	colRowBuf
+	colAddrLimit
+	colLatTarget
+	colCompress
+)
+
+const (
+	colServCnt = iota
+	colAvgQLat
+	colBandwidth
+	colViolations
+)
+
 // Scheduling algorithms installable on the memory plane (the .pard
 // `schedule mem <algo>` catalogue). Each is a rank function over the
 // controller's one PIFO.
@@ -225,24 +244,26 @@ func New(e *sim.Engine, ids *core.IDSource, cfg Config) *Controller {
 		c.QueueDelay[i] = metric.NewHistogram()
 	}
 	if cfg.ControlPlane {
-		cols := []core.Column{
-			{Name: ParamAddrBase, Writable: true, Default: 0},
-			{Name: ParamPriority, Writable: true, Default: 0},
-			{Name: ParamRowBuf, Writable: true, Default: 0},
-			{Name: ParamAddrLimit, Writable: true, Default: 0},
-			{Name: ParamLatTarget, Writable: true, Default: 0},
+		params := [...]core.Column{
+			colAddrBase:  {Name: ParamAddrBase, Writable: true},
+			colPriority:  {Name: ParamPriority, Writable: true},
+			colRowBuf:    {Name: ParamRowBuf, Writable: true},
+			colAddrLimit: {Name: ParamAddrLimit, Writable: true},
+			colLatTarget: {Name: ParamLatTarget, Writable: true},
+			colCompress:  {Name: ParamCompress, Writable: true},
 		}
-		if cfg.CompressionEngine {
-			cols = append(cols, core.Column{Name: ParamCompress, Writable: true, Default: 0})
+		n := len(params)
+		if !cfg.CompressionEngine {
+			n = colCompress
 		}
-		params := core.NewTable(cols...)
-		stats := core.NewTable(
-			core.Column{Name: StatServCnt},
-			core.Column{Name: StatAvgQLat, Window: core.WindowMean, Scale: 10},
-			core.Column{Name: StatBandwidth, Window: core.WindowMBps},
-			core.Column{Name: StatViolations},
-		)
-		c.plane = core.NewPlane(e, "MEM_CP", core.PlaneTypeMemory, params, stats, cfg.TriggerSlots)
+		stats := [...]core.Column{
+			colServCnt:    {Name: StatServCnt},
+			colAvgQLat:    {Name: StatAvgQLat, Window: core.WindowMean, Scale: 10},
+			colBandwidth:  {Name: StatBandwidth, Window: core.WindowMBps},
+			colViolations: {Name: StatViolations},
+		}
+		c.plane = core.NewPlane(e, "MEM_CP", core.PlaneTypeMemory,
+			core.NewTable(params[:n]...), core.NewTable(stats[:]...), cfg.TriggerSlots)
 		c.plane.SetSchedulerHook([]string{SchedFRFCFS, SchedStrict, SchedEDF},
 			func(algo string) { c.sched = algo })
 		c.plane.Sample(cfg.SampleInterval)
@@ -272,7 +293,7 @@ func (c *Controller) totalBanks() int { return c.cfg.Ranks * c.cfg.BanksPerRank 
 // streams spread bank load.
 func (c *Controller) translate(ds core.DSID, addr uint64) (bankIdx int, row uint64) {
 	if c.plane != nil {
-		addr += c.plane.Param(ds, ParamAddrBase)
+		addr += c.plane.ParamAt(ds, colAddrBase)
 	}
 	rowIdx := addr / uint64(c.cfg.RowBytes)
 	return int(rowIdx % uint64(c.totalBanks())), rowIdx / uint64(c.totalBanks())
@@ -283,7 +304,7 @@ func (c *Controller) priorityOf(ds core.DSID) int {
 	if c.plane == nil {
 		return 0
 	}
-	p := int(c.plane.Param(ds, ParamPriority))
+	p := int(c.plane.ParamAt(ds, colPriority))
 	top := c.levels - 1
 	if p > top {
 		p = top
@@ -295,7 +316,7 @@ func (c *Controller) rowBufOf(ds core.DSID) int {
 	if c.plane == nil {
 		return 0
 	}
-	rb := int(c.plane.Param(ds, ParamRowBuf))
+	rb := int(c.plane.ParamAt(ds, colRowBuf))
 	if rb >= c.cfg.RowBuffers {
 		rb = c.cfg.RowBuffers - 1
 	}
@@ -308,7 +329,7 @@ func (c *Controller) compressedOf(ds core.DSID) bool {
 	if !c.cfg.CompressionEngine || c.plane == nil {
 		return false
 	}
-	return c.plane.Param(ds, ParamCompress) != 0
+	return c.plane.ParamAt(ds, colCompress) != 0
 }
 
 // burstCyclesOf returns the channel occupancy of r's data burst.
@@ -331,9 +352,9 @@ func (c *Controller) burstCyclesOf(r *request) uint64 {
 func (c *Controller) Request(p *core.Packet) {
 	c.rec.Enter(c.hop, p)
 	if c.plane != nil {
-		if limit := c.plane.Param(p.DSID, ParamAddrLimit); limit > 0 && p.Addr >= limit {
+		if limit := c.plane.ParamAt(p.DSID, colAddrLimit); limit > 0 && p.Addr >= limit {
 			c.Violations++
-			c.plane.AddStat(p.DSID, StatViolations, 1)
+			c.plane.AddStatAt(p.DSID, colViolations, 1)
 			c.plane.Evaluate(p.DSID)
 			c.rec.Finish(c.hop, p)
 			p.Complete(c.engine.Now())
@@ -480,14 +501,14 @@ func (c *Controller) rank(r *request) (uint64, bool) {
 		if c.plane == nil {
 			return 0, true
 		}
-		return math.MaxUint64 - c.plane.Param(r.pkt.DSID, ParamPriority), true
+		return math.MaxUint64 - c.plane.ParamAt(r.pkt.DSID, colPriority), true
 	case SchedEDF:
 		// Deadline = arrival + lat_target. Best-effort tenants
 		// (lat_target 0) take the distant default deadline, ordering
 		// FCFS among themselves behind every real target.
 		dl := defaultDeadline
 		if c.plane != nil {
-			if ns := c.plane.Param(r.pkt.DSID, ParamLatTarget); ns > 0 {
+			if ns := c.plane.ParamAt(r.pkt.DSID, colLatTarget); ns > 0 {
 				dl = sim.Tick(ns) * sim.Nanosecond
 			}
 		}
@@ -546,9 +567,9 @@ func (c *Controller) service(r *request, now sim.Tick) {
 
 	if c.plane != nil {
 		ds := r.pkt.DSID
-		c.plane.Observe(ds, StatAvgQLat, delay, 1)
-		c.plane.Observe(ds, StatBandwidth, uint64(r.pkt.Size), 0)
-		c.plane.AddStat(ds, StatServCnt, 1)
+		c.plane.ObserveAt(ds, colAvgQLat, delay, 1)
+		c.plane.ObserveAt(ds, colBandwidth, uint64(r.pkt.Size), 0)
+		c.plane.AddStatAt(ds, colServCnt, 1)
 	}
 
 	r.pkt.ScheduleCallAt(c.engine, now+latency, c.completeFn)
@@ -560,7 +581,7 @@ func (c *Controller) BandwidthMBs(ds core.DSID) uint64 {
 	if c.plane == nil {
 		return 0
 	}
-	return c.plane.Stat(ds, StatBandwidth)
+	return c.plane.StatAt(ds, colBandwidth)
 }
 
 func (c *Controller) String() string {

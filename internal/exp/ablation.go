@@ -19,8 +19,9 @@ import (
 // charged to LDom0; under requester tagging it would all be charged to
 // LDom1 — the "wrong behaviors" the paper warns about.
 type AblationWritebackResult struct {
-	ByOwner     map[core.DSID]uint64
-	ByRequester map[core.DSID]uint64
+	// ByOwner and ByRequester count each LDom's writebacks (ldom0,
+	// ldom1) under the two tagging designs.
+	ByOwner, ByRequester [2]uint64
 	// Misattributed is the fraction of LDom0's writebacks a
 	// requester-tagged design would charge to someone else.
 	Misattributed float64
@@ -41,9 +42,10 @@ func AblationWriteback() *AblationWritebackResult {
 	sys.RunWorkload(1, &workload.CacheFlush{Base: 0, Footprint: 32 << 20, Seed: 5})
 	sys.Run(20 * sim.Millisecond)
 
-	res := &AblationWritebackResult{
-		ByOwner:     sys.LLC.WritebacksByOwner,
-		ByRequester: sys.LLC.WritebacksByRequester,
+	res := &AblationWritebackResult{}
+	for ds := range res.ByOwner {
+		res.ByOwner[ds] = core.At(sys.LLC.WritebacksByOwner, core.DSID(ds))
+		res.ByRequester[ds] = core.At(sys.LLC.WritebacksByRequester, core.DSID(ds))
 	}
 	owner0 := float64(res.ByOwner[0])
 	requester0 := float64(res.ByRequester[0])
@@ -58,7 +60,7 @@ func (r *AblationWritebackResult) Print(w io.Writer) {
 	fmt.Fprintln(w, "Ablation: writeback tag attribution (paper §4.1)")
 	tw := newTable(w)
 	fmt.Fprintf(tw, "LDom\twritebacks by owner tag (PARD)\tby requester tag (naive)\n")
-	for ds := core.DSID(0); ds < 2; ds++ {
+	for ds := range r.ByOwner {
 		fmt.Fprintf(tw, "ldom%d\t%d\t%d\n", ds, r.ByOwner[ds], r.ByRequester[ds])
 	}
 	tw.Flush()

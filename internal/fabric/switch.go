@@ -34,6 +34,19 @@ const (
 	StatDrops     = "drops"
 )
 
+// Column indices of the switch plane's tables.
+const (
+	colWeight = iota
+	colRateCap
+)
+
+const (
+	colFwdFrames = iota
+	colFwdBytes
+	colQDepth
+	colDrops
+)
+
 // SchedAlgos lists the egress scheduling algorithms the switch
 // implements; the first is the power-on default. The plane hands the
 // list to the .pard compiler as the switch's schedule catalogue.
@@ -79,8 +92,8 @@ type port struct {
 	wire    iodev.Wire
 	latency sim.Tick
 	q       core.PIFO[frame]
-	busy    bool // a frame is serializing onto the line
-	vfinish map[core.DSID]uint64
+	busy    bool     // a frame is serializing onto the line
+	vfinish []uint64 // WFQ virtual finish time, indexed by DS-id
 }
 
 // bucket is a per-DS-id ingress token bucket in sim-time. Integer
@@ -103,7 +116,7 @@ type Switch struct {
 	flows map[uint64]core.DSID // flow id -> DS-id; lookup only
 
 	algo    string
-	buckets map[core.DSID]*bucket // lookup only
+	buckets []*bucket // indexed by DS-id; nil until ds is rate-capped
 
 	// Forwarded and Dropped count frames switch-wide, for digests and
 	// the cluster_steady bench.
@@ -119,25 +132,25 @@ func New(e *sim.Engine, cfg Config) *Switch {
 	if cfg.TriggerSlots == 0 {
 		cfg.TriggerSlots = 64
 	}
-	params := core.NewTable(
-		core.Column{Name: ParamWeight, Writable: true, Default: 1},
-		core.Column{Name: ParamRateCap, Writable: true, Default: 0},
-	)
-	stats := core.NewTable(
-		core.Column{Name: StatFwdFrames},
-		core.Column{Name: StatFwdBytes},
-		core.Column{Name: StatQDepth},
-		core.Column{Name: StatDrops},
-	)
-	s := &Switch{
-		cfg:     cfg,
-		engine:  e,
-		macs:    make(map[uint64]int),
-		flows:   make(map[uint64]core.DSID),
-		algo:    SchedAlgos[0],
-		buckets: make(map[core.DSID]*bucket),
+	params := [...]core.Column{
+		colWeight:  {Name: ParamWeight, Writable: true, Default: 1},
+		colRateCap: {Name: ParamRateCap, Writable: true},
 	}
-	s.plane = core.NewPlane(e, "SWITCH_CP", core.PlaneTypeSwitch, params, stats, cfg.TriggerSlots)
+	stats := [...]core.Column{
+		colFwdFrames: {Name: StatFwdFrames},
+		colFwdBytes:  {Name: StatFwdBytes},
+		colQDepth:    {Name: StatQDepth},
+		colDrops:     {Name: StatDrops},
+	}
+	s := &Switch{
+		cfg:    cfg,
+		engine: e,
+		macs:   make(map[uint64]int),
+		flows:  make(map[uint64]core.DSID),
+		algo:   SchedAlgos[0],
+	}
+	s.plane = core.NewPlane(e, "SWITCH_CP", core.PlaneTypeSwitch,
+		core.NewTable(params[:]...), core.NewTable(stats[:]...), cfg.TriggerSlots)
 	s.plane.SetSchedulerHook(SchedAlgos, func(algo string) { s.algo = algo })
 	return s
 }
@@ -167,7 +180,6 @@ func (s *Switch) AddPort(class PortClass, w iodev.Wire, latency sim.Tick) int {
 		class:   class,
 		wire:    w,
 		latency: latency,
-		vfinish: make(map[core.DSID]uint64),
 	})
 	return len(s.ports) - 1
 }
@@ -227,20 +239,21 @@ func (s *Switch) Ingress(inPort int, flowID, dstMAC uint64, bytes uint32) {
 		return
 	}
 	out.q.Push(frame{ds: ds, flowID: flowID, dstMAC: dstMAC, bytes: bytes}, s.rank(out, ds, bytes))
-	s.plane.AddStat(ds, StatQDepth, 1)
+	s.plane.AddStatAt(ds, colQDepth, 1)
 	s.transmit(out)
 }
 
 // admit enforces the DS-id's rate cap with a token bucket refilled in
 // sim-time. Cap 0 admits unconditionally and keeps no bucket state.
 func (s *Switch) admit(ds core.DSID, bytes uint32) bool {
-	capBps := s.plane.Param(ds, ParamRateCap)
+	capBps := s.plane.ParamAt(ds, colRateCap)
 	if capBps == 0 {
 		return true
 	}
-	b, ok := s.buckets[ds]
+	s.buckets = core.GrowTo(s.buckets, ds)
+	b := s.buckets[ds]
 	now := s.engine.Now()
-	if !ok {
+	if b == nil {
 		b = &bucket{tokens: burstFor(capBps), last: now}
 		s.buckets[ds] = b
 	}
@@ -279,13 +292,13 @@ func (s *Switch) rank(out *port, ds core.DSID, bytes uint32) uint64 {
 	if s.algo != "wfq" {
 		return 0
 	}
-	w := s.plane.Param(ds, ParamWeight)
+	w := s.plane.ParamAt(ds, colWeight)
 	if w == 0 {
 		w = 1
 	}
-	vf := out.vfinish[ds] + uint64(bytes)*256/w
-	out.vfinish[ds] = vf
-	return vf
+	out.vfinish = core.GrowTo(out.vfinish, ds)
+	out.vfinish[ds] += uint64(bytes) * 256 / w
+	return out.vfinish[ds]
 }
 
 // transmit drains the egress port. With a line rate configured, one
@@ -320,16 +333,16 @@ func (s *Switch) transmit(out *port) {
 // forward counts one departing frame and hands it to the port's wire.
 func (s *Switch) forward(out *port, f frame) {
 	s.Forwarded++
-	s.plane.SubStat(f.ds, StatQDepth, 1)
-	s.plane.AddStat(f.ds, StatFwdFrames, 1)
-	s.plane.AddStat(f.ds, StatFwdBytes, uint64(f.bytes))
+	s.plane.SubStatAt(f.ds, colQDepth, 1)
+	s.plane.AddStatAt(f.ds, colFwdFrames, 1)
+	s.plane.AddStatAt(f.ds, colFwdBytes, uint64(f.bytes))
 	out.wire.Deliver(out.latency, f.flowID, f.dstMAC, f.bytes)
 }
 
 // drop counts one discarded frame.
 func (s *Switch) drop(ds core.DSID) {
 	s.Dropped++
-	s.plane.AddStat(ds, StatDrops, 1)
+	s.plane.AddStatAt(ds, colDrops, 1)
 }
 
 // IngressWire adapts a switch port to iodev.Wire so a NIC (or another

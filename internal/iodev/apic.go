@@ -17,7 +17,9 @@ type InterruptHandler func(coreID int, ds core.DSID, vector uint8)
 type APIC struct {
 	engine *sim.Engine
 
-	routes  map[core.DSID]map[uint8]int // ds -> vector -> core id
+	// routes[ds] maps ds's vectors to core ids; nil while ds has no
+	// route table.
+	routes  []map[uint8]int
 	handler InterruptHandler
 
 	// Delivered counts interrupts routed; Dropped counts interrupts
@@ -28,35 +30,32 @@ type APIC struct {
 
 // NewAPIC builds an APIC; handler receives every delivered interrupt.
 func NewAPIC(e *sim.Engine, handler InterruptHandler) *APIC {
-	return &APIC{engine: e, routes: make(map[core.DSID]map[uint8]int), handler: handler}
+	return &APIC{engine: e, handler: handler}
 }
 
 // SetRoute programs (ds, vector) -> core. The PRM firmware calls this
 // while building an LDom.
 func (a *APIC) SetRoute(ds core.DSID, vector uint8, coreID int) {
-	t, ok := a.routes[ds]
-	if !ok {
-		t = make(map[uint8]int)
-		a.routes[ds] = t
+	a.routes = core.GrowTo(a.routes, ds)
+	if a.routes[ds] == nil {
+		a.routes[ds] = make(map[uint8]int)
 	}
-	t[vector] = coreID
+	a.routes[ds][vector] = coreID
 }
 
 // ClearRoutes drops ds's route table (LDom teardown).
-func (a *APIC) ClearRoutes(ds core.DSID) { delete(a.routes, ds) }
+func (a *APIC) ClearRoutes(ds core.DSID) {
+	if int(ds) < len(a.routes) {
+		a.routes[ds] = nil
+	}
+}
 
 // Request accepts interrupt packets from devices.
 func (a *APIC) Request(p *core.Packet) {
 	if p.Kind != core.KindInterrupt {
 		panic(fmt.Sprintf("iodev: APIC received %v", p.Kind))
 	}
-	t, ok := a.routes[p.DSID]
-	if !ok {
-		a.Dropped++
-		p.Complete(a.engine.Now())
-		return
-	}
-	coreID, ok := t[p.Vector]
+	coreID, ok := core.At(a.routes, p.DSID)[p.Vector]
 	if !ok {
 		a.Dropped++
 		p.Complete(a.engine.Now())

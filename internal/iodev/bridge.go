@@ -50,19 +50,29 @@ const (
 	StatDMABytes = "dma_bytes"
 )
 
+// Column indices of the bridge plane's parameter and statistics
+// tables.
+const bridgeColDMALimit = 0
+
+const (
+	bridgeColPIOCnt = iota
+	bridgeColDMABytes
+)
+
 // NewBridge builds the bridge. mem receives DMA traffic.
 func NewBridge(e *sim.Engine, mem core.Target) *Bridge {
-	params := core.NewTable(
-		core.Column{Name: ParamDMALimit, Writable: true, Default: 0},
-	)
-	stats := core.NewTable(
-		core.Column{Name: StatPIOCnt},
-		core.Column{Name: StatDMABytes},
-	)
+	params := [...]core.Column{
+		bridgeColDMALimit: {Name: ParamDMALimit, Writable: true},
+	}
+	stats := [...]core.Column{
+		bridgeColPIOCnt:   {Name: StatPIOCnt},
+		bridgeColDMABytes: {Name: StatDMABytes},
+	}
 	b := &Bridge{
-		engine:     e,
-		mem:        mem,
-		plane:      core.NewPlane(e, "BRIDGE_CP", core.PlaneTypeBridge, params, stats, 64),
+		engine: e,
+		mem:    mem,
+		plane: core.NewPlane(e, "BRIDGE_CP", core.PlaneTypeBridge,
+			core.NewTable(params[:]...), core.NewTable(stats[:]...), 64),
 		PIOLatency: 200 * sim.Nanosecond,
 	}
 	//pardlint:hotpath prebound unclaimed-PIO completion callback
@@ -101,7 +111,7 @@ func (b *Bridge) Request(p *core.Packet) {
 	if p.Kind != core.KindPIORead && p.Kind != core.KindPIOWrite {
 		panic(fmt.Sprintf("iodev: bridge received %v on the PIO path", p.Kind))
 	}
-	b.plane.AddStat(p.DSID, StatPIOCnt, 1)
+	b.plane.AddStatAt(p.DSID, bridgeColPIOCnt, 1)
 	b.rec.Enter(b.hop, p)
 	for _, w := range b.windows {
 		if p.Addr >= w.base && p.Addr < w.base+w.size {
@@ -133,7 +143,7 @@ func (b *Bridge) Request(p *core.Packet) {
 // DMA forwards a device-originated memory packet, accounting its bytes
 // to the packet's DS-id.
 func (b *Bridge) DMA(p *core.Packet) {
-	b.plane.AddStat(p.DSID, StatDMABytes, uint64(p.Size))
+	b.plane.AddStatAt(p.DSID, bridgeColDMABytes, uint64(p.Size))
 	b.mem.Request(p)
 }
 

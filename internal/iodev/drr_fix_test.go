@@ -17,9 +17,9 @@ func newBareIDE(e *sim.Engine) *IDE {
 	return NewIDE(e, &core.IDSource{}, cfg, &sinkMem{e: e}, nil)
 }
 
-// TestDRRDeficitMapCleanup: a flow leaving the ring must take its
-// deficit map entry with it. The old serveNext zeroed the value but
-// kept the key, so DS-id churn grew the map without bound.
+// TestDRRDeficitMapCleanup: a flow leaving the ring must forfeit its
+// deficit and its ring membership. An old serveNext zeroed the deficit
+// but kept its map key, so DS-id churn grew the map without bound.
 func TestDRRDeficitMapCleanup(t *testing.T) {
 	e := sim.NewEngine()
 	ide := newBareIDE(e)
@@ -34,8 +34,13 @@ func TestDRRDeficitMapCleanup(t *testing.T) {
 	if ide.ServedOps != 200 {
 		t.Fatalf("ServedOps = %d, want 200", ide.ServedOps)
 	}
-	if n := len(ide.deficit); n != 0 {
-		t.Fatalf("deficit map holds %d entries after every flow drained, want 0", n)
+	if len(ide.ring) != 0 {
+		t.Fatalf("ring holds %v after every flow drained, want none", ide.ring)
+	}
+	for ds, f := range ide.flows {
+		if f.q != nil || f.deficit != 0 || f.inRing {
+			t.Fatalf("DS-id %d keeps state %+v after it drained, want none", ds, f)
+		}
 	}
 }
 

@@ -52,6 +52,15 @@ const (
 	StatServBytes = "serv_bytes" // total bytes served
 )
 
+// Column indices of the IDE plane's parameter and statistics tables:
+// ideColQuota is the bandwidth parameter.
+const ideColQuota = 0
+
+const (
+	ideColBandwidth = iota
+	ideColServBytes
+)
+
 // drrQuantumPerWeight is the deficit added per weight point per round.
 const drrQuantumPerWeight = 8 << 10
 
@@ -73,11 +82,10 @@ type IDE struct {
 
 	plane *core.Plane
 
-	queues  map[core.DSID][]*pendingReq
-	ring    []core.DSID
-	cursor  int
-	deficit map[core.DSID]uint64
-	busy    bool
+	flows  []ideFlow // indexed by DS-id
+	ring   []core.DSID
+	cursor int
+	busy   bool
 
 	ServedBytes uint64
 	ServedOps   uint64
@@ -97,22 +105,21 @@ func NewIDE(e *sim.Engine, ids *core.IDSource, cfg IDEConfig, mem core.Target, a
 		cfg.TriggerSlots = 64
 	}
 	d := &IDE{
-		cfg:     cfg,
-		engine:  e,
-		ids:     ids,
-		dma:     NewDMAEngine(e, ids, mem),
-		apic:    apic,
-		queues:  make(map[core.DSID][]*pendingReq),
-		deficit: make(map[core.DSID]uint64),
+		cfg:    cfg,
+		engine: e,
+		ids:    ids,
+		dma:    NewDMAEngine(e, ids, mem),
+		apic:   apic,
 	}
-	params := core.NewTable(
-		core.Column{Name: ParamBandwidth, Writable: true, Default: 0},
-	)
-	stats := core.NewTable(
-		core.Column{Name: StatBandwidth, Window: core.WindowMBps},
-		core.Column{Name: StatServBytes},
-	)
-	d.plane = core.NewPlane(e, "IDE_CP", core.PlaneTypeIDE, params, stats, cfg.TriggerSlots)
+	params := [...]core.Column{
+		ideColQuota: {Name: ParamBandwidth, Writable: true},
+	}
+	stats := [...]core.Column{
+		ideColBandwidth: {Name: StatBandwidth, Window: core.WindowMBps},
+		ideColServBytes: {Name: StatServBytes},
+	}
+	d.plane = core.NewPlane(e, "IDE_CP", core.PlaneTypeIDE,
+		core.NewTable(params[:]...), core.NewTable(stats[:]...), cfg.TriggerSlots)
 	d.plane.SetSchedulerHook([]string{SchedDRR}, nil)
 	d.plane.Sample(cfg.SampleInterval)
 	return d
@@ -131,6 +138,14 @@ func (d *IDE) AttachRecorder(r *trace.Recorder) int {
 
 // Config returns the controller configuration.
 func (d *IDE) Config() IDEConfig { return d.cfg }
+
+// ideFlow is one DS-id's DRR state. inRing marks a DS-id on the DRR
+// ring, whose queue may be empty until the scheduler next runs.
+type ideFlow struct {
+	q       []*pendingReq
+	deficit uint64
+	inRing  bool
+}
 
 // pendingReq is one queued transfer; acked means the issuing core has
 // already been released (buffered write semantics). The transfer
@@ -153,7 +168,10 @@ func (d *IDE) Request(p *core.Packet) {
 		panic(fmt.Sprintf("iodev: IDE received %v", p.Kind))
 	}
 	d.rec.Enter(d.hop, p)
-	if _, ok := d.queues[p.DSID]; !ok {
+	d.flows = core.GrowTo(d.flows, p.DSID)
+	f := &d.flows[p.DSID]
+	if !f.inRing {
+		f.inRing = true
 		d.ring = append(d.ring, p.DSID)
 	}
 	//pardlint:ignore hotalloc one queue entry per disk op: disk ops arrive at millisecond scale, not the per-cycle memory path
@@ -164,8 +182,8 @@ func (d *IDE) Request(p *core.Packet) {
 		size: p.Size,
 		read: p.Kind == core.KindPIORead,
 	}
-	d.queues[p.DSID] = append(d.queues[p.DSID], entry)
-	if d.cfg.QueueDepth > 0 && len(d.queues[p.DSID]) <= d.cfg.QueueDepth {
+	f.q = append(f.q, entry)
+	if d.cfg.QueueDepth > 0 && len(f.q) <= d.cfg.QueueDepth {
 		entry.acked = true
 		entry.pkt = nil
 		d.rec.Finish(d.hop, p)
@@ -187,7 +205,7 @@ func (d *IDE) Request(p *core.Packet) {
 // percentages. A single quota is clamped to 100: no flow can weigh
 // more than the whole disk.
 func (d *IDE) weight(ds core.DSID) uint64 {
-	q := d.plane.Param(ds, ParamBandwidth)
+	q := d.plane.ParamAt(ds, ideColQuota)
 	if q > 0 {
 		if q > 100 {
 			q = 100
@@ -197,7 +215,7 @@ func (d *IDE) weight(ds core.DSID) uint64 {
 	var explicit uint64
 	unset := 0
 	for _, other := range d.ring {
-		oq := d.plane.Param(other, ParamBandwidth)
+		oq := d.plane.ParamAt(other, ideColQuota)
 		if oq > 0 {
 			explicit += oq
 		} else {
@@ -237,7 +255,7 @@ func (d *IDE) virtualTime(ds core.DSID, size uint64) uint64 {
 	R := len(d.ring)
 	p := uint64((d.ringIndex(ds) - d.cursor + R) % R)
 	var n uint64
-	if def := d.deficit[ds]; def < size {
+	if def := d.flows[ds].deficit; def < size {
 		grant := d.weight(ds) * drrQuantumPerWeight
 		n = (size - def + grant - 1) / grant // ceil-division deficit grant
 	}
@@ -253,14 +271,11 @@ func (d *IDE) serveNext() {
 	if d.busy {
 		return
 	}
-	// Idle flows leave the ring and forfeit their deficit — the map
-	// entry included, or DS-id churn grows the deficit map without
-	// bound.
+	// Idle flows leave the ring and forfeit their deficit.
 	for i := 0; i < len(d.ring); {
 		ds := d.ring[i]
-		if len(d.queues[ds]) == 0 {
-			delete(d.deficit, ds)
-			delete(d.queues, ds)
+		if len(d.flows[ds].q) == 0 {
+			d.flows[ds] = ideFlow{}
 			d.ring = append(d.ring[:i], d.ring[i+1:]...)
 			if d.cursor > i {
 				d.cursor--
@@ -278,12 +293,12 @@ func (d *IDE) serveNext() {
 	best := -1
 	var vStar uint64
 	for i, ds := range d.ring {
-		v := d.virtualTime(ds, uint64(d.queues[ds][0].size))
+		v := d.virtualTime(ds, uint64(d.flows[ds].q[0].size))
 		if best == -1 || v < vStar {
 			best, vStar = i, v
 		}
 	}
-	winner := d.queues[d.ring[best]][0]
+	winner := d.flows[d.ring[best]].q[0]
 	// Replay the grant rounds the pointer passes through before the
 	// winner serves: every flow it visits strictly before the winner's
 	// virtual finish time receives one quantum per visit — exactly what
@@ -293,12 +308,13 @@ func (d *IDE) serveNext() {
 		p := uint64((i - d.cursor + R) % R)
 		if p < vStar {
 			visits := (vStar - p + uint64(R) - 1) / uint64(R)
-			d.deficit[ds] += visits * d.weight(ds) * drrQuantumPerWeight
+			d.flows[ds].deficit += visits * d.weight(ds) * drrQuantumPerWeight
 		}
 	}
 	d.cursor = best
-	d.queues[winner.ds] = d.queues[winner.ds][1:]
-	d.deficit[winner.ds] -= uint64(winner.size)
+	wf := &d.flows[winner.ds]
+	wf.q = wf.q[1:]
+	wf.deficit -= uint64(winner.size)
 	d.serve(winner)
 }
 
@@ -320,8 +336,8 @@ func (d *IDE) serve(entry *pendingReq) {
 		d.busy = false
 		d.ServedBytes += uint64(entry.size)
 		d.ServedOps++
-		d.plane.AddStat(entry.ds, StatServBytes, uint64(entry.size))
-		d.plane.Observe(entry.ds, StatBandwidth, uint64(entry.size), 0)
+		d.plane.AddStatAt(entry.ds, ideColServBytes, uint64(entry.size))
+		d.plane.ObserveAt(entry.ds, ideColBandwidth, uint64(entry.size), 0)
 
 		// Data movement: the DMA engine is programmed by this request's
 		// DS-id and issues tagged memory traffic (paper §4.1).
@@ -340,7 +356,7 @@ func (d *IDE) serve(entry *pendingReq) {
 		}
 		// A buffer slot freed: release the next blocked submitter.
 		if d.cfg.QueueDepth > 0 {
-			q := d.queues[entry.ds]
+			q := d.flows[entry.ds].q
 			n := len(q)
 			if n > d.cfg.QueueDepth {
 				n = d.cfg.QueueDepth

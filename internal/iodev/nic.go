@@ -40,6 +40,16 @@ const (
 	StatDropped = "dropped"
 )
 
+// Column indices of the NIC plane's parameter and statistics tables.
+const nicColMAC = 0
+
+const (
+	nicColRxBytes = iota
+	nicColTxBytes
+	nicColRxPkts
+	nicColDropped
+)
+
 // NIC is the paper's control-plane-augmented multi-queue NIC: it is
 // virtualized into vNICs, each bound to a MAC address and holding an
 // LDom's DS-id in a tag register. Incoming frames are classified by
@@ -110,16 +120,17 @@ func NewNIC(e *sim.Engine, ids *core.IDSource, cfg NICConfig, mem core.Target, a
 		vnics:  make(map[uint64]*vnic),
 		flows:  make(map[uint64]core.DSID),
 	}
-	params := core.NewTable(
-		core.Column{Name: ParamVNICMac, Writable: true, Default: 0},
-	)
-	stats := core.NewTable(
-		core.Column{Name: StatRxBytes},
-		core.Column{Name: StatTxBytes},
-		core.Column{Name: StatRxPkts},
-		core.Column{Name: StatDropped},
-	)
-	n.plane = core.NewPlane(e, "NIC_CP", core.PlaneTypeNIC, params, stats, cfg.TriggerSlots)
+	params := [...]core.Column{
+		nicColMAC: {Name: ParamVNICMac, Writable: true},
+	}
+	stats := [...]core.Column{
+		nicColRxBytes: {Name: StatRxBytes},
+		nicColTxBytes: {Name: StatTxBytes},
+		nicColRxPkts:  {Name: StatRxPkts},
+		nicColDropped: {Name: StatDropped},
+	}
+	n.plane = core.NewPlane(e, "NIC_CP", core.PlaneTypeNIC,
+		core.NewTable(params[:]...), core.NewTable(stats[:]...), cfg.TriggerSlots)
 	//pardlint:hotpath prebound TX-completion callback
 	n.txDoneFn = func(p *core.Packet) {
 		n.rec.Finish(n.hop, p)
@@ -266,7 +277,7 @@ func (n *NIC) NumLinks() int { return len(n.links) }
 // the peer NIC carrying (flowID, dstMAC) for classification there.
 func (n *NIC) SendFrame(ds core.DSID, dstMAC, flowID uint64, addr uint64, bytes uint32) {
 	n.TxFrames++
-	n.plane.AddStat(ds, StatTxBytes, uint64(bytes))
+	n.plane.AddStatAt(ds, nicColTxBytes, uint64(bytes))
 	wireDelay := sim.Tick(uint64(bytes) * uint64(sim.Second) / n.cfg.BytesPerSec)
 	deliver := func() {
 		for _, l := range n.links {
@@ -315,13 +326,13 @@ func (n *NIC) ReceiveFlow(flowID uint64, dstMAC uint64, bytes uint32) {
 	}
 	if v == nil {
 		n.DroppedFrames++
-		n.plane.AddStat(core.DSIDDefault, StatDropped, 1)
+		n.plane.AddStatAt(core.DSIDDefault, nicColDropped, 1)
 		return
 	}
 	ds := v.tag.Get()
 	n.RxFrames++
-	n.plane.AddStat(ds, StatRxBytes, uint64(bytes))
-	n.plane.AddStat(ds, StatRxPkts, 1)
+	n.plane.AddStatAt(ds, nicColRxBytes, uint64(bytes))
+	n.plane.AddStatAt(ds, nicColRxPkts, 1)
 	wireDelay := sim.Tick(uint64(bytes) * uint64(sim.Second) / n.cfg.BytesPerSec)
 	addr := v.buf
 	v.buf += uint64(bytes)
@@ -345,7 +356,7 @@ func (n *NIC) Request(p *core.Packet) {
 	}
 	n.rec.Enter(n.hop, p)
 	n.TxFrames++
-	n.plane.AddStat(p.DSID, StatTxBytes, uint64(p.Size))
+	n.plane.AddStatAt(p.DSID, nicColTxBytes, uint64(p.Size))
 	v := n.vnicByDS(p.DSID)
 	wireDelay := sim.Tick(uint64(p.Size) * uint64(sim.Second) / n.cfg.BytesPerSec)
 	if v == nil {

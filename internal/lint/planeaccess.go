@@ -6,7 +6,8 @@ import (
 
 // resourcePkgs are the hardware resource models: the data-plane side of
 // PARD's control/data-plane separation. They may read parameters
-// (Plane.Param) and publish statistics (Plane.AddStat/SetStat/SubStat),
+// (Plane.ParamAt) and publish statistics (Plane.AddStatAt/SubStatAt/
+// SetStatAt/ObserveAt, by column index),
 // but programming the tables — parameters, rows, triggers — is the
 // control plane's job, reached only through the exported Plane/CPA API.
 var resourcePkgs = map[string]bool{
@@ -52,7 +53,7 @@ func runPlaneAccess(pass *Pass) {
 			if fn == nil || !tableMutators[fn.Name()] || !isCoreMethod(fn, "Table", fn.Name()) {
 				return true
 			}
-			pass.Reportf(call.Pos(), "resource package mutates a control-plane table via (*core.Table).%s: use the exported Plane API (SetParam/SetStat/AddStat/SubStat/CreateRow/DeleteRow) or the CPA programming interface", fn.Name())
+			pass.Reportf(call.Pos(), "resource package mutates a control-plane table via (*core.Table).%s: use the exported Plane API (SetParam/SetStatAt/AddStatAt/SubStatAt/ObserveAt/CreateRow/DeleteRow) or the CPA programming interface", fn.Name())
 			return true
 		})
 	}

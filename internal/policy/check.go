@@ -13,8 +13,9 @@ import (
 )
 
 // PlaneInfo describes one control plane to the typechecker: its CPA
-// index, identity, parameter/statistics schemas and scheduling
-// algorithms. The PRM firmware supplies these from its live mounts.
+// index, identity, parameter/statistics schemas, scheduling algorithms
+// and whether it samples. The PRM firmware supplies these from its live
+// mounts.
 type PlaneInfo struct {
 	Index  int    // cpa index (cpa0, cpa1, ...)
 	Ident  string // plane identity string, e.g. "CACHE_CP"
@@ -25,6 +26,10 @@ type PlaneInfo struct {
 	// implements, the power-on default first; nil without a
 	// programmable scheduler.
 	Scheds []string
+	// Sampled reports whether the plane runs a statistics sampler. Only
+	// a sampled plane evaluates its trigger table, so only it can carry
+	// a rule.
+	Sampled bool
 }
 
 // ShortName derives the policy-language plane name from the identity
@@ -304,6 +309,10 @@ func (c *compiler) compileRule(r *Rule, idx int) (*CompiledRule, error) {
 		return nil, err
 	}
 	cr.CPA, cr.PlaneName = pi.Index, pi.ShortName()
+	if !pi.Sampled {
+		return nil, errAt(r.PlanePos, "cpa%d (%s) runs no statistics sampler, so rule %q would never fire; planes that sample: %s",
+			pi.Index, pi.Ident, cr.Name, c.planeList(func(pi PlaneInfo) bool { return pi.Sampled }))
+	}
 
 	if cr.DSID, err = c.resolveLDom(r.LDom); err != nil {
 		return nil, err
@@ -408,7 +417,7 @@ func (c *compiler) resolvePlane(name string, pos Pos) (PlaneInfo, error) {
 					return pi, nil
 				}
 			}
-			return PlaneInfo{}, errAt(pos, "no control plane cpa%d (available: %s)", idx, c.planeList())
+			return PlaneInfo{}, errAt(pos, "no control plane cpa%d (available: %s)", idx, c.planeList(nil))
 		}
 	}
 	canon := lower
@@ -420,13 +429,17 @@ func (c *compiler) resolvePlane(name string, pos Pos) (PlaneInfo, error) {
 			return pi, nil
 		}
 	}
-	return PlaneInfo{}, errAt(pos, "unknown plane %q (available: %s)", name, c.planeList())
+	return PlaneInfo{}, errAt(pos, "unknown plane %q (available: %s)", name, c.planeList(nil))
 }
 
-func (c *compiler) planeList() string {
+// planeList lists the planes for which keep is true, or every plane
+// when keep is nil.
+func (c *compiler) planeList(keep func(PlaneInfo) bool) string {
 	var parts []string
 	for _, pi := range c.planes {
-		parts = append(parts, fmt.Sprintf("cpa%d/%s", pi.Index, pi.ShortName()))
+		if keep == nil || keep(pi) {
+			parts = append(parts, fmt.Sprintf("cpa%d/%s", pi.Index, pi.ShortName()))
+		}
 	}
 	return strings.Join(parts, ", ")
 }

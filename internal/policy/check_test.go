@@ -22,7 +22,8 @@ func (r *fakeReg) Planes() []PlaneInfo {
 			Stats: []core.Column{
 				{Name: "hit_cnt"}, {Name: "miss_cnt"}, {Name: "miss_rate"}, {Name: "capacity"},
 			},
-			Scheds: []string{"fifo"},
+			Scheds:  []string{"fifo"},
+			Sampled: true,
 		},
 		{
 			Index: 1, Ident: "MEM_CP", Type: core.PlaneTypeMemory,
@@ -33,7 +34,13 @@ func (r *fakeReg) Planes() []PlaneInfo {
 			Stats: []core.Column{
 				{Name: "serv_cnt"}, {Name: "avg_qlat"}, {Name: "bandwidth"}, {Name: "violations"},
 			},
-			Scheds: []string{"frfcfs", "strict", "edf"},
+			Scheds:  []string{"frfcfs", "strict", "edf"},
+			Sampled: true,
+		},
+		{
+			Index: 4, Ident: "NIC_CP", Type: core.PlaneTypeNIC,
+			Params: []core.Column{{Name: "mac", Writable: true}},
+			Stats:  []core.Column{{Name: "rx_bytes"}, {Name: "tx_bytes"}},
 		},
 	}
 }
@@ -206,5 +213,21 @@ func TestApplySaturatesAndClamps(t *testing.T) {
 	w = Write{Op: AssignAdd, Operand: 10}
 	if got := w.Apply(^uint64(0) - 3); got != ^uint64(0) {
 		t.Fatalf("add overflow should saturate, got %d", got)
+	}
+}
+
+// TestCompileRuleOnUnsampledPlane: a plane without a statistics sampler
+// never evaluates its triggers, so a rule watching it fails compilation
+// at the rule's plane, naming the planes that sample, and `policy
+// validate` refuses what `policy apply` would.
+func TestCompileRuleOnUnsampledPlane(t *testing.T) {
+	_, err := compileSrc(t, "rule net cpa nic ldom web: when tx_bytes > 0 => on mem priority = 1", Options{})
+	if err == nil {
+		t.Fatal("compiled a rule on a plane that runs no sampler")
+	}
+	for _, want := range []string{"test.pard:1:14", "cpa4 (NIC_CP) runs no statistics sampler", `rule "net"`, "sample: cpa0/cache, cpa1/mem"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not contain %q", err, want)
+		}
 	}
 }

@@ -52,6 +52,8 @@ func (r fwRegistry) Planes() []policy.PlaneInfo {
 			Params: p.Params().Columns(),
 			Stats:  p.Stats().Columns(),
 			Scheds: p.SchedulerAlgos(),
+
+			Sampled: p.SampleInterval() != 0,
 		})
 	}
 	return out

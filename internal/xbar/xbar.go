@@ -37,9 +37,25 @@ const (
 	StatAvgQLat = "avg_qlat" // windowed mean queue delay, 0.1-cycle units
 )
 
+// Column indices of the crossbar plane's parameter and statistics
+// tables.
+const colWeight = 0
+
+const (
+	colFwdCnt = iota
+	colAvgQLat
+)
+
 type entry struct {
 	pkt *core.Packet
 	enq sim.Tick
+}
+
+// flow is one DS-id's arbitration state. inRing marks a DS-id on the
+// WRR ring, whose queue may be empty until the arbiter next visits it.
+type flow struct {
+	q      []entry
+	inRing bool
 }
 
 // Crossbar arbitrates tagged packets onto one downstream port.
@@ -51,10 +67,11 @@ type Crossbar struct {
 
 	plane *core.Plane
 
-	queues  map[core.DSID][]entry
+	flows   []flow // indexed by DS-id
 	ring    []core.DSID
 	cursor  int
 	credits uint64
+	waiting int // packets queued across all flows
 
 	// port grants one packet per crossbar cycle while packets wait.
 	port *sim.Ticker
@@ -82,7 +99,6 @@ func New(e *sim.Engine, clock *sim.Clock, cfg Config, out core.Target) *Crossbar
 		engine: e,
 		clock:  clock,
 		out:    out,
-		queues: make(map[core.DSID][]entry),
 	}
 	x.port = sim.NewTicker(e, clock.Period(), x)
 	//pardlint:hotpath prebound post-traversal forward callback
@@ -90,14 +106,15 @@ func New(e *sim.Engine, clock *sim.Clock, cfg Config, out core.Target) *Crossbar
 		x.rec.Leave(x.hop, p)
 		x.out.Request(p)
 	}
-	params := core.NewTable(
-		core.Column{Name: ParamWeight, Writable: true, Default: 1},
-	)
-	stats := core.NewTable(
-		core.Column{Name: StatFwdCnt},
-		core.Column{Name: StatAvgQLat, Window: core.WindowMean, Scale: 10},
-	)
-	x.plane = core.NewPlane(e, "XBAR_CP", core.PlaneTypeBridge, params, stats, cfg.TriggerSlots)
+	params := [...]core.Column{
+		colWeight: {Name: ParamWeight, Writable: true, Default: 1},
+	}
+	stats := [...]core.Column{
+		colFwdCnt:  {Name: StatFwdCnt},
+		colAvgQLat: {Name: StatAvgQLat, Window: core.WindowMean, Scale: 10},
+	}
+	x.plane = core.NewPlane(e, "XBAR_CP", core.PlaneTypeBridge,
+		core.NewTable(params[:]...), core.NewTable(stats[:]...), cfg.TriggerSlots)
 	x.plane.Sample(cfg.SampleInterval)
 	return x
 }
@@ -117,15 +134,19 @@ func (x *Crossbar) AttachRecorder(r *trace.Recorder) int {
 // Request enqueues a packet for arbitration.
 func (x *Crossbar) Request(p *core.Packet) {
 	x.rec.Enter(x.hop, p)
-	if _, ok := x.queues[p.DSID]; !ok {
+	x.flows = core.GrowTo(x.flows, p.DSID)
+	f := &x.flows[p.DSID]
+	if !f.inRing {
+		f.inRing = true
 		x.ring = append(x.ring, p.DSID)
 	}
-	x.queues[p.DSID] = append(x.queues[p.DSID], entry{pkt: p, enq: x.engine.Now()})
+	f.q = append(f.q, entry{pkt: p, enq: x.engine.Now()})
+	x.waiting++
 	x.port.Arm()
 }
 
 func (x *Crossbar) weight(ds core.DSID) uint64 {
-	w := x.plane.Param(ds, ParamWeight)
+	w := x.plane.ParamAt(ds, colWeight)
 	if w == 0 {
 		w = 1
 	}
@@ -147,46 +168,38 @@ func (x *Crossbar) Poll() bool {
 	for len(x.ring) > 0 {
 		x.cursor %= len(x.ring)
 		ds := x.ring[x.cursor]
-		q := x.queues[ds]
-		if len(q) == 0 {
+		f := &x.flows[ds]
+		if len(f.q) == 0 {
 			x.ring = append(x.ring[:x.cursor], x.ring[x.cursor+1:]...)
-			delete(x.queues, ds)
+			*f = flow{}
 			x.credits = 0
 			continue
 		}
 		if x.credits == 0 {
 			x.credits = x.weight(ds)
 		}
-		e := q[0]
-		x.queues[ds] = q[1:]
+		e := f.q[0]
+		f.q = f.q[1:]
+		x.waiting--
 		x.credits--
 		if x.credits == 0 {
 			x.cursor++
 		}
 		x.forward(ds, e)
-		return x.pending() > 0
+		return x.waiting > 0
 	}
 	return false
 }
 
-func (x *Crossbar) pending() int {
-	n := 0
-	//pardlint:ignore determinism summing queue lengths is order-independent
-	for _, q := range x.queues {
-		n += len(q)
-	}
-	return n
-}
-
 func (x *Crossbar) forward(ds core.DSID, e entry) {
 	x.Granted++
-	x.plane.AddStat(ds, StatFwdCnt, 1)
-	x.plane.Observe(ds, StatAvgQLat, uint64((x.engine.Now()-e.enq)/x.clock.Period()), 1)
+	x.plane.AddStatAt(ds, colFwdCnt, 1)
+	x.plane.ObserveAt(ds, colAvgQLat, uint64((x.engine.Now()-e.enq)/x.clock.Period()), 1)
 	// WRR arbitration wait is over; the traversal that follows is service.
 	x.rec.Service(x.hop, e.pkt)
 	e.pkt.ScheduleCall(x.clock, x.cfg.Latency, x.fwdFn)
 }
 
 func (x *Crossbar) String() string {
-	return fmt.Sprintf("%s: granted=%d pending=%d", x.cfg.Name, x.Granted, x.pending())
+	return fmt.Sprintf("%s: granted=%d pending=%d", x.cfg.Name, x.Granted, x.waiting)
 }

@@ -154,8 +154,8 @@ func TestEmptyQueueCleanup(t *testing.T) {
 	// up the drained one.
 	q := send(e, x, ids, 8)
 	e.StepUntil(q.Completed)
-	if x.pending() != 0 {
-		t.Fatalf("pending = %d", x.pending())
+	if x.waiting != 0 {
+		t.Fatalf("waiting = %d", x.waiting)
 	}
 }
 
@@ -172,8 +172,8 @@ func TestDrainedDSIDsDoNotStallGrants(t *testing.T) {
 	send(e, x, ids, 3)
 	last := send(e, x, ids, 3)
 	e.Run(sim.Microsecond)
-	if x.Granted != 4 || x.pending() != 0 {
-		t.Fatalf("granted %d, %d still queued; want 4, 0", x.Granted, x.pending())
+	if x.Granted != 4 || x.waiting != 0 {
+		t.Fatalf("granted %d, %d still queued; want 4, 0", x.Granted, x.waiting)
 	}
 	// Granted on the fourth edge (1.5 ns), then one traversal cycle.
 	if !last.Completed() || last.Latency() != 2000 {

@@ -1,6 +1,8 @@
 package pard
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -79,7 +81,8 @@ func TestTriggerOnUnsampledPlaneRefused(t *testing.T) {
 		}
 	}
 
-	// The LLC rule installs first; the NIC rule's refusal rolls it back.
+	// The NIC rule fails compilation, so the LLC rule beside it never
+	// installs either.
 	src := `rule guard cpa llc ldom web: when miss_rate > 30% => waymask = 0xff00
 rule net cpa nic ldom web: when tx_bytes > 0 => on mem priority = 1`
 	if err := sys.LoadPolicy("mixed", src); err == nil || !strings.Contains(err.Error(), "NIC_CP") {
@@ -97,6 +100,50 @@ rule net cpa nic ldom web: when tx_bytes > 0 => on mem priority = 1`
 				t.Fatalf("%s trigger slot %d still enabled after the failed load", p.Ident(), slot)
 			}
 		}
+	}
+}
+
+// The console's `policy validate` refuses a rule on a plane that runs
+// no sampler, as `policy apply` of the same file does.
+func TestConsoleValidateRefusesUnsampledPlane(t *testing.T) {
+	sys := NewSystem(DefaultConfig())
+	path := filepath.Join(t.TempDir(), "net.pard")
+	src := "rule net cpa nic ldom web: when tx_bytes > 0 => on mem priority = 1\n"
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Dispatch(sys, "create web 0"); err != nil {
+		t.Fatal(err)
+	}
+	for _, cmd := range []string{"validate", "apply"} {
+		out, err := Dispatch(sys, "policy "+cmd+" "+path)
+		if err == nil {
+			t.Fatalf("policy %s accepted a NIC rule: %q", cmd, out)
+		}
+		if !strings.Contains(err.Error(), "runs no statistics sampler") {
+			t.Errorf("policy %s error %q does not name the missing sampler", cmd, err)
+		}
+	}
+}
+
+// LDom teardown deletes the LDom's plane rows and then flushes its LLC
+// blocks; the flush must not re-create its LLC statistics row.
+func TestTeardownLeavesNoLLCRow(t *testing.T) {
+	s := NewSystem(goldenConfig())
+	goldenServer(t, s, 42)
+	s.Run(Millisecond)
+	stats := s.LLC.Plane().Stats()
+	if !stats.HasRow(2) || s.LLC.Occupancy(2) == 0 {
+		t.Fatal("ds2 holds no LLC row or blocks before its teardown")
+	}
+	if err := s.Firmware.DestroyLDom(2); err != nil {
+		t.Fatal(err)
+	}
+	if stats.HasRow(2) {
+		t.Fatalf("DestroyLDom(2) left ds2's LLC statistics row (capacity %d)", s.LLC.Plane().Stat(2, "capacity"))
+	}
+	if n := s.LLC.Occupancy(2); n != 0 {
+		t.Fatalf("ds2 owns %d LLC blocks after its teardown", n)
 	}
 }
 
