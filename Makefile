@@ -86,14 +86,16 @@ examples:
 benchgate:
 	go run ./cmd/benchgate -baseline BENCH.json
 
-# Policy-language parser fuzzing: no panics on arbitrary input, and
+# Fuzzing. Policy-language parsers: no panics on arbitrary input, and
 # parse -> print -> parse is a fixpoint — for both per-server policies
-# and cluster intent blocks. CI runs a 30s smoke of each; crank
-# FUZZTIME for longer local campaigns.
+# and cluster intent blocks. The flight recorder's in-flight table:
+# random put/get/delete sequences agree with a map. CI runs a 30s
+# smoke of each; crank FUZZTIME for longer local campaigns.
 FUZZTIME ?= 30s
 fuzz:
 	go test ./internal/policy -fuzz FuzzParsePolicy -fuzztime $(FUZZTIME)
 	go test ./internal/policy -fuzz FuzzParseIntent -fuzztime $(FUZZTIME)
+	go test ./internal/trace -run '^$$' -fuzz FuzzInflight -fuzztime $(FUZZTIME)
 
 # Line-count ledger: non-test and test Go lines added, deleted and net
 # between BASE (default HEAD) and the working tree, untracked Go files

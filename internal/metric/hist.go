@@ -6,67 +6,76 @@ package metric
 import (
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
 )
 
 // Histogram records non-negative integer samples (latencies in ticks or
 // cycles) in hybrid linear/logarithmic buckets, giving bounded memory
 // with a relative error of at most 1/64 per bucket — tight enough for
 // the paper's p95 tail-latency comparisons.
+//
+// Buckets are numbered in value order (see index), and counts is
+// indexed by that number, so recording a sample and walking the
+// distribution never hash or sort. counts grows only to the highest
+// bucket observed: at most 3776 entries, for values near 2^64; a 1 ms
+// latency in ticks lands in bucket 1591. decades keeps a running total
+// per 64-bucket decade, so a percentile query skips whole decades.
 type Histogram struct {
-	counts map[uint64]uint64 // bucket lower bound -> count
-	n      uint64
-	sum    uint64
-	min    uint64
-	max    uint64
-	// keys caches the sorted bucket set so Percentile is allocation-free
-	// in steady state: the telemetry registry scrapes lat percentiles on
-	// every tick interval, and the bucket set only grows when a sample
-	// lands in a never-seen bucket.
-	keys      []uint64
-	keysStale bool
+	counts  []uint64 // bucket number -> samples
+	decades []uint64 // bucket number / 64 -> samples
+	n       uint64
+	sum     uint64
+	min     uint64
+	max     uint64
 }
 
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram {
 	//pardlint:ignore hotalloc constructor: one allocation per histogram series, at first sight
-	return &Histogram{counts: make(map[uint64]uint64), min: math.MaxUint64}
+	return &Histogram{min: math.MaxUint64}
 }
 
 // bucket maps a value to its bucket lower bound: exact below 64, then
 // 64 sub-buckets per power-of-two decade.
-func bucket(v uint64) uint64 {
-	if v < 64 {
-		return v
-	}
-	shift := uint(0)
-	for v>>shift >= 128 {
-		shift++
-	}
-	return (v >> shift) << shift
-}
+func bucket(v uint64) uint64 { return lowerBound(index(v)) }
 
 // bucketEnd returns the exclusive upper bound of the bucket whose lower
-// bound is b: b+1 in the exact region, b plus the sub-bucket width above.
-func bucketEnd(b uint64) uint64 {
-	if b < 64 {
-		return b + 1
+// bound is b: b+1 in the exact region, b plus the sub-bucket width
+// above (0, wrapped, for the top bucket).
+func bucketEnd(b uint64) uint64 { return lowerBound(index(b) + 1) }
+
+// index returns the number of v's bucket: v itself below 64, then
+// 64·(s+1) + (v>>s) − 64 with s = bits.Len64(v) − 7, so each
+// power-of-two decade takes the next 64 numbers.
+func index(v uint64) int {
+	if v < 64 {
+		return int(v)
 	}
-	shift := uint(0)
-	for b>>shift >= 128 {
-		shift++
+	s := bits.Len64(v) - 7
+	return 64*s + int(v>>uint(s))
+}
+
+// lowerBound is index's inverse: the lower bound of bucket i.
+func lowerBound(i int) uint64 {
+	if i < 128 {
+		return uint64(i)
 	}
-	return b + 1<<shift
+	return uint64(64+i&63) << uint(i>>6-1)
 }
 
 // Observe records one sample.
 func (h *Histogram) Observe(v uint64) {
-	b := bucket(v)
-	c, seen := h.counts[b]
-	if !seen {
-		h.keysStale = true
+	i := index(v)
+	if i >= len(h.counts) {
+		//pardlint:ignore hotalloc first sample above the highest bucket so far: at most 3776 buckets per histogram
+		h.counts = append(h.counts, make([]uint64, i+1-len(h.counts))...)
+		if d := i>>6 + 1; d > len(h.decades) {
+			//pardlint:ignore hotalloc first sample in a higher decade: at most 59 per histogram
+			h.decades = append(h.decades, make([]uint64, d-len(h.decades))...)
+		}
 	}
-	h.counts[b] = c + 1
+	h.counts[i]++
+	h.decades[i>>6]++
 	h.n++
 	h.sum += v
 	if v < h.min {
@@ -119,34 +128,23 @@ func (h *Histogram) Percentile(p float64) uint64 {
 	if rank == 0 {
 		rank = 1
 	}
-	keys := h.sortedBuckets()
 	var cum uint64
-	for _, k := range keys {
-		cum += h.counts[k]
-		if cum >= rank {
-			return k
+	for d, c := range h.decades {
+		if cum+c < rank {
+			cum += c
+			continue
+		}
+		for i := d << 6; i < len(h.counts); i++ {
+			cum += h.counts[i]
+			if cum >= rank {
+				return lowerBound(i)
+			}
 		}
 	}
-	// Unreachable when counts and n agree (rank <= n and cum reaches n at
-	// the last key); answer in bucket terms regardless, matching the
-	// method's contract of returning a bucket lower bound.
-	if len(keys) > 0 {
-		return keys[len(keys)-1]
-	}
-	return 0
-}
-
-func (h *Histogram) sortedBuckets() []uint64 {
-	if !h.keysStale && len(h.keys) == len(h.counts) {
-		return h.keys
-	}
-	h.keys = h.keys[:0]
-	for k := range h.counts {
-		h.keys = append(h.keys, k)
-	}
-	slices.Sort(h.keys)
-	h.keysStale = false
-	return h.keys
+	// Unreachable while rank <= n (float rounding of p·n can exceed n
+	// only for n past 2^53); answer in bucket terms regardless, with
+	// the highest occupied bucket.
+	return bucket(h.max)
 }
 
 // CDFPoint is one (value, cumulative fraction) pair.
@@ -157,12 +155,20 @@ type CDFPoint struct {
 
 // CDF exports the cumulative distribution, one point per occupied bucket.
 func (h *Histogram) CDF() []CDFPoint {
-	keys := h.sortedBuckets()
-	out := make([]CDFPoint, 0, len(keys))
+	occupied := 0
+	for _, c := range h.counts {
+		if c != 0 {
+			occupied++
+		}
+	}
+	out := make([]CDFPoint, 0, occupied)
 	var cum uint64
-	for _, k := range keys {
-		cum += h.counts[k]
-		out = append(out, CDFPoint{Value: k, Fraction: float64(cum) / float64(h.n)})
+	for i, c := range h.counts {
+		if c == 0 {
+			continue
+		}
+		cum += c
+		out = append(out, CDFPoint{Value: lowerBound(i), Fraction: float64(cum) / float64(h.n)})
 	}
 	return out
 }
@@ -177,23 +183,30 @@ func (h *Histogram) FractionAtOrBelow(v uint64) float64 {
 	if h.n == 0 {
 		return 0
 	}
+	// Buckets below v's lie wholly at or below v; v's own bucket counts
+	// only when v is its last value.
+	end := index(v)
+	if bucketEnd(bucket(v))-1 == v {
+		end++
+	}
+	end = min(end, len(h.counts))
 	var cum uint64
-	// Summation over the bucket map is order-independent.
-	for k, c := range h.counts {
-		if bucketEnd(k)-1 <= v {
-			cum += c
-		}
+	d := end >> 6
+	for _, c := range h.decades[:d] {
+		cum += c
+	}
+	for _, c := range h.counts[d<<6 : end] {
+		cum += c
 	}
 	return float64(cum) / float64(h.n)
 }
 
-// Reset clears the histogram.
+// Reset clears the histogram, keeping its bucket arrays for reuse.
 func (h *Histogram) Reset() {
-	h.counts = make(map[uint64]uint64)
+	clear(h.counts)
+	clear(h.decades)
 	h.n, h.sum, h.max = 0, 0, 0
 	h.min = math.MaxUint64
-	h.keys = h.keys[:0]
-	h.keysStale = false
 }
 
 func (h *Histogram) String() string {

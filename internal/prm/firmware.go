@@ -403,12 +403,26 @@ type TriggerSpec struct {
 // InstallTrigger programs a trigger into a plane through its CPA MMIO
 // interface and binds an action name to the slot, creating the
 // ".../triggers/<slot>" leaf. It returns the slot used. The slot
-// inherits Config.TriggerCooldown.
+// inherits Config.TriggerCooldown. This is the shell's (pardtrigger)
+// path, so it journals the installation itself; policies install
+// through InstallTriggerSpec and journal their load instead.
 func (fw *Firmware) InstallTrigger(cpaIdx int, ds core.DSID, stat string, op core.CmpOp, value uint64, action string) (int, error) {
-	return fw.InstallTriggerSpec(cpaIdx, TriggerSpec{
+	slot, err := fw.InstallTriggerSpec(cpaIdx, TriggerSpec{
 		DSID: ds, Stat: stat, Op: op, Value: value,
 		Action: action, Cooldown: fw.cfg.TriggerCooldown,
 	})
+	if err != nil {
+		return 0, err
+	}
+	fw.journal.Record(telemetry.Event{
+		Kind:   telemetry.KindTriggerInstall,
+		Origin: fw.Origin(),
+		Plane:  fw.mounts[cpaIdx].name,
+		DS:     ds,
+		Name:   stat,
+		Detail: fmt.Sprintf("cond=%s,%d action=%s slot=%d", op, value, action, slot),
+	})
+	return slot, nil
 }
 
 // InstallTriggerSpec is InstallTrigger with full control over firing

@@ -129,3 +129,58 @@ func TestJournalParamWriteOrigins(t *testing.T) {
 		t.Fatalf("trigger action's write not attributed to installer origin (journal: %v)", byOrigin)
 	}
 }
+
+// TestJournalRecordsShellTriggerInstall: a trigger bound through the
+// shell (pardtrigger, which the built-in guard also uses) leaves exactly
+// one trigger_install event, under the ambient origin and before any
+// firing it explains. Policy installs and refused installs leave none.
+func TestJournalRecordsShellTriggerInstall(t *testing.T) {
+	e, fw, _, cp, _ := newFirmware(t)
+	j := telemetry.NewJournal(e, 64)
+	fw.SetJournal(j)
+	if _, err := fw.CreateLDom(LDomSpec{Name: "x"}); err != nil {
+		t.Fatal(err)
+	}
+	countAction(fw, "count")
+	if _, err := fw.Sh("pardtrigger cpa0 -ldom=0 -stats=no_such_stat -cond=gt,300 -action=count"); err == nil {
+		t.Fatal("pardtrigger on an unknown statistic succeeded")
+	}
+	if _, err := fw.InstallTriggerSpec(0, TriggerSpec{DSID: 0, Stat: "miss_rate", Op: core.OpGT, Value: 900, Action: "count"}); err != nil {
+		t.Fatal(err)
+	}
+	fw.WithOrigin("pardctl", func() {
+		if _, err := fw.Sh("pardtrigger cpa0 -ldom=0 -stats=miss_rate -cond=gt,300 -action=count"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	cp.SetStat(0, "miss_rate", 500)
+	cp.Evaluate(0)
+	e.Run(e.Now() + sim.Millisecond)
+
+	var installs []telemetry.Event
+	firstFired := -1
+	for i := 0; i < j.Len(); i++ {
+		switch ev := j.At(i); ev.Kind {
+		case telemetry.KindTriggerInstall:
+			installs = append(installs, ev)
+		case telemetry.KindTriggerFired:
+			if firstFired < 0 {
+				firstFired = i
+			}
+			if len(installs) == 0 {
+				t.Fatalf("trigger_fired #%d precedes any trigger_install", ev.Seq)
+			}
+		}
+	}
+	if len(installs) != 1 {
+		t.Fatalf("journal has %d trigger_install events, want 1: %+v", len(installs), installs)
+	}
+	if firstFired < 0 {
+		t.Fatal("the installed trigger never fired")
+	}
+	ev := installs[0]
+	if ev.Origin != "pardctl" || ev.Plane != "cpa0" || ev.DS != 0 || ev.Name != "miss_rate" ||
+		ev.Detail != "cond=gt,300 action=count slot=1" {
+		t.Fatalf("trigger_install event %+v", ev)
+	}
+}

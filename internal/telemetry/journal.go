@@ -21,6 +21,7 @@ import (
 
 // Event kinds, the journal's taxonomy. One control-plane verb each.
 const (
+	KindTriggerInstall  = "trigger_install"
 	KindTriggerFired    = "trigger_fired"
 	KindTriggerSuppress = "trigger_suppressed"
 	KindPolicyLoad      = "policy_load"

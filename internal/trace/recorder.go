@@ -2,7 +2,7 @@ package trace
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 	"strings"
 
 	"repro/internal/core"
@@ -82,11 +82,6 @@ type PacketTrace struct {
 // Spans returns the recorded hop spans in traversal order.
 func (t *PacketTrace) Spans() []HopSpan { return t.Hops[:t.NHops] }
 
-type histKey struct {
-	hop int32
-	ds  core.DSID
-}
-
 type hopHist struct {
 	queue   *metric.Histogram
 	service *metric.Histogram
@@ -99,33 +94,122 @@ type Recorder struct {
 	mask   uint64 // sample when ID&mask == 0
 	hops   []string
 
-	active map[uint64]*PacketTrace
+	active inflight
 	pool   []*PacketTrace
 
 	archive *metric.Ring[PacketTrace] // completed traces; built at the first Finish
 	spanCap int
 
-	hists map[histKey]*hopHist
+	hists [][]*hopHist // [hop][DS-id]; nil until the pair's first closed span
 
 	finished uint64 // traces finalized (including ones the ring evicted)
 	dropped  uint64 // hop spans dropped by the MaxHopsPerPacket bound
 }
 
 // NewRecorder builds a recorder sampling one packet in sampleEvery by
-// packet ID. sampleEvery is rounded up to a power of two so the sample
-// test is a single mask; 0 or 1 samples everything.
+// packet ID. sampleEvery is rounded up to a power of two, at most 2^63,
+// so the sample test is a single mask; 0 or 1 samples everything.
 func NewRecorder(e *sim.Engine, sampleEvery uint64) *Recorder {
-	n := uint64(1)
-	for n < sampleEvery {
-		n <<= 1
+	shift := uint(0)
+	if sampleEvery > 1 {
+		shift = min(uint(bits.Len64(sampleEvery-1)), 63)
 	}
 	return &Recorder{
 		engine:  e,
-		mask:    n - 1,
-		active:  make(map[uint64]*PacketTrace),
-		hists:   make(map[histKey]*hopHist),
+		mask:    1<<shift - 1,
+		active:  newInflight(shift),
 		spanCap: DefaultSpanCapacity,
 	}
+}
+
+// inflight finds a sampled packet's in-flight trace by packet ID
+// without hashing. Sampled IDs are multiples of the power-of-two
+// sampling divisor and each source issues IDs in sequence, so the ID
+// shifted right by log2(divisor), masked to the table size, is a home
+// slot that spreads consecutive samples over consecutive slots.
+// Collisions probe linearly. The table stays at most half full,
+// doubling when an insert would pass that, and a delete shifts the rest
+// of its probe run back instead of leaving a tombstone, so runs stay
+// short under constant churn. Lookup is by ID alone, and nothing
+// iterates over the table in an observable order.
+type inflight struct {
+	slots []inflightSlot // power-of-two length; a nil trace marks a free slot
+	shift uint           // log2 of the sampling divisor
+	n     int            // occupied slots
+}
+
+type inflightSlot struct {
+	id uint64
+	t  *PacketTrace
+}
+
+// inflightMin is the starting table size, large enough that a system's
+// set-up traffic does not grow it.
+const inflightMin = 64
+
+func newInflight(shift uint) inflight {
+	return inflight{slots: make([]inflightSlot, inflightMin), shift: shift}
+}
+
+func (f *inflight) home(id uint64) int { return int(id>>f.shift) & (len(f.slots) - 1) }
+
+// get returns id's trace, or nil when id is not in flight.
+func (f *inflight) get(id uint64) *PacketTrace {
+	mask := len(f.slots) - 1
+	for i := f.home(id); ; i = (i + 1) & mask {
+		if s := &f.slots[i]; s.t == nil || s.id == id {
+			return s.t
+		}
+	}
+}
+
+// put adds id, which must not be in flight already.
+func (f *inflight) put(id uint64, t *PacketTrace) {
+	if 2*(f.n+1) > len(f.slots) {
+		old := f.slots
+		//pardlint:ignore hotalloc doubling: at most log2(peak in-flight samples / 32) times per recorder
+		f.slots = make([]inflightSlot, 2*len(old))
+		for _, s := range old {
+			if s.t != nil {
+				f.place(s.id, s.t)
+			}
+		}
+	}
+	f.place(id, t)
+	f.n++
+}
+
+// place stores (id, t) in the first free slot of id's probe run.
+func (f *inflight) place(id uint64, t *PacketTrace) {
+	mask := len(f.slots) - 1
+	i := f.home(id)
+	for f.slots[i].t != nil {
+		i = (i + 1) & mask
+	}
+	f.slots[i] = inflightSlot{id: id, t: t}
+}
+
+// delete removes id if it is in flight. Each later entry of the probe
+// run moves back into the hole unless its home lies cyclically after
+// the hole, where the entry would no longer be found.
+func (f *inflight) delete(id uint64) {
+	mask := len(f.slots) - 1
+	i := f.home(id)
+	for f.slots[i].t != nil && f.slots[i].id != id {
+		i = (i + 1) & mask
+	}
+	if f.slots[i].t == nil {
+		return
+	}
+	for j := (i + 1) & mask; f.slots[j].t != nil; j = (j + 1) & mask {
+		if (j-f.home(f.slots[j].id))&mask < (j-i)&mask {
+			continue
+		}
+		f.slots[i] = f.slots[j]
+		i = j
+	}
+	f.slots[i] = inflightSlot{}
+	f.n--
 }
 
 // SampleEvery returns the effective (power-of-two) sampling divisor.
@@ -168,7 +252,7 @@ func (r *Recorder) Sampled(p *core.Packet) bool {
 
 // state returns p's in-flight trace, creating it on first sight.
 func (r *Recorder) state(p *core.Packet) *PacketTrace {
-	if t, ok := r.active[p.ID]; ok {
+	if t := r.active.get(p.ID); t != nil {
 		return t
 	}
 	var t *PacketTrace
@@ -184,7 +268,7 @@ func (r *Recorder) state(p *core.Packet) *PacketTrace {
 		ID: p.ID, Kind: p.Kind, DSID: p.DSID, Addr: p.Addr, Size: p.Size,
 		Src: -1, Issue: p.Issue,
 	}
-	r.active[p.ID] = t
+	r.active.put(p.ID, t)
 	return t
 }
 
@@ -227,8 +311,8 @@ func (r *Recorder) Enter(hop int, p *core.Packet) {
 
 // last returns p's trace and its open span iff that span belongs to hop.
 func (r *Recorder) last(p *core.Packet, hop int) (*PacketTrace, *HopSpan) {
-	t, ok := r.active[p.ID]
-	if !ok {
+	t := r.active.get(p.ID)
+	if t == nil {
 		return nil, nil
 	}
 	if !t.open || t.NHops == 0 {
@@ -297,17 +381,21 @@ func (r *Recorder) Finish(hop int, p *core.Packet) {
 		// the packet may be recycled, but the ring entry is a copy.
 		*r.archive.Next() = *t
 	}
-	delete(r.active, p.ID)
+	r.active.delete(p.ID)
 	r.pool = append(r.pool, t)
 }
 
 func (r *Recorder) observe(s *HopSpan, ds core.DSID) {
-	k := histKey{hop: s.Hop, ds: ds}
-	h, ok := r.hists[k]
-	if !ok {
+	if n := int(s.Hop) + 1; n > len(r.hists) {
+		//pardlint:ignore hotalloc first closed span at a higher hop id: bounded by the registered hops
+		r.hists = append(r.hists, make([][]*hopHist, n-len(r.hists))...)
+	}
+	h := core.At(r.hists[s.Hop], ds)
+	if h == nil {
 		//pardlint:ignore hotalloc first sight of a (hop, DS-id) pair: bounded by topology times LDom count
 		h = &hopHist{queue: metric.NewHistogram(), service: metric.NewHistogram()}
-		r.hists[k] = h
+		r.hists[s.Hop] = core.GrowTo(r.hists[s.Hop], ds)
+		r.hists[s.Hop][ds] = h
 	}
 	h.queue.Observe(uint64(s.Service - s.Enter))
 	h.service.Observe(uint64(s.Done - s.Service))
@@ -334,7 +422,7 @@ func (r *Recorder) ActiveCount() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.active)
+	return r.active.n
 }
 
 // Traces returns the archived completed traces, oldest first.
@@ -350,7 +438,7 @@ func (r *Recorder) SpanCount(hop int, ds core.DSID) uint64 {
 	if r == nil {
 		return 0
 	}
-	if h, ok := r.hists[histKey{hop: int32(hop), ds: ds}]; ok {
+	if h := r.hist(hop, ds); h != nil {
 		return h.queue.Count()
 	}
 	return 0
@@ -363,14 +451,22 @@ func (r *Recorder) Percentile(hop int, ds core.DSID, service bool, q float64) ui
 	if r == nil {
 		return 0
 	}
-	h, ok := r.hists[histKey{hop: int32(hop), ds: ds}]
-	if !ok {
+	h := r.hist(hop, ds)
+	if h == nil {
 		return 0
 	}
 	if service {
 		return h.service.Percentile(q)
 	}
 	return h.queue.Percentile(q)
+}
+
+// hist returns (hop, ds)'s histogram pair, or nil before its first span.
+func (r *Recorder) hist(hop int, ds core.DSID) *hopHist {
+	if hop < 0 || hop >= len(r.hists) {
+		return nil
+	}
+	return core.At(r.hists[hop], ds)
 }
 
 // Reset drops accumulated traces and histograms (warm-up/measure splits).
@@ -380,38 +476,32 @@ func (r *Recorder) Reset() {
 		return
 	}
 	r.archive = nil
-	r.hists = make(map[histKey]*hopHist)
+	r.hists = nil
 	r.finished = 0
 	r.dropped = 0
 }
 
 // BreakdownTable renders the per-(hop, DS-id) latency decomposition —
-// the console `trace` command's output.
+// the console `trace` command's output — hop-major, then by DS-id.
 func (r *Recorder) BreakdownTable() string {
 	if r == nil {
 		return ""
 	}
-	keys := make([]histKey, 0, len(r.hists))
-	for k := range r.hists {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].hop != keys[j].hop {
-			return keys[i].hop < keys[j].hop
-		}
-		return keys[i].ds < keys[j].ds
-	})
 	var b strings.Builder
 	fmt.Fprintf(&b, "flight recorder: sampling 1-in-%d, %d packets finished, %d in flight, %d spans dropped\n",
-		r.SampleEvery(), r.finished, len(r.active), r.dropped)
+		r.SampleEvery(), r.finished, r.active.n, r.dropped)
 	fmt.Fprintf(&b, "  %-10s %-6s %8s %12s %12s %12s %12s\n",
 		"hop", "ds", "spans", "queue-p50", "queue-p99", "svc-p50", "svc-p99")
-	for _, k := range keys {
-		h := r.hists[k]
-		fmt.Fprintf(&b, "  %-10s %-6v %8d %12s %12s %12s %12s\n",
-			r.HopName(int(k.hop)), k.ds, h.queue.Count(),
-			fmtTicks(h.queue.Percentile(0.50)), fmtTicks(h.queue.Percentile(0.99)),
-			fmtTicks(h.service.Percentile(0.50)), fmtTicks(h.service.Percentile(0.99)))
+	for hop, row := range r.hists {
+		for ds, h := range row {
+			if h == nil {
+				continue
+			}
+			fmt.Fprintf(&b, "  %-10s %-6v %8d %12s %12s %12s %12s\n",
+				r.HopName(hop), core.DSID(ds), h.queue.Count(),
+				fmtTicks(h.queue.Percentile(0.50)), fmtTicks(h.queue.Percentile(0.99)),
+				fmtTicks(h.service.Percentile(0.50)), fmtTicks(h.service.Percentile(0.99)))
+		}
 	}
 	return b.String()
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -48,6 +49,34 @@ func TestRecorderDisabledZeroAlloc(t *testing.T) {
 	}
 }
 
+// The sampled path is allocation-free once warm: one packet's whole
+// life (issue, one hop, completion) plus a percentile read.
+func TestRecorderSampledZeroAlloc(t *testing.T) {
+	e := sim.NewEngine()
+	ids := &core.IDSource{}
+	r := NewRecorder(e, 1)
+	src := r.RegisterHop("cpu0")
+	hop := r.RegisterHop("mem")
+	p := core.NewPacket(ids, core.KindMemRead, 1, 0x40, 64, 0)
+	life := func() {
+		r.Begin(src, p)
+		r.Enter(hop, p)
+		e.Run(e.Now() + 300)
+		r.Service(hop, p)
+		e.Run(e.Now() + 1000)
+		r.Leave(hop, p)
+		r.Finish(hop, p)
+		_ = r.Percentile(hop, 1, true, 0.99)
+	}
+	life() // warm-up: the archive, the (hop, DS-id) pair, the trace pool
+	if avg := testing.AllocsPerRun(1000, life); avg != 0 {
+		t.Fatalf("sampled packet: %v allocs/op", avg)
+	}
+	if r.ActiveCount() != 0 || r.SpanCount(hop, 1) != 1002 { // warm-up, AllocsPerRun's own warm-up, 1000 runs
+		t.Fatalf("active %d, spans %d", r.ActiveCount(), r.SpanCount(hop, 1))
+	}
+}
+
 func TestRecorderSamplingMask(t *testing.T) {
 	e := sim.NewEngine()
 	ids := &core.IDSource{}
@@ -68,6 +97,13 @@ func TestRecorderSamplingMask(t *testing.T) {
 	}
 	if r.ActiveCount() != 0 {
 		t.Fatalf("active = %d after all completions", r.ActiveCount())
+	}
+	// The divisor rounds up to a power of two and saturates at 2^63:
+	// pardd's -trace-sample flag accepts any uint64.
+	for in, want := range map[uint64]uint64{0: 1, 1: 1, 2: 2, 64: 64, 65: 128, 1 << 63: 1 << 63, 1<<63 + 1: 1 << 63, math.MaxUint64: 1 << 63} {
+		if got := NewRecorder(e, in).SampleEvery(); got != want {
+			t.Fatalf("NewRecorder(%d).SampleEvery() = %d, want %d", in, got, want)
+		}
 	}
 }
 
