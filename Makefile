@@ -1,5 +1,5 @@
 # Tier-1 gate: everything CI (and the next PR) runs.
-.PHONY: check build fmt vet lint test race bench benchgate fuzz digests figures examples loc ab
+.PHONY: check build fmt vet lint test race bench benchgate fuzz digests traced figures examples loc ab
 
 check: build fmt vet lint test
 
@@ -49,6 +49,26 @@ digests:
 	    fi; \
 	    echo "digests: $$w seed $$s $$got ok"; \
 	  done; \
+	done
+
+# Traced trajectory smoke: the same 60 steps with --trace 1, on every
+# workload at seed 1. Traced, pardperf builds a second instance in the
+# same process and exits 1 when that run's digest or exact counts
+# differ from the untraced run's, or when a check fails (llc_guard
+# never fired, a backlog grew, no request completed), so state shared
+# between instances shows up here first. Fails on a non-zero exit or
+# on a step-60 digest other than BASELINE.json's. Reads the benchmark
+# directory only; about 30 s on 2 vCPUs.
+traced:
+	@set -e; for w in colocate observe cluster_fabric rack8; do \
+	  want=$$(python3 -c 'import json, sys; print(json.load(open("cmd/pardperf/BASELINE.json"))["digests_at_step_60"][sys.argv[1]]["1"])' $$w); \
+	  out=$$(bash cmd/pardperf/run.sh --workload $$w --seed 1 --seconds 0 --trace 1) || { \
+	    echo "traced: $$w seed 1 exited non-zero"; exit 1; }; \
+	  got=$$(printf '%s\n' "$$out" | sed -n 's/^digest \([0-9a-f]*\) at step 60$$/\1/p'); \
+	  if [ "$$got" != "$$want" ]; then \
+	    echo "traced: $$w seed 1 printed '$$got', BASELINE.json records $$want"; exit 1; \
+	  fi; \
+	  echo "traced: $$w seed 1 $$got ok"; \
 	done
 
 # Figure gate: run the quick sweep and fail on any byte difference from

@@ -80,8 +80,7 @@ func MeasureDRAMPick() Micro {
 	return fromResult(testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		e := sim.NewEngine()
-		ids := &core.IDSource{}
-		ids.EnablePool()
+		ids := core.NewIDSource()
 		cfg := dram.DefaultConfig()
 		cfg.ControlPlane = true
 		ctrl := dram.New(e, ids, cfg)

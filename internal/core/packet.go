@@ -141,7 +141,7 @@ func (p *Packet) ScheduleCall(clk *sim.Clock, n uint64, fn func(*Packet)) {
 		panic("core: packet already has a scheduled call pending: " + p.String())
 	}
 	p.callFn = fn
-	clk.ScheduleCyclesEventer(n, p)
+	clk.ScheduleCycles(n, p)
 }
 
 // ScheduleCallAt is ScheduleCall at an absolute engine time, for delays

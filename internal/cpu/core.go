@@ -43,10 +43,9 @@ type Core struct {
 	running bool
 	stopped bool
 
-	// Prebound callbacks: evaluating a method value (c.step) or closing
-	// over c per packet allocates; binding once here keeps the
-	// issue/complete loop allocation-free.
-	stepFn    func()
+	// Prebound callbacks: closing over c per packet allocates; binding
+	// once here keeps the issue/complete loop allocation-free. The core
+	// schedules its own step as a sim.Eventer (RunEvent).
 	memDoneFn func(*core.Packet)
 	ioDoneFn  func(*core.Packet)
 
@@ -83,20 +82,19 @@ func New(id int, clock *sim.Clock, ids *core.IDSource, mem, io core.Target) *Cor
 		mem:    mem,
 		io:     io,
 	}
-	c.stepFn = c.step
 	//pardlint:hotpath prebound memory-completion callback
 	c.memDoneFn = func(*core.Packet) {
 		c.outstanding--
 		if c.waiting {
 			c.waiting = false
 			c.StallTicks += c.engine.Now() - c.waitStart
-			c.clock.ScheduleCycles(1, c.stepFn)
+			c.clock.ScheduleCycles(1, c)
 		}
 	}
 	//pardlint:hotpath prebound I/O-completion callback
 	c.ioDoneFn = func(done *core.Packet) {
 		c.StallTicks += done.Latency()
-		c.clock.ScheduleCycles(1, c.stepFn)
+		c.clock.ScheduleCycles(1, c)
 	}
 	return c
 }
@@ -119,7 +117,7 @@ func (c *Core) Run(gen workload.Generator) {
 	c.running = true
 	c.stopped = false
 	c.startAt = c.engine.Now()
-	c.clock.ScheduleCycles(0, c.stepFn)
+	c.clock.ScheduleCycles(0, c)
 }
 
 // Stop halts the core after the current operation.
@@ -150,8 +148,11 @@ func (c *Core) Interrupt(vector uint8) {
 	c.pendingIntr += h
 }
 
-//pardlint:hotpath prebound per-cycle core step (stepFn)
-func (c *Core) step() {
+// RunEvent implements sim.Eventer: it runs one scheduling point of the
+// core's operation stream.
+//
+//pardlint:hotpath per-cycle core step
+func (c *Core) RunEvent() {
 	if !c.running {
 		return
 	}
@@ -163,7 +164,7 @@ func (c *Core) step() {
 		n := c.pendingIntr
 		c.pendingIntr = 0
 		c.BusyTicks += c.clock.Cycles(n)
-		c.clock.ScheduleCycles(n, c.stepFn)
+		c.clock.ScheduleCycles(n, c)
 		return
 	}
 	op := c.gen.Next(c.engine.Now())
@@ -175,7 +176,7 @@ func (c *Core) step() {
 		}
 		c.ComputeOps++
 		c.BusyTicks += c.clock.Cycles(n)
-		c.clock.ScheduleCycles(n, c.stepFn)
+		c.clock.ScheduleCycles(n, c)
 
 	case workload.OpIdle:
 		n := op.Cycles
@@ -183,7 +184,7 @@ func (c *Core) step() {
 			n = 1
 		}
 		c.IdleTicks += c.clock.Cycles(n)
-		c.clock.ScheduleCycles(n, c.stepFn)
+		c.clock.ScheduleCycles(n, c)
 
 	case workload.OpLoad, workload.OpStore:
 		kind := core.KindMemRead
@@ -204,7 +205,7 @@ func (c *Core) step() {
 		c.mem.Request(p)
 		if c.outstanding < window {
 			// Window slack: overlap the access with further work.
-			c.clock.ScheduleCycles(1, c.stepFn)
+			c.clock.ScheduleCycles(1, c)
 		} else {
 			c.waiting = true
 			c.waitStart = c.engine.Now()

@@ -256,3 +256,44 @@ func TestWindowStallAccountingBounded(t *testing.T) {
 		t.Fatalf("loads = %d", c.Loads)
 	}
 }
+
+// callTarget completes each request a fixed number of cycles later
+// through the packet's own call slot, as the caches do.
+type callTarget struct {
+	clk    *sim.Clock
+	cycles uint64
+	done   func(*core.Packet)
+}
+
+func newCallTarget(clk *sim.Clock, cycles uint64) *callTarget {
+	m := &callTarget{clk: clk, cycles: cycles}
+	m.done = func(p *core.Packet) { p.Complete(clk.Engine().Now()) }
+	return m
+}
+
+func (m *callTarget) Request(p *core.Packet) { p.ScheduleCall(m.clk, m.cycles, m.done) }
+
+// A core schedules itself: its steps and its packets' completions run
+// through the engine as Eventers, so a STREAM core against pooled
+// packets allocates nothing once warm.
+func TestCoreStepZeroAlloc(t *testing.T) {
+	e := sim.NewEngine()
+	clk := sim.NewClock(e, 500)
+	c := New(0, clk, core.NewIDSource(), newCallTarget(clk, 20), nil)
+	c.Window = 2
+	c.Run(&workload.Stream{Footprint: 1 << 16, Compute: 3})
+	for i := 0; i < 1000; i++ {
+		e.Step()
+	}
+	// AllocsPerRun truncates its average, so count per 100 events.
+	if a := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 100; i++ {
+			e.Step()
+		}
+	}); a != 0 {
+		t.Fatalf("core loop allocated %.0f times per 100 events, want 0", a)
+	}
+	if c.Loads == 0 || c.Stores == 0 || c.ComputeOps == 0 {
+		t.Fatalf("op mix: loads=%d stores=%d compute=%d", c.Loads, c.Stores, c.ComputeOps)
+	}
+}

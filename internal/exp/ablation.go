@@ -110,8 +110,7 @@ func AblationReplacement() *AblationReplacementResult {
 	res := &AblationReplacementResult{HitRate: make(map[string]float64)}
 	for _, pol := range []cache.Policy{cache.PolicyPLRU, cache.PolicyLRU, cache.PolicyRandom} {
 		e := sim.NewEngine()
-		ids := &core.IDSource{}
-		ids.EnablePool()
+		ids := core.NewIDSource()
 		cfg := cache.Config{
 			Name: "llc", SizeBytes: 256 << 10, Ways: 16, BlockSize: 64,
 			HitLatency: 20, Policy: pol, Seed: 7,
@@ -169,8 +168,7 @@ type AblationPartitionResult struct {
 func AblationPartition() *AblationPartitionResult {
 	run := func(partition bool) uint64 {
 		e := sim.NewEngine()
-		ids := &core.IDSource{}
-		ids.EnablePool()
+		ids := core.NewIDSource()
 		cfg := cache.Config{
 			Name: "llc", SizeBytes: 1 << 20, Ways: 16, BlockSize: 64,
 			HitLatency: 20, ControlPlane: true,

@@ -31,8 +31,7 @@ func Compression(requests int) *CompressionResult {
 
 	run := func(compress bool) (total, lat sim.Tick) {
 		e := sim.NewEngine()
-		ids := &core.IDSource{}
-		ids.EnablePool()
+		ids := core.NewIDSource()
 		cfg := dram.DefaultConfig()
 		cfg.CompressionEngine = true
 		ctrl := dram.New(e, ids, cfg)

@@ -70,8 +70,7 @@ func runInjectionBoth(cfg Fig11Config) []*metric.Histogram {
 
 func runInjectionInto(cfg Fig11Config, controlPlane bool) []*metric.Histogram {
 	e := sim.NewEngine()
-	ids := &core.IDSource{}
-	ids.EnablePool()
+	ids := core.NewIDSource()
 	dcfg := dram.DefaultConfig()
 	dcfg.ControlPlane = controlPlane
 	dcfg.RowBuffers = cfg.RowBuffers

@@ -26,8 +26,7 @@ func LLCLatency(samples int) *LLCLatencyResult {
 	}
 	measure := func(cp bool) sim.Tick {
 		e := sim.NewEngine()
-		ids := &core.IDSource{}
-		ids.EnablePool()
+		ids := core.NewIDSource()
 		cfg := cache.Config{
 			Name: "llc", SizeBytes: 256 * 1024, Ways: 16, BlockSize: 64,
 			HitLatency: 20, ControlPlane: cp,

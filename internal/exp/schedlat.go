@@ -71,8 +71,7 @@ func SchedLat(cfg SchedLatConfig) *SchedLatResult {
 // controller honors it.
 func runSchedArm(cfg SchedLatConfig, policySrc string) (hi, lo *metric.Histogram) {
 	e := sim.NewEngine()
-	ids := &core.IDSource{}
-	ids.EnablePool()
+	ids := core.NewIDSource()
 	dcfg := dram.DefaultConfig()
 	dcfg.ControlPlane = true
 	ctrl := dram.New(e, ids, dcfg)

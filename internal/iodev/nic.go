@@ -200,7 +200,7 @@ func (n *NIC) UnbindVNIC(mac uint64) {
 // total transit time (serialization plus wire latency) from that
 // moment, and the implementation must arrange for the far NIC's
 // ReceiveFlow to run — on the far NIC's engine — delay ticks later.
-// localWire does this with a same-engine Schedule; pard.Cluster
+// LocalWire does this with a same-engine Schedule; pard.Cluster
 // provides a cross-shard wire that routes through the shard-runtime
 // mailboxes instead.
 type Wire interface {
@@ -214,15 +214,14 @@ type nicLink struct {
 	latency sim.Tick
 }
 
-// localWire is the same-engine link: both NICs share one event engine,
-// so delivery is a plain future schedule.
-type localWire struct {
-	engine *sim.Engine
-	peer   *NIC
-}
+// LocalWire is a same-engine link into a NIC: Deliver schedules the
+// NIC's ReceiveFlow on its engine after the wire delay. Both ends of a
+// ConnectPeerLatency link use it, and so do a leaf switch's host ports.
+type LocalWire struct{ NIC *NIC }
 
-func (w *localWire) Deliver(delay sim.Tick, flowID, dstMAC uint64, bytes uint32) {
-	w.engine.Schedule(delay, func() { w.peer.ReceiveFlow(flowID, dstMAC, bytes) })
+// Deliver implements Wire.
+func (w LocalWire) Deliver(delay sim.Tick, flowID, dstMAC uint64, bytes uint32) {
+	w.NIC.engine.Schedule(delay, func() { w.NIC.ReceiveFlow(flowID, dstMAC, bytes) })
 }
 
 // ConnectPeerLatency joins two NICs with a point-to-point link (both
@@ -241,8 +240,8 @@ func (n *NIC) ConnectPeerLatency(other *NIC, latency sim.Tick) error {
 	if n.linked[other] {
 		return fmt.Errorf("iodev: NICs %q and %q are already linked", n.cfg.Name, other.cfg.Name)
 	}
-	n.addLink(&localWire{engine: n.engine, peer: other}, latency)
-	other.addLink(&localWire{engine: other.engine, peer: n}, latency)
+	n.addLink(LocalWire{NIC: other}, latency)
+	other.addLink(LocalWire{NIC: n}, latency)
 	if n.linked == nil {
 		n.linked = make(map[*NIC]bool)
 	}

@@ -16,6 +16,9 @@ import (
 // bindings. The system assembly (package pard) implements it.
 type Platform interface {
 	SetCoreTag(coreID int, ds core.DSID)
+	// StopCore halts a core after its current operation (LDom
+	// teardown), so it issues nothing more under the LDom's DS-id.
+	StopCore(coreID int)
 	RouteInterrupt(ds core.DSID, vector uint8, coreID int)
 	BindVNIC(mac uint64, ds core.DSID, buf uint64) error
 	UnbindVNIC(mac uint64)
@@ -299,16 +302,6 @@ func (fw *Firmware) CPA(idx int) (*core.CPA, error) {
 	return fw.mounts[idx].cpa, nil
 }
 
-// CPAByType returns the first mounted adaptor of the given plane type.
-func (fw *Firmware) CPAByType(typ byte) (*core.CPA, error) {
-	for _, m := range fw.mounts {
-		if m.cpa.Plane.Type() == typ {
-			return m.cpa, nil
-		}
-	}
-	return nil, fmt.Errorf("prm: no control plane of type %c mounted", typ)
-}
-
 // handle runs when a trigger interrupt reaches the firmware.
 func (fw *Firmware) handle(cpaIdx int, n core.Notification) {
 	b := fw.bindings[slotKey{cpa: cpaIdx, slot: n.Slot}]
@@ -538,7 +531,7 @@ func (fw *Firmware) CreateLDom(spec LDomSpec) (*LDom, error) {
 	}
 
 	// Program the memory control plane's address map and QoS knobs.
-	if memCPA, err := fw.CPAByType(core.PlaneTypeMemory); err == nil {
+	if _, memCPA, err := fw.mountByType(core.PlaneTypeMemory); err == nil {
 		if err := fw.writeParam(memCPA, ds, "addr_base", spec.MemBase); err != nil {
 			return nil, err
 		}
@@ -576,11 +569,19 @@ func (fw *Firmware) CreateLDom(spec LDomSpec) (*LDom, error) {
 	return ld, nil
 }
 
-// DestroyLDom tears an LDom down.
+// DestroyLDom tears an LDom down. It first stops the LDom's cores and
+// resets their tag registers to DSIDDefault, so no new request carries
+// ds; only then does it delete the plane rows and flush the caches.
 func (fw *Firmware) DestroyLDom(ds core.DSID) error {
 	ld, ok := fw.ldoms[ds]
 	if !ok {
 		return fmt.Errorf("prm: no ldom with ds %d", ds)
+	}
+	if fw.platform != nil {
+		for _, c := range ld.Spec.Cores {
+			fw.platform.StopCore(c)
+			fw.platform.SetCoreTag(c, core.DSIDDefault)
+		}
 	}
 	for idx, m := range fw.mounts {
 		m.cpa.DeleteRow(ds)

@@ -14,6 +14,7 @@ type fakePlatform struct {
 	routes  map[core.DSID]map[uint8]int
 	vnics   map[uint64]core.DSID
 	flushed []core.DSID
+	stopped []int
 }
 
 func newFakePlatform() *fakePlatform {
@@ -25,6 +26,7 @@ func newFakePlatform() *fakePlatform {
 }
 
 func (p *fakePlatform) SetCoreTag(c int, ds core.DSID) { p.tags[c] = ds }
+func (p *fakePlatform) StopCore(c int)                 { p.stopped = append(p.stopped, c) }
 func (p *fakePlatform) RouteInterrupt(ds core.DSID, v uint8, c int) {
 	if p.routes[ds] == nil {
 		p.routes[ds] = map[uint8]int{}
@@ -326,10 +328,13 @@ func TestActionMemRaisePriority(t *testing.T) {
 
 func TestDestroyLDomCleansUp(t *testing.T) {
 	_, fw, plat, cp, _ := newFirmware(t)
-	fw.CreateLDom(LDomSpec{Name: "x", MAC: 0xCC})
+	fw.CreateLDom(LDomSpec{Name: "x", Cores: []int{3}, MAC: 0xCC})
 	fw.Sh("pardtrigger cpa0 -ldom=0 -stats=miss_rate -cond=gt,1 -action=log_only")
 	if err := fw.DestroyLDom(0); err != nil {
 		t.Fatal(err)
+	}
+	if len(plat.stopped) != 1 || plat.stopped[0] != 3 {
+		t.Fatalf("cores stopped on teardown = %v, want [3]", plat.stopped)
 	}
 	if cp.Params().HasRow(0) {
 		t.Fatal("plane row survived destroy")

@@ -33,15 +33,10 @@ func (c *Clock) Now() uint64 { return uint64(c.engine.Now() / c.period) }
 // cycle boundary of this clock.
 func (c *Clock) NextEdge() Tick { return alignUp(c.engine.Now(), c.period) }
 
-// ScheduleCycles queues fn to run n cycles from now, aligned to the next
-// cycle edge so that same-domain events stay phase-coherent.
-func (c *Clock) ScheduleCycles(n uint64, fn func()) {
-	c.engine.At(c.NextEdge()+c.Cycles(n), fn)
-}
-
-// ScheduleCyclesEventer is ScheduleCycles for a reusable Eventer; it
-// keeps cycle-domain scheduling allocation-free on hot paths.
-func (c *Clock) ScheduleCyclesEventer(n uint64, ev Eventer) {
+// ScheduleCycles queues ev.RunEvent to run n cycles from now, aligned
+// to the next cycle edge so that same-domain events stay
+// phase-coherent.
+func (c *Clock) ScheduleCycles(n uint64, ev Eventer) {
 	c.engine.AtEventer(c.NextEdge()+c.Cycles(n), ev)
 }
 

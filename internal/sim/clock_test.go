@@ -40,7 +40,7 @@ func TestScheduleCyclesAligned(t *testing.T) {
 	c := NewClock(e, 1000)
 	var ranAt Tick
 	e.Schedule(123, func() {
-		c.ScheduleCycles(2, func() { ranAt = e.Now() })
+		c.ScheduleCycles(2, funcEvent(func() { ranAt = e.Now() }))
 	})
 	e.Drain(0)
 	if ranAt != 3000 {

@@ -38,19 +38,25 @@ func (t Tick) String() string {
 	}
 }
 
-// Eventer is a reusable scheduled callback. Scheduling an Eventer instead
-// of a closure keeps the hot path allocation-free: the interface holds a
+// Eventer is a scheduled callback, and the engine's only event kind:
+// At and Schedule wrap their closure in one. A reusable Eventer, a
 // pointer to a caller-owned struct (typically embedded in a pooled
-// object), so nothing escapes per event. See core.Packet.ScheduleCall.
+// object), keeps a hot path from building a closure per event. See
+// core.Packet.ScheduleCall.
 type Eventer interface {
 	RunEvent()
 }
 
-// event is one queue entry: either fn or ev is set, never both.
+// funcEvent adapts a closure to Eventer. A func value is one pointer,
+// so the interface holds it without allocating.
+type funcEvent func()
+
+func (f funcEvent) RunEvent() { f() }
+
+// event is one queue entry.
 type event struct {
 	when Tick
 	seq  uint64
-	fn   func()
 	ev   Eventer
 }
 
@@ -110,7 +116,7 @@ func (e *Engine) At(when Tick, fn func()) {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	e.push(event{when: when, fn: fn})
+	e.push(when, funcEvent(fn))
 }
 
 // ScheduleEventer queues ev.RunEvent delay ticks from now without
@@ -125,44 +131,23 @@ func (e *Engine) AtEventer(when Tick, ev Eventer) {
 	if ev == nil {
 		panic("sim: nil eventer")
 	}
-	e.push(event{when: when, ev: ev})
+	e.push(when, ev)
 }
 
 // push clamps, assigns the entry's scheduling sequence and hands it to
 // the queue.
-func (e *Engine) push(ev event) {
-	if ev.when < e.now {
-		ev.when = e.now
+func (e *Engine) push(when Tick, ev Eventer) {
+	if when < e.now {
+		when = e.now
 	}
 	e.seq++
-	ev.seq = e.seq
-	e.q.push(ev)
+	e.q.push(event{when: when, seq: e.seq, ev: ev})
 }
 
 // Step executes the single earliest event, advancing time to it.
 // It reports whether an event was available. With tickers armed, the
 // event may be a ticker poll; skipped polls do not count.
-//
-//pardlint:hotpath engine dispatch: every simulated event funnels through here
-func (e *Engine) Step() bool {
-	if len(e.tick) != 0 {
-		return e.stepTicked(infTick, lastSeq)
-	}
-	if e.q.size() == 0 {
-		return false
-	}
-	// Dispatch inline rather than through runHead: without tickers this
-	// is the engine's whole per-event cost, and a call shows in it.
-	ev := e.q.pop()
-	e.now = ev.when
-	e.run++
-	if ev.fn != nil {
-		ev.fn()
-	} else {
-		ev.ev.RunEvent()
-	}
-	return true
-}
+func (e *Engine) Step() bool { return e.next(infTick, lastSeq) }
 
 // Run executes every event with timestamp <= until, then advances the
 // clock to until. Events scheduled during the run are honored if they
@@ -182,22 +167,54 @@ func (e *Engine) RunBefore(until Tick) { e.runTo(until, 0) }
 // records the skipped ticker polls before it, and advances the clock
 // to until.
 func (e *Engine) runTo(until Tick, ls uint64) {
-	for {
-		if len(e.tick) != 0 {
-			if !e.stepTicked(until, ls) {
-				break
-			}
-			continue
-		}
-		when, ok := e.q.peek()
-		if !ok || when > until || (when == until && ls == 0) {
-			break
-		}
-		e.Step()
+	for e.next(until, ls) {
 	}
 	if e.now < until {
 		e.now = until
 	}
+}
+
+// next is the engine's one step, bounded by the limit position
+// (lw, ls). It runs the first of the queue head and the earliest poll
+// that is not skipped when that comes before the limit, after
+// recording every skipped poll ahead of it, and reports true.
+// Otherwise it records the skipped polls ahead of the limit and
+// reports false. With no ticker armed it runs the queue head if that
+// comes before the limit.
+//
+//pardlint:hotpath engine dispatch: every simulated event funnels through here
+func (e *Engine) next(lw Tick, ls uint64) bool {
+	if lw == infTick && e.q.size() == 0 && e.dormant() {
+		return false
+	}
+	for {
+		h := e.q.head()
+		cw, cs, head := lw, ls, false
+		if h != nil && (h.when < cw || (h.when == cw && h.seq < cs)) {
+			cw, cs, head = h.when, h.seq, true
+		}
+		if len(e.tick) == 0 || e.tick[0].when > cw || (e.tick[0].when == cw && e.tick[0].seq > cs) {
+			if !head {
+				return false
+			}
+			e.runHead()
+			return true
+		}
+		if t := e.tick[0]; t.when >= t.sleep {
+			e.fireTicker()
+			return true
+		}
+		e.skipTickers(cw, cs)
+	}
+}
+
+// runHead pops and runs the queue's earliest event: the engine's one
+// dispatch.
+func (e *Engine) runHead() {
+	ev := e.q.pop()
+	e.now = ev.when
+	e.run++
+	ev.ev.RunEvent()
 }
 
 // NextEventTime returns the timestamp of the earliest queued event or
@@ -207,7 +224,9 @@ func (e *Engine) runTo(until Tick, ls uint64) {
 // with chains, and never runs past a poll that will run. ok is false
 // when nothing is pending.
 func (e *Engine) NextEventTime() (when Tick, ok bool) {
-	when, ok = e.q.peek()
+	if h := e.q.head(); h != nil {
+		when, ok = h.when, true
+	}
 	if len(e.tick) != 0 && (!ok || e.tick[0].when < when) {
 		return e.tick[0].when, true
 	}
@@ -251,13 +270,6 @@ type binHeap struct {
 
 func (q *binHeap) size() int { return len(q.h) }
 
-func (q *binHeap) peek() (Tick, bool) {
-	if len(q.h) == 0 {
-		return 0, false
-	}
-	return q.h[0].when, true
-}
-
 func (q *binHeap) head() *event {
 	if len(q.h) == 0 {
 		return nil
@@ -287,7 +299,7 @@ func (q *binHeap) pop() event {
 	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = event{} // release fn/ev for GC
+	h[n] = event{} // release ev for GC
 	h = h[:n]
 	q.h = h
 	// Sift down.

@@ -123,40 +123,9 @@ func (e *Engine) insertTicker(t *Ticker) {
 	e.tick[i] = t
 }
 
-// stepTicked is Step with armed tickers, bounded by the limit position
-// (lw, ls). It runs the first of the queue head and the earliest poll
-// that is not skipped when that comes before the limit, after
-// recording every skipped poll ahead of it, and reports true.
-// Otherwise it records the skipped polls ahead of the limit and
-// reports false.
-func (e *Engine) stepTicked(lw Tick, ls uint64) bool {
-	if lw == infTick && e.q.size() == 0 && e.dormant() {
-		return false
-	}
-	for {
-		t := e.tick[0]
-		h := e.q.head()
-		cw, cs, head := lw, ls, false
-		if h != nil && (h.when < cw || (h.when == cw && h.seq < cs)) {
-			cw, cs, head = h.when, h.seq, true
-		}
-		if t.when > cw || (t.when == cw && t.seq > cs) {
-			if !head {
-				return false
-			}
-			e.runHead()
-			return true
-		}
-		if t.when >= t.sleep {
-			e.fireTicker()
-			return true
-		}
-		e.skipTickers(cw, cs)
-	}
-}
-
 // dormant reports whether every armed ticker sleeps with no bound, so
-// that with an empty queue nothing will ever run.
+// that with an empty queue nothing will ever run. It holds with no
+// ticker armed.
 func (e *Engine) dormant() bool {
 	for _, t := range e.tick {
 		if t.sleep != infTick {
@@ -164,18 +133,6 @@ func (e *Engine) dormant() bool {
 		}
 	}
 	return true
-}
-
-// runHead pops and runs the queue's earliest event.
-func (e *Engine) runHead() {
-	ev := e.q.pop()
-	e.now = ev.when
-	e.run++
-	if ev.fn != nil {
-		ev.fn()
-	} else {
-		ev.ev.RunEvent()
-	}
 }
 
 // fireTicker runs the poll of the earliest ticker and re-queues it one

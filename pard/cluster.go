@@ -74,18 +74,6 @@ type Cluster struct {
 	spinePort [][]int // [spine][rack] spine port toward that leaf
 }
 
-// hostWire delivers a switch egress frame into a server NIC on the
-// same engine — the leaf-side end of a server↔leaf uplink.
-type hostWire struct {
-	eng  *sim.Engine
-	peer *iodev.NIC
-}
-
-func (w hostWire) Deliver(delay sim.Tick, flowID, dstMAC uint64, bytes uint32) {
-	peer := w.peer
-	w.eng.Schedule(delay, func() { peer.ReceiveFlow(flowID, dstMAC, bytes) })
-}
-
 // crossWire is a link into another shard: Deliver runs on the sending
 // shard's engine (single-producer) and books the frame into the shard
 // runtime's mailbox toward the destination shard, where it is injected
@@ -232,7 +220,7 @@ func (c *Cluster) buildFabric(bytesPerSec uint64) error {
 		c.Leaves = append(c.Leaves, leaf)
 		for s := 0; s < topo.ServersPerRack; s++ {
 			srv := c.Servers[r*topo.ServersPerRack+s]
-			p := leaf.AddPort(fabric.PortHost, hostWire{eng: eng, peer: srv.NIC}, topo.RackLatency)
+			p := leaf.AddPort(fabric.PortHost, iodev.LocalWire{NIC: srv.NIC}, topo.RackLatency)
 			c.hostPort[r] = append(c.hostPort[r], p)
 			srv.NIC.ConnectWire(fabric.IngressWire{Switch: leaf, Port: p}, topo.RackLatency)
 		}

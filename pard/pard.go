@@ -135,8 +135,7 @@ type System struct {
 // PRM firmware with all five control planes mounted
 // (cpa0=LLC, cpa1=memory, cpa2=I/O bridge, cpa3=IDE, cpa4=NIC).
 func NewSystem(cfg Config) *System {
-	ids := &core.IDSource{}
-	ids.EnablePool()
+	ids := core.NewIDSource()
 	return newSystemOn(cfg, sim.NewEngine(), ids)
 }
 
@@ -288,6 +287,11 @@ type platform struct{ s *System }
 func (p platform) SetCoreTag(coreID int, ds core.DSID) {
 	if coreID >= 0 && coreID < len(p.s.Cores) {
 		p.s.Cores[coreID].Tag.Set(ds)
+	}
+}
+func (p platform) StopCore(coreID int) {
+	if coreID >= 0 && coreID < len(p.s.Cores) {
+		p.s.Cores[coreID].Stop()
 	}
 }
 func (p platform) RouteInterrupt(ds core.DSID, vector uint8, coreID int) {

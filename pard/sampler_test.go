@@ -147,6 +147,30 @@ func TestTeardownLeavesNoLLCRow(t *testing.T) {
 	}
 }
 
+// LDom teardown stops the LDom's cores and resets their tag registers
+// before it deletes rows and flushes, so the dead DS-id issues nothing
+// more.
+func TestTeardownStopsCores(t *testing.T) {
+	s := NewSystem(goldenConfig())
+	goldenServer(t, s, 42)
+	s.Run(Millisecond)
+	c := s.Cores[2]
+	if ds := c.Tag.Get(); ds != 2 {
+		t.Fatalf("core 2 runs under %v before the teardown, want ds2", ds)
+	}
+	if err := s.Firmware.DestroyLDom(2); err != nil {
+		t.Fatal(err)
+	}
+	ops := c.Loads + c.Stores
+	s.Run(Millisecond)
+	if n := c.Loads + c.Stores - ops; n != 0 {
+		t.Errorf("core 2 issued %d loads and stores in the 1 ms after DestroyLDom(2), want 0", n)
+	}
+	if ds := c.Tag.Get(); ds != core.DSIDDefault {
+		t.Errorf("core 2's tag register reads %v after the teardown, want %v", ds, core.DSIDDefault)
+	}
+}
+
 // Console `create` bounds each LDom to its 2 GiB memory window, so an
 // LDom cannot address its neighbour's window.
 func TestConsoleCreateBoundsMemory(t *testing.T) {
