@@ -72,7 +72,7 @@ func (k Kind) IsWrite() bool {
 // Done/Latency inside OnDone (or immediately, before any further
 // NewPacket can run), and never stash a completed packet in a queue, map
 // or result. Components that need packet data after completion copy the
-// fields out (see trace.Record).
+// fields out (see trace.PacketTrace).
 type Packet struct {
 	ID    uint64
 	Kind  Kind

@@ -11,21 +11,106 @@ import (
 	"repro/internal/sim"
 )
 
+// Injection is the Figure 11 arrival process of two tenants at one
+// memory controller: a latency-critical tenant issues sparse Poisson
+// single reads over four hot rows, and a batch tenant issues Poisson
+// cache-miss bursts, each a run of sequential lines in one random row.
+// Figure 11 and the programmable-scheduling figure both drive it.
+type Injection struct {
+	InjectRate float64 // fraction of peak bandwidth
+	Requests   int
+	HighShare  float64 // fraction of requests from the latency-critical tenant
+	// LowBurst is the batch arrival burst length: streaming and batch
+	// traffic reaches the controller in cache-miss bursts, while the
+	// latency-critical requester issues sparse single requests.
+	LowBurst int
+	Seed     int64
+}
+
+// drive runs the injection against ctrl, the latency-critical tenant
+// as hiDS and the batch tenant as loDS, until every request completes.
+// It returns each tenant's round-trip delay distribution in memory
+// cycles.
+func (inj Injection) drive(e *sim.Engine, ids *core.IDSource, ctrl *dram.Controller, hiDS, loDS core.DSID) (hi, lo *metric.Histogram) {
+	dcfg := ctrl.Config()
+	hi, lo = metric.NewHistogram(), metric.NewHistogram()
+	r := rand.New(rand.NewSource(inj.Seed))
+	lowBurst := inj.LowBurst
+	if lowBurst <= 0 {
+		lowBurst = 1
+	}
+	// Peak service rate is one data burst per Burst cycles; each tenant
+	// gets its share of the inject rate.
+	hiGapCycles := float64(dcfg.Burst) / (inj.InjectRate * inj.HighShare)
+	loGapCycles := float64(dcfg.Burst) * float64(lowBurst) / (inj.InjectRate * (1 - inj.HighShare))
+	hiTotal := int(float64(inj.Requests) * inj.HighShare)
+	loTotal := inj.Requests - hiTotal
+
+	var injectedHi, injectedLo, completed int
+	expGap := func(mean float64) sim.Tick {
+		gap := sim.Tick(r.ExpFloat64() * mean * float64(dcfg.TCK))
+		if gap == 0 {
+			gap = 1
+		}
+		return gap
+	}
+	sendAt := func(ds core.DSID, addr uint64, h *metric.Histogram) {
+		start := e.Now()
+		p := core.NewPacket(ids, core.KindMemRead, ds, addr, 64, start)
+		p.OnDone = func(pk *core.Packet) {
+			completed++
+			h.Observe(uint64((pk.Done - start) / dcfg.TCK))
+		}
+		ctrl.Request(p)
+	}
+	// Latency-critical tenant: sparse Poisson singles over a small hot
+	// row set — its working set. A per-DS-id row buffer (ParamRowBuf)
+	// keeps these rows open under interference, the VCM-style mechanism
+	// of §4.2.
+	hotRows := make([]uint64, 4)
+	for i := range hotRows {
+		hotRows[i] = uint64(r.Intn(1<<24)) &^ uint64(dcfg.RowBytes-1)
+	}
+	var injectHi func()
+	injectHi = func() {
+		if injectedHi >= hiTotal {
+			return
+		}
+		injectedHi++
+		row := hotRows[r.Intn(len(hotRows))]
+		sendAt(hiDS, row+uint64(r.Intn(dcfg.RowBytes/64))*64, hi)
+		e.Schedule(expGap(hiGapCycles), injectHi)
+	}
+	// Batch tenant: cache-miss bursts with run locality — each burst is
+	// a run of sequential lines in one random row (streaming LDoms
+	// walking large arrays), the row-hit streaks FR-FCFS keeps serving
+	// while the sparse tenant's row misses wait.
+	var injectLo func()
+	injectLo = func() {
+		if injectedLo >= loTotal {
+			return
+		}
+		base := uint64(r.Intn(1<<24)) &^ uint64(dcfg.RowBytes-1)
+		for i := 0; i < lowBurst && injectedLo < loTotal; i++ {
+			injectedLo++
+			sendAt(loDS, base+uint64(i)*64, lo)
+		}
+		e.Schedule(expGap(loGapCycles), injectLo)
+	}
+	injectHi()
+	injectLo()
+	e.StepUntil(func() bool { return completed >= inj.Requests })
+	return hi, lo
+}
+
 // Fig11Config parameterizes the memory-queueing-delay experiment
-// (paper Figure 11): a synthetic injector drives the memory controller
-// at a given utilization with a 50/50 high/low priority mix, and the
-// queueing delay distribution is compared between the baseline
+// (paper Figure 11): the two-tenant injection drives the memory
+// controller at a given utilization with a high/low priority mix, and
+// the queueing delay distribution is compared between the baseline
 // controller (no control plane, one FR-FCFS queue) and the PARD
 // controller (priority queues + per-DS-id row buffers).
 type Fig11Config struct {
-	InjectRate float64 // fraction of peak bandwidth; the paper reports 0.44
-	Requests   int
-	HighShare  float64 // fraction of requests that are high priority
-	// LowBurst is the low-priority arrival burst length: streaming and
-	// batch traffic reaches the controller in cache-miss bursts, while
-	// the latency-critical requester issues sparse single requests.
-	LowBurst   int
-	Seed       int64
+	Injection      // the paper's representative InjectRate is 0.44
 	RowBuffers int // 2 = PARD's extra per-bank row buffer; 1 disables it
 }
 
@@ -35,7 +120,10 @@ func DefaultFig11Config(scale Scale) Fig11Config {
 	if scale == Full {
 		n = 200000
 	}
-	return Fig11Config{InjectRate: 0.44, Requests: n, HighShare: 0.5, LowBurst: 4, Seed: 1, RowBuffers: 2}
+	return Fig11Config{
+		Injection:  Injection{InjectRate: 0.44, Requests: n, HighShare: 0.5, LowBurst: 4, Seed: 1},
+		RowBuffers: 2,
+	}
 }
 
 // Fig11Result holds the three queueing-delay distributions, in memory
@@ -50,25 +138,16 @@ type Fig11Result struct {
 // Fig11 runs the experiment.
 func Fig11(cfg Fig11Config) *Fig11Result {
 	res := &Fig11Result{Cfg: cfg}
-	res.Baseline = runInjection(cfg, false)
-	withCP := runInjectionBoth(cfg)
+	res.Baseline = fig11QueueDelay(cfg, false)[0]
+	withCP := fig11QueueDelay(cfg, true)
 	res.High, res.Low = withCP[0], withCP[1]
 	return res
 }
 
-// runInjection drives a baseline controller and returns its single
-// queue-delay histogram.
-func runInjection(cfg Fig11Config, controlPlane bool) *metric.Histogram {
-	hs := runInjectionInto(cfg, controlPlane)
-	return hs[len(hs)-1]
-}
-
-// runInjectionBoth drives a PARD controller and returns [high, low].
-func runInjectionBoth(cfg Fig11Config) []*metric.Histogram {
-	return runInjectionInto(cfg, true)
-}
-
-func runInjectionInto(cfg Fig11Config, controlPlane bool) []*metric.Histogram {
+// fig11QueueDelay drives one controller, with or without the control
+// plane, and returns its per-priority-level queueing-delay histograms:
+// one level without the control plane, [high, low] with it.
+func fig11QueueDelay(cfg Fig11Config, controlPlane bool) []*metric.Histogram {
 	e := sim.NewEngine()
 	ids := core.NewIDSource()
 	dcfg := dram.DefaultConfig()
@@ -86,73 +165,8 @@ func runInjectionInto(cfg Fig11Config, controlPlane bool) []*metric.Histogram {
 			ctrl.Plane().SetParam(hiDS, dram.ParamRowBuf, 1)
 		}
 	}
-
-	r := rand.New(rand.NewSource(cfg.Seed))
-	lowBurst := cfg.LowBurst
-	if lowBurst <= 0 {
-		lowBurst = 1
-	}
-	// Peak service rate is one data burst per Burst cycles; each class
-	// gets its share of the inject rate.
-	hiGapCycles := float64(dcfg.Burst) / (cfg.InjectRate * cfg.HighShare)
-	loGapCycles := float64(dcfg.Burst) * float64(lowBurst) / (cfg.InjectRate * (1 - cfg.HighShare))
-
-	hiTotal := int(float64(cfg.Requests) * cfg.HighShare)
-	loTotal := cfg.Requests - hiTotal
-	var injectedHi, injectedLo, completed int
-	expGap := func(mean float64) sim.Tick {
-		gap := sim.Tick(r.ExpFloat64() * mean * float64(dcfg.TCK))
-		if gap == 0 {
-			gap = 1
-		}
-		return gap
-	}
-	// High priority: sparse Poisson singles over a small hot row set —
-	// the latency-critical LDom's working set. The per-DS-id row
-	// buffer (ParamRowBuf) keeps these rows open under interference,
-	// which is exactly the VCM-style mechanism of §4.2.
-	hotRows := make([]uint64, 4)
-	for i := range hotRows {
-		hotRows[i] = uint64(r.Intn(1<<24)) &^ uint64(dcfg.RowBytes-1)
-	}
-	sendAt := func(ds core.DSID, addr uint64) {
-		p := core.NewPacket(ids, core.KindMemRead, ds, addr, 64, e.Now())
-		p.OnDone = func(*core.Packet) { completed++ }
-		ctrl.Request(p)
-	}
-	var injectHi func()
-	injectHi = func() {
-		if injectedHi >= hiTotal {
-			return
-		}
-		injectedHi++
-		row := hotRows[r.Intn(len(hotRows))]
-		sendAt(hiDS, row+uint64(r.Intn(dcfg.RowBytes/64))*64)
-		e.Schedule(expGap(hiGapCycles), injectHi)
-	}
-	// Low priority: cache-miss bursts with run locality — each burst is
-	// a run of sequential lines in one random row (streaming/batch
-	// LDoms walking large arrays).
-	var injectLo func()
-	injectLo = func() {
-		if injectedLo >= loTotal {
-			return
-		}
-		base := uint64(r.Intn(1<<24)) &^ uint64(dcfg.RowBytes-1)
-		for i := 0; i < lowBurst && injectedLo < loTotal; i++ {
-			injectedLo++
-			sendAt(loDS, base+uint64(i)*64)
-		}
-		e.Schedule(expGap(loGapCycles), injectLo)
-	}
-	injectHi()
-	injectLo()
-	e.StepUntil(func() bool { return completed >= cfg.Requests })
-
-	if !controlPlane {
-		return []*metric.Histogram{ctrl.QueueDelay[0]}
-	}
-	return []*metric.Histogram{ctrl.QueueDelay[0], ctrl.QueueDelay[1]}
+	cfg.drive(e, ids, ctrl, hiDS, loDS)
+	return ctrl.QueueDelay
 }
 
 // Speedup returns baseline-mean / high-priority-mean (the paper's 5.6×).

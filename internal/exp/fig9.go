@@ -72,9 +72,6 @@ func Fig9(cfg Fig9Config) *Fig9Result {
 	var sample func()
 	sample = func() {
 		res.MissRate.Record(e.Now(), float64(c.Sys.LLC.MissRate(0)))
-		if res.FiredAt == 0 && c.Sys.Firmware.TriggersHandled > 0 {
-			res.FiredAt = e.Now()
-		}
 		if e.Now() < cfg.Duration {
 			e.Schedule(cfg.SampleEvery, sample)
 		}
@@ -82,16 +79,11 @@ func Fig9(cfg Fig9Config) *Fig9Result {
 	e.Schedule(cfg.SampleEvery, sample)
 	c.Sys.Run(cfg.Duration)
 
-	// The audit journal records the exact firing tick; the in-sample
-	// detection above only brackets it to sample granularity (and is the
-	// fallback when telemetry is disabled).
-	if c.Sys.Journal != nil {
-		for i := 0; i < c.Sys.Journal.Len(); i++ {
-			ev := c.Sys.Journal.At(i)
-			if ev.Kind == telemetry.KindTriggerFired {
-				res.FiredAt = ev.When
-				break
-			}
+	// The audit journal records the exact firing tick.
+	for i := 0; i < c.Sys.Journal.Len(); i++ {
+		if ev := c.Sys.Journal.At(i); ev.Kind == telemetry.KindTriggerFired {
+			res.FiredAt = ev.When
+			break
 		}
 	}
 

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"strconv"
 
 	"repro/internal/core"
@@ -27,11 +26,7 @@ const SchedPolicy = "schedule mem edf\n"
 // comes entirely from the latency tenant's lat_target deadline, not
 // from a priority level, so batch traffic is never starved outright.
 type SchedLatConfig struct {
-	InjectRate  float64 // fraction of peak bandwidth
-	Requests    int
-	HighShare   float64 // fraction of requests from the latency tenant
-	LowBurst    int     // batch arrival burst length
-	Seed        int64
+	Injection
 	LatTargetNs uint64 // the latency tenant's EDF deadline, ns
 }
 
@@ -42,7 +37,10 @@ func DefaultSchedLatConfig(scale Scale) SchedLatConfig {
 	if scale == Full {
 		n = 200000
 	}
-	return SchedLatConfig{InjectRate: 0.6, Requests: n, HighShare: 0.25, LowBurst: 8, Seed: 1, LatTargetNs: 500}
+	return SchedLatConfig{
+		Injection:   Injection{InjectRate: 0.6, Requests: n, HighShare: 0.25, LowBurst: 8, Seed: 1},
+		LatTargetNs: 500,
+	}
 }
 
 // SchedLatResult holds the round-trip delay distributions (memory
@@ -96,68 +94,7 @@ func runSchedArm(cfg SchedLatConfig, policySrc string) (hi, lo *metric.Histogram
 		panic(err)
 	}
 
-	hi, lo = metric.NewHistogram(), metric.NewHistogram()
-	r := rand.New(rand.NewSource(cfg.Seed))
-	lowBurst := cfg.LowBurst
-	if lowBurst <= 0 {
-		lowBurst = 1
-	}
-	hiGapCycles := float64(dcfg.Burst) / (cfg.InjectRate * cfg.HighShare)
-	loGapCycles := float64(dcfg.Burst) * float64(lowBurst) / (cfg.InjectRate * (1 - cfg.HighShare))
-	hiTotal := int(float64(cfg.Requests) * cfg.HighShare)
-	loTotal := cfg.Requests - hiTotal
-
-	var injectedHi, injectedLo, completed int
-	expGap := func(mean float64) sim.Tick {
-		gap := sim.Tick(r.ExpFloat64() * mean * float64(dcfg.TCK))
-		if gap == 0 {
-			gap = 1
-		}
-		return gap
-	}
-	sendAt := func(ds core.DSID, addr uint64, h *metric.Histogram) {
-		start := e.Now()
-		p := core.NewPacket(ids, core.KindMemRead, ds, addr, 64, start)
-		p.OnDone = func(pk *core.Packet) {
-			completed++
-			h.Observe(uint64((pk.Done - start) / dcfg.TCK))
-		}
-		ctrl.Request(p)
-	}
-	// Latency tenant: sparse Poisson singles over a small hot row set.
-	hotRows := make([]uint64, 4)
-	for i := range hotRows {
-		hotRows[i] = uint64(r.Intn(1<<24)) &^ uint64(dcfg.RowBytes-1)
-	}
-	var injectHi func()
-	injectHi = func() {
-		if injectedHi >= hiTotal {
-			return
-		}
-		injectedHi++
-		row := hotRows[r.Intn(len(hotRows))]
-		sendAt(svc.DSID, row+uint64(r.Intn(dcfg.RowBytes/64))*64, hi)
-		e.Schedule(expGap(hiGapCycles), injectHi)
-	}
-	// Batch tenant: cache-miss bursts of sequential lines in one random
-	// row — exactly the row-hit streaks FR-FCFS keeps serving while the
-	// sparse tenant's row misses wait.
-	var injectLo func()
-	injectLo = func() {
-		if injectedLo >= loTotal {
-			return
-		}
-		base := uint64(r.Intn(1<<24)) &^ uint64(dcfg.RowBytes-1)
-		for i := 0; i < lowBurst && injectedLo < loTotal; i++ {
-			injectedLo++
-			sendAt(batch.DSID, base+uint64(i)*64, lo)
-		}
-		e.Schedule(expGap(loGapCycles), injectLo)
-	}
-	injectHi()
-	injectLo()
-	e.StepUntil(func() bool { return completed >= cfg.Requests })
-	return hi, lo
+	return cfg.drive(e, ids, ctrl, svc.DSID, batch.DSID)
 }
 
 // TailProtection returns frfcfs-p99 / edf-p99 for the latency tenant —

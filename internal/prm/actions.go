@@ -11,7 +11,8 @@ import (
 // trigger-handler scripts (Figure 6, Example 2). Operators can register
 // more with RegisterAction.
 const (
-	// ActionLogOnly records the trigger in /log/triggers.log.
+	// ActionLogOnly does nothing: the firing's trigger_fired journal
+	// event, which /log/triggers.log renders, is its only trace.
 	ActionLogOnly = "log_only"
 	// ActionLLCGrowToHalf dedicates half the LLC ways to the firing
 	// LDom and packs every other LDom into the remaining half — the
@@ -53,13 +54,12 @@ func actionQuarantine(fw *Firmware, n core.Notification) error {
 			return err
 		}
 	}
-	fw.Logf("  quarantine: ldom%d demoted (1 LLC way, lowest memory priority)", n.DSID)
 	return nil
 }
 
-// actionLLCGrowToHalf reads the current mask and miss rate through the
-// device file tree — the same path as the paper's shell script — then
-// repartitions the ways.
+// actionLLCGrowToHalf repartitions the ways by writing masks through
+// the device file tree, the same path as the paper's shell script. The
+// writes journal old -> new as param_write events.
 func actionLLCGrowToHalf(fw *Firmware, n core.Notification) error {
 	idx, cpa, err := fw.mountByType(core.PlaneTypeCache)
 	if err != nil {
@@ -77,11 +77,6 @@ func actionLLCGrowToHalf(fw *Firmware, n core.Notification) error {
 	half := ways / 2
 	lowMask := uint64(1)<<uint(half) - 1
 	highMask := fullMask &^ lowMask
-
-	// Log what the handler observed, like Example 2's script.
-	cur, _ := fw.fs.ReadFile(fmt.Sprintf("/sys/cpa/cpa%d/ldoms/ldom%d/parameters/waymask", idx, n.DSID))
-	fw.Logf("  llc_grow_to_half: ldom%d waymask %s -> %#x (stat %s=%d)", n.DSID, cur, highMask, n.Stat, n.Value)
-
 	if err := fw.echoMask(idx, n.DSID, highMask); err != nil {
 		return err
 	}

@@ -1,13 +1,13 @@
 package prm
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // countAction registers an action that counts its runs.
@@ -112,6 +112,7 @@ func TestNoCooldownPreservesLegacyDispatch(t *testing.T) {
 func TestConfigTriggerCooldownAppliesToPardtrigger(t *testing.T) {
 	e := sim.NewEngine()
 	fw := NewFirmware(e, Config{HandlerLatency: sim.Microsecond, TriggerCooldown: 50 * sim.Microsecond}, nil)
+	fw.SetJournal(telemetry.NewJournal(e, 64))
 	cp := cachePlane(e)
 	fw.Mount(core.NewCPA(cp, 0))
 	if _, err := fw.CreateLDom(LDomSpec{Name: "x"}); err != nil {
@@ -140,51 +141,7 @@ func TestConfigTriggerCooldownAppliesToPardtrigger(t *testing.T) {
 	if fw.TriggersSuppressed == 0 {
 		t.Fatal("no suppressions recorded under config cooldown")
 	}
-	if !strings.Contains(strings.Join(fw.Log(), "\n"), "suppressed: action") {
+	if !strings.Contains(fw.MustSh("log"), "trigger_suppressed") {
 		t.Fatal("suppression not logged")
-	}
-}
-
-// TestFirmwareLogBounded: a level trigger whose action sits on cooldown
-// logs two lines per suppressed interrupt. The firmware log keeps only
-// the newest logCapacity lines, and its render says how many older
-// lines were displaced.
-func TestFirmwareLogBounded(t *testing.T) {
-	e, fw, _, cp, _ := newFirmware(t)
-	if _, err := fw.CreateLDom(LDomSpec{Name: "victim"}); err != nil {
-		t.Fatal(err)
-	}
-	countAction(fw, "count")
-	if _, err := fw.InstallTriggerSpec(0, TriggerSpec{
-		DSID: 0, Stat: "miss_rate", Op: core.OpGT, Value: 300,
-		Level: true, Action: "count", Cooldown: 10 * sim.Microsecond,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	cp.SetStat(0, "miss_rate", 500)
-	const samples = 100000
-	fireStorm(e, cp, samples, sim.Microsecond)
-
-	lines := fw.Log()
-	if len(lines) != logCapacity {
-		t.Fatalf("log retains %d lines, want the cap %d", len(lines), logCapacity)
-	}
-	out := fw.MustSh("log")
-	if file := fw.MustSh("cat /log/triggers.log"); file != out {
-		t.Fatal("/log/triggers.log and the log command render differently")
-	}
-	rendered := strings.Split(out, "\n")
-	// One creation line plus two lines per interrupt were logged.
-	const logged = 1 + 2*samples
-	if want := fmt.Sprintf("truncated: %d older lines displaced", logged-logCapacity); rendered[0] != want {
-		t.Fatalf("first line %q, want %q", rendered[0], want)
-	}
-	if strings.Join(rendered[1:], "\n") != strings.Join(lines, "\n") {
-		t.Fatal("render after the marker differs from the retained lines")
-	}
-	fired := fmt.Sprintf("[%v] cpa0 ", sim.Tick(samples)*sim.Microsecond)
-	if last := lines[len(lines)-2:]; !strings.HasPrefix(last[0], fired) ||
-		!(strings.Contains(last[1], "suppressed: action") || strings.Contains(last[1], "applied")) {
-		t.Fatalf("newest lines are not the last interrupt's:\n%s", strings.Join(last, "\n"))
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/metric"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -86,7 +85,6 @@ type binding struct {
 
 	lastRun    sim.Tick // engine time the action last ran
 	everRan    bool
-	handled    uint64 // interrupts that ran the action
 	suppressed uint64 // interrupts swallowed by the cooldown
 
 	// onCooldown observes suppressed firings (the policy runtime
@@ -128,11 +126,9 @@ type Firmware struct {
 	ActionErrors       uint64
 	TriggersSuppressed uint64
 
-	// log holds the newest logCapacity firmware log lines.
-	log *metric.Ring[string]
-
 	// journal, when set, receives audit events for every control-plane
-	// verb the firmware performs. A nil journal drops everything.
+	// verb the firmware performs, and /log/triggers.log renders it. A
+	// nil journal drops everything.
 	journal *telemetry.Journal
 
 	// origin labels where the currently executing command came from
@@ -156,16 +152,12 @@ func NewFirmware(e *sim.Engine, cfg Config, platform Platform) *Firmware {
 		policies:   make(map[string]*policySet),
 		ldoms:      make(map[core.DSID]*LDom),
 		extraStats: make(map[int][]ldomStat),
-		log:        metric.NewRing[string](logCapacity),
 	}
 	fw.fs.Mkdir("/sys/cpa")
 	fw.fs.Mkdir("/log")
 	fw.fs.AddFile("/log/triggers.log", func() (string, error) {
-		return fw.logText(), nil
-	}, func(s string) error {
-		fw.log.Push(s)
-		return nil
-	})
+		return telemetry.JournalText(fw.journal, 0), nil
+	}, nil)
 	registerBuiltinActions(fw)
 	return fw
 }
@@ -198,27 +190,18 @@ func (fw *Firmware) WithOrigin(origin string, fn func()) {
 	fw.origin = prev
 }
 
-// logCapacity bounds the firmware log: older lines are displaced, so a
-// trigger storm cannot grow it without limit.
-const logCapacity = 512
-
-// Logf appends to the firmware log.
-func (fw *Firmware) Logf(format string, args ...interface{}) {
-	fw.log.Push(fmt.Sprintf(format, args...))
-}
-
-// Log returns the retained firmware log lines, oldest first.
-func (fw *Firmware) Log() []string { return fw.log.AppendTo(nil) }
-
-// logText renders the retained log — /log/triggers.log and the `log`
-// shell command — headed by a marker line once older lines have been
-// displaced.
-func (fw *Firmware) logText() string {
-	text := strings.Join(fw.Log(), "\n")
-	if n := fw.log.Dropped(); n > 0 {
-		return fmt.Sprintf("truncated: %d older lines displaced\n", n) + text
-	}
-	return text
+// journalError records a failure that has no caller to return it to:
+// a trigger's action that is missing or fails, or a policy teardown
+// step. name is the action or algorithm concerned.
+func (fw *Firmware) journalError(origin, plane string, ds core.DSID, name, msg string) {
+	fw.journal.Record(telemetry.Event{
+		Kind:   telemetry.KindError,
+		Origin: origin,
+		Plane:  plane,
+		DS:     ds,
+		Name:   name,
+		Detail: msg,
+	})
 }
 
 // RegisterAction installs a named trigger handler.
@@ -313,10 +296,6 @@ func (fw *Firmware) handle(cpaIdx int, n core.Notification) {
 		// observe the suppression.
 		fw.TriggersSuppressed++
 		b.suppressed++
-		fw.Logf("[%v] cpa%d %s: trigger slot %d fired for %s (%s=%d)",
-			n.When, cpaIdx, n.Plane.Ident(), n.Slot, n.DSID, n.Stat, n.Value)
-		fw.Logf("  suppressed: action %q on cooldown (%v since last run, window %v)",
-			b.action, now-b.lastRun, b.cooldown)
 		fw.journal.Record(telemetry.Event{
 			Kind:   telemetry.KindTriggerSuppress,
 			Origin: b.origin,
@@ -334,11 +313,7 @@ func (fw *Firmware) handle(cpaIdx int, n core.Notification) {
 	}
 
 	fw.TriggersHandled++
-	fw.Logf("[%v] cpa%d %s: trigger slot %d fired for %s (%s=%d)",
-		n.When, cpaIdx, n.Plane.Ident(), n.Slot, n.DSID, n.Stat, n.Value)
-
 	if b == nil {
-		fw.Logf("  no action bound; ignored")
 		fw.journal.Record(telemetry.Event{
 			Kind:   telemetry.KindTriggerFired,
 			Origin: "firmware",
@@ -362,22 +337,21 @@ func (fw *Firmware) handle(cpaIdx int, n core.Notification) {
 	fn, ok := fw.actions[b.action]
 	if !ok {
 		fw.ActionErrors++
-		fw.Logf("  action %q not registered", b.action)
+		fw.journalError(b.origin, fw.mounts[cpaIdx].name, n.DSID, b.action,
+			fmt.Sprintf("action %q not registered", b.action))
 		return
 	}
 	b.everRan = true
 	b.lastRun = now
-	b.handled++
 	// Parameter writes the action makes journal under the trigger's
 	// install-time origin (policy actions re-wrap with their rule name).
 	var err error
 	fw.WithOrigin(b.origin, func() { err = fn(fw, n) })
 	if err != nil {
 		fw.ActionErrors++
-		fw.Logf("  action %q failed: %v", b.action, err)
-		return
+		fw.journalError(b.origin, fw.mounts[cpaIdx].name, n.DSID, b.action,
+			fmt.Sprintf("action %q failed: %v", b.action, err))
 	}
-	fw.Logf("  action %q applied", b.action)
 }
 
 // TriggerSpec describes a trigger installation: condition, firing
@@ -565,7 +539,12 @@ func (fw *Firmware) CreateLDom(spec LDomSpec) (*LDom, error) {
 			}
 		}
 	}
-	fw.Logf("[%v] created %s as ldom%d (ds=%d)", fw.engine.Now(), spec.Name, ds, ds)
+	fw.journal.Record(telemetry.Event{
+		Kind:   telemetry.KindLDomCreate,
+		Origin: fw.Origin(),
+		DS:     ds,
+		Name:   spec.Name,
+	})
 	return ld, nil
 }
 
@@ -600,7 +579,12 @@ func (fw *Firmware) DestroyLDom(ds core.DSID) error {
 		fw.platform.FlushLDom(ds)
 	}
 	delete(fw.ldoms, ds)
-	fw.Logf("[%v] destroyed ldom%d", fw.engine.Now(), ds)
+	fw.journal.Record(telemetry.Event{
+		Kind:   telemetry.KindLDomDestroy,
+		Origin: fw.Origin(),
+		DS:     ds,
+		Name:   ld.Spec.Name,
+	})
 	return nil
 }
 

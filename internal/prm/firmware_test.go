@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 type fakePlatform struct {
@@ -228,6 +229,7 @@ func TestShellLsAndErrors(t *testing.T) {
 
 func TestPardtriggerInstallsAndFires(t *testing.T) {
 	e, fw, _, cp, _ := newFirmware(t)
+	fw.SetJournal(telemetry.NewJournal(e, 64))
 	fw.CreateLDom(LDomSpec{Name: "mc"})
 	var ran int
 	fw.RegisterAction("test_action", func(fw *Firmware, n core.Notification) error {
@@ -259,8 +261,8 @@ func TestPardtriggerInstallsAndFires(t *testing.T) {
 	if fw.TriggersHandled != 1 {
 		t.Fatalf("TriggersHandled = %d", fw.TriggersHandled)
 	}
-	if len(fw.Log()) == 0 {
-		t.Fatal("firmware log empty after trigger")
+	if !strings.Contains(fw.MustSh("log"), "trigger_fired") {
+		t.Fatal("firmware log lacks the firing")
 	}
 }
 
@@ -443,11 +445,25 @@ func TestPropertyValueRoundtrip(t *testing.T) {
 	}
 }
 
+// TestFirmwareLogFile: /log/triggers.log and the `log` command render
+// the audit journal, read-only; without a journal they say so.
 func TestFirmwareLogFile(t *testing.T) {
-	_, fw, _, _, _ := newFirmware(t)
-	fw.Logf("hello %d", 42)
+	e, fw, _, _, _ := newFirmware(t)
+	if out, err := fw.Sh("cat /log/triggers.log"); err != nil || out != "journal empty\n" {
+		t.Fatalf("log without a journal = %q, %v", out, err)
+	}
+	fw.SetJournal(telemetry.NewJournal(e, 64))
+	if _, err := fw.CreateLDom(LDomSpec{Name: "hello"}); err != nil {
+		t.Fatal(err)
+	}
 	out, err := fw.Sh("cat /log/triggers.log")
-	if err != nil || !strings.Contains(out, "hello 42") {
+	if err != nil || !strings.Contains(out, "ldom_create") || !strings.Contains(out, "name=hello") {
 		t.Fatalf("log = %q, %v", out, err)
+	}
+	if sh := fw.MustSh("log"); sh != out || out != telemetry.JournalText(fw.Journal(), 0) {
+		t.Fatalf("log command %q, /log/triggers.log %q: want both to be the journal's render", sh, out)
+	}
+	if err := fw.FS().WriteFile("/log/triggers.log", "hello"); err == nil {
+		t.Fatal("/log/triggers.log accepted a write")
 	}
 }

@@ -1,6 +1,8 @@
 package prm
 
 import (
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -182,5 +184,121 @@ func TestJournalRecordsShellTriggerInstall(t *testing.T) {
 	if ev.Origin != "pardctl" || ev.Plane != "cpa0" || ev.DS != 0 || ev.Name != "miss_rate" ||
 		ev.Detail != "cond=gt,300 action=count slot=1" {
 		t.Fatalf("trigger_install event %+v", ev)
+	}
+}
+
+// TestJournalRecordsEveryFirmwareVerb: the firmware keeps no text log
+// of its own; /log/triggers.log renders the journal. So every verb that
+// log used to report must land in the journal, each exactly once: LDom
+// create and destroy, a firing with and without a bound action, a
+// suppressed firing, an unregistered and a failing action, and policy
+// load, reload and unload with the schedule installs and restores they
+// cause.
+func TestJournalRecordsEveryFirmwareVerb(t *testing.T) {
+	e, fw, _, cp, mp := newFirmware(t)
+	mp.SetSchedulerHook([]string{"frfcfs", "strict", "edf"}, nil)
+	for _, name := range []string{"a", "b", "c", "d"} {
+		if _, err := fw.CreateLDom(LDomSpec{Name: name}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j := telemetry.NewJournal(e, 256)
+	fw.SetJournal(j)
+	countAction(fw, "count")
+	fw.RegisterAction("fail", func(*Firmware, core.Notification) error { return errors.New("boom") })
+
+	install := func(ds core.DSID, action string) {
+		t.Helper()
+		if _, err := fw.InstallTriggerSpec(0, TriggerSpec{
+			DSID: ds, Stat: "miss_rate", Op: core.OpGT, Value: 300,
+			Level: true, Action: action, Cooldown: 10 * sim.Microsecond,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		cp.SetStat(ds, "miss_rate", 500)
+	}
+	fire := func(ds core.DSID) {
+		cp.Evaluate(ds)
+		e.Run(e.Now() + 2*sim.Microsecond)
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Each step journals the kinds in want, each that many times; its
+	// event of kind must also pass check.
+	steps := []struct {
+		name  string
+		do    func()
+		want  map[string]int
+		kind  string
+		check func(telemetry.Event) bool
+	}{
+		{"ldom create", func() {
+			fw.WithOrigin("console", func() { _, err := fw.CreateLDom(LDomSpec{Name: "e"}); must(err) })
+		}, map[string]int{telemetry.KindLDomCreate: 1}, telemetry.KindLDomCreate, func(ev telemetry.Event) bool {
+			return ev.DS == 4 && ev.Name == "e" && ev.Origin == "console"
+		}},
+		{"fired with an action", func() { install(0, "count"); fire(0) },
+			map[string]int{telemetry.KindTriggerFired: 1}, telemetry.KindTriggerFired, func(ev telemetry.Event) bool {
+				return ev.DS == 0 && ev.Detail == "action count"
+			}},
+		{"suppressed", func() { fire(0) },
+			map[string]int{telemetry.KindTriggerSuppress: 1}, telemetry.KindTriggerSuppress, func(ev telemetry.Event) bool {
+				return ev.DS == 0 && ev.New == uint64(10*sim.Microsecond)
+			}},
+		{"fired with no action", func() {
+			must(cp.InstallTrigger(7, core.Trigger{DSID: 1, Op: core.OpGT, Value: 300, Enabled: true}))
+			cp.SetStat(1, "miss_rate", 500)
+			fire(1)
+		}, map[string]int{telemetry.KindTriggerFired: 1}, telemetry.KindTriggerFired, func(ev telemetry.Event) bool {
+			return ev.DS == 1 && ev.Detail == "no action bound"
+		}},
+		{"unregistered action", func() { install(2, "missing"); fire(2) },
+			map[string]int{telemetry.KindError: 1, telemetry.KindTriggerFired: 1}, telemetry.KindError, func(ev telemetry.Event) bool {
+				return ev.DS == 2 && ev.Name == "missing" && ev.Detail == `action "missing" not registered`
+			}},
+		{"failing action", func() { install(3, "fail"); fire(3) },
+			map[string]int{telemetry.KindError: 1, telemetry.KindTriggerFired: 1}, telemetry.KindError, func(ev telemetry.Event) bool {
+				return ev.DS == 3 && ev.Name == "fail" && ev.Detail == `action "fail" failed: boom`
+			}},
+		{"policy load", func() { must(fw.LoadPolicy("p", "schedule mem edf\n")) },
+			map[string]int{telemetry.KindPolicyLoad: 1, telemetry.KindSchedInstall: 1}, telemetry.KindSchedInstall, func(ev telemetry.Event) bool {
+				return ev.Name == "edf" && ev.Detail == "displaced frfcfs"
+			}},
+		{"policy reload", func() { must(fw.ReloadPolicy("p", "schedule mem strict\n")) },
+			map[string]int{telemetry.KindPolicyReload: 1, telemetry.KindSchedRestore: 1, telemetry.KindSchedInstall: 1},
+			telemetry.KindSchedRestore, func(ev telemetry.Event) bool { return ev.Name == "frfcfs" }},
+		{"policy unload", func() { must(fw.UnloadPolicy("p")) },
+			map[string]int{telemetry.KindPolicyUnload: 1, telemetry.KindSchedRestore: 1}, telemetry.KindPolicyUnload, func(ev telemetry.Event) bool {
+				return ev.Name == "p"
+			}},
+		{"ldom destroy", func() { must(fw.DestroyLDom(4)) },
+			map[string]int{telemetry.KindLDomDestroy: 1}, telemetry.KindLDomDestroy, func(ev telemetry.Event) bool {
+				return ev.DS == 4 && ev.Name == "e" && ev.Origin == "firmware"
+			}},
+	}
+	for _, st := range steps {
+		seq := j.NextSeq()
+		st.do()
+		evs := j.Since(seq, nil)
+		got := map[string]int{}
+		for _, ev := range evs {
+			got[ev.Kind]++
+			if ev.Kind == st.kind && !st.check(ev) {
+				t.Errorf("%s: wrong %s event %+v", st.name, ev.Kind, ev)
+			}
+		}
+		if !reflect.DeepEqual(got, st.want) {
+			t.Errorf("%s: journaled %v, want %v", st.name, got, st.want)
+		}
+	}
+	if j.Dropped() != 0 {
+		t.Fatal("test premise broken: the journal overflowed")
+	}
+	if lines := strings.Count(fw.MustSh("log"), "\n"); lines != j.Len() {
+		t.Fatalf("log renders %d lines for %d journal events", lines, j.Len())
 	}
 }

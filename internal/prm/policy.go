@@ -130,7 +130,6 @@ func (fw *Firmware) LoadPolicy(name, source string) error {
 	}
 	fw.policies[name] = set
 	fw.addPolicyTree(set)
-	fw.Logf("[%v] policy %q loaded (%d rules)", fw.engine.Now(), name, len(set.rules))
 	fw.journal.Record(telemetry.Event{
 		Kind:   telemetry.KindPolicyLoad,
 		Origin: fw.Origin(),
@@ -180,7 +179,6 @@ func (fw *Firmware) ReloadPolicy(name, source string) error {
 	}
 	fw.policies[name] = set
 	fw.addPolicyTree(set)
-	fw.Logf("[%v] policy %q reloaded (%d rules)", fw.engine.Now(), name, len(set.rules))
 	fw.journal.Record(telemetry.Event{
 		Kind:   telemetry.KindPolicyReload,
 		Origin: fw.Origin(),
@@ -201,7 +199,6 @@ func (fw *Firmware) UnloadPolicy(name string) error {
 	fw.teardownPolicy(set)
 	delete(fw.policies, name)
 	fw.fs.Remove("/sys/cpa/policy/" + name)
-	fw.Logf("[%v] policy %q unloaded", fw.engine.Now(), name)
 	fw.journal.Record(telemetry.Event{
 		Kind:   telemetry.KindPolicyUnload,
 		Origin: fw.Origin(),
@@ -327,7 +324,6 @@ func (fw *Firmware) installPolicy(name, source string, prog *policy.Program) (*p
 			return nil, err
 		}
 		set.scheds = append(set.scheds, &policySched{c: cs, prev: prev})
-		fw.Logf("[%v] policy %q: cpa%d scheduler %s -> %s", fw.engine.Now(), name, cs.CPA, prev, cs.Algo)
 		fw.journal.Record(telemetry.Event{
 			Kind:   telemetry.KindSchedInstall,
 			Origin: "policy:" + name,
@@ -379,7 +375,8 @@ func (fw *Firmware) installPolicy(name, source string, prog *policy.Program) (*p
 func (fw *Firmware) teardownPolicy(set *policySet) {
 	for _, pr := range set.rules {
 		if err := fw.removeTrigger(pr.c.CPA, pr.slot); err != nil {
-			fw.Logf("  teardown %s: %v", pr.actionName, err)
+			fw.journalError("policy:"+set.name, fmt.Sprintf("cpa%d", pr.c.CPA), pr.c.DSID, pr.actionName,
+				fmt.Sprintf("teardown %s: %v", pr.actionName, err))
 		}
 		delete(fw.actions, pr.actionName)
 	}
@@ -391,10 +388,10 @@ func (fw *Firmware) teardownPolicy(set *policySet) {
 			err = cpa.Plane.InstallScheduler(ps.prev)
 		}
 		if err != nil {
-			fw.Logf("  teardown schedule cpa%d: %v", ps.c.CPA, err)
+			fw.journalError("policy:"+set.name, fmt.Sprintf("cpa%d", ps.c.CPA), 0, ps.prev,
+				fmt.Sprintf("teardown schedule cpa%d: %v", ps.c.CPA, err))
 			continue
 		}
-		fw.Logf("[%v] policy %q: cpa%d scheduler restored to %s", fw.engine.Now(), set.name, ps.c.CPA, ps.prev)
 		fw.journal.Record(telemetry.Event{
 			Kind:   telemetry.KindSchedRestore,
 			Origin: "policy:" + set.name,
@@ -429,8 +426,6 @@ func (fw *Firmware) policyActionBody(pr *policyRule) Action {
 				Outcome: policy.OutcomeRateLimited,
 				Detail:  "would apply " + detail,
 			})
-			fw.Logf("  policy %s: limit %d per %s reached; writes skipped",
-				pr.actionName, pr.c.LimitN, policy.FormatTick(pr.c.LimitPer))
 			return nil
 		}
 		detail, err := fw.policyWrites(pr, false)

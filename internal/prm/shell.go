@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/telemetry"
 )
 
 // Sh executes one firmware shell command and returns its output. The
@@ -18,7 +19,7 @@ import (
 //	pardtrigger <cpaN> -ldom=K -stats=NAME -cond=OP,VALUE -action=NAME
 //	policy [show <name> | explain [<name>] | unload <name>]
 //	ldoms
-//	log
+//	log                      (renders the audit journal)
 //
 // Example from the paper:
 //
@@ -79,7 +80,7 @@ func (fw *Firmware) Sh(cmdline string) (string, error) {
 		return b.String(), nil
 
 	case "log":
-		return fw.logText(), nil
+		return telemetry.JournalText(fw.journal, 0), nil
 	}
 	return "", fmt.Errorf("prm: unknown command %q", fields[0])
 }

@@ -188,8 +188,9 @@ func TopText(r *Registry, prefix string) string {
 }
 
 // JournalText renders the newest n retained events (all when n <= 0),
-// oldest first — the `journal` console command and `pardctl journal`
-// view.
+// oldest first — the `journal` console command, `pardctl journal` and,
+// with n = 0, the firmware's `log` command and /log/triggers.log. A
+// nil journal renders as empty.
 func JournalText(j *Journal, n int) string {
 	if j.Len() == 0 {
 		return "journal empty\n"
@@ -205,7 +206,7 @@ func JournalText(j *Journal, n int) string {
 		if ev.Plane != "" {
 			fmt.Fprintf(&b, " plane=%s", ev.Plane)
 		}
-		if ev.DS != 0 || ev.Kind == KindParamWrite {
+		if ev.DS != 0 || ev.Kind == KindParamWrite || ev.Kind == KindLDomCreate || ev.Kind == KindLDomDestroy {
 			fmt.Fprintf(&b, " ds=%d", ev.DS)
 		}
 		if ev.Name != "" {

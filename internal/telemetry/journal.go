@@ -3,7 +3,9 @@
 // column (and registered gauges) on a sim-tick interval into
 // fixed-capacity rings, plus a bounded audit journal of everything the
 // control plane itself did — trigger firings and suppressions, policy
-// loads, schedule installs, parameter writes. The data plane got a
+// loads, schedule installs, parameter writes, LDom creation and
+// teardown, and firmware errors. The journal is the firmware's only
+// event record: /log/triggers.log renders it. The data plane got a
 // flight recorder in PR 3 (internal/trace); this package is the
 // control-plane twin, and the export surfaces (Prometheus text format,
 // JSON dumps, Perfetto counter tracks) hang off both.
@@ -30,12 +32,16 @@ const (
 	KindSchedInstall    = "sched_install"
 	KindSchedRestore    = "sched_restore"
 	KindParamWrite      = "param_write"
+	KindLDomCreate      = "ldom_create"
+	KindLDomDestroy     = "ldom_destroy"
+	KindError           = "error"
 )
 
 // Event is one audit-journal entry. The numeric Old/New pair is
 // kind-specific: for param_write it is the displaced and stored value;
 // for trigger_suppressed Old is ticks since the binding last ran and
-// New is the cooldown window that suppressed it.
+// New is the cooldown window that suppressed it. An error event carries
+// its message in Detail.
 type Event struct {
 	Seq    uint64    `json:"seq"`
 	When   sim.Tick  `json:"when"`
@@ -43,7 +49,7 @@ type Event struct {
 	Origin string    `json:"origin"` // "console", "pardctl", "policy:<set>/<rule>", "firmware"
 	Plane  string    `json:"plane,omitempty"`
 	DS     core.DSID `json:"ds"`
-	Name   string    `json:"name,omitempty"` // parameter / stat / policy-set / algorithm name
+	Name   string    `json:"name,omitempty"` // parameter / stat / policy-set / algorithm / LDom name
 	Old    uint64    `json:"old,omitempty"`
 	New    uint64    `json:"new,omitempty"`
 	Detail string    `json:"detail,omitempty"`

@@ -39,9 +39,9 @@ import (
 // recycled pooled packet can never corrupt an archived trace.
 const MaxHopsPerPacket = 8
 
-// DefaultSpanCapacity bounds the completed-trace ring. Older traces are
-// overwritten first (flight-recorder semantics: recent history wins);
-// histograms keep aggregating regardless.
+// DefaultSpanCapacity is the size of the completed-trace ring. Older
+// traces are overwritten first (flight-recorder semantics: recent
+// history wins); histograms keep aggregating regardless.
 const DefaultSpanCapacity = 16384
 
 // HopSpan is one packet's residency at one hop.
@@ -98,7 +98,6 @@ type Recorder struct {
 	pool   []*PacketTrace
 
 	archive *metric.Ring[PacketTrace] // completed traces; built at the first Finish
-	spanCap int
 
 	hists [][]*hopHist // [hop][DS-id]; nil until the pair's first closed span
 
@@ -115,10 +114,9 @@ func NewRecorder(e *sim.Engine, sampleEvery uint64) *Recorder {
 		shift = min(uint(bits.Len64(sampleEvery-1)), 63)
 	}
 	return &Recorder{
-		engine:  e,
-		mask:    1<<shift - 1,
-		active:  newInflight(shift),
-		spanCap: DefaultSpanCapacity,
+		engine: e,
+		mask:   1<<shift - 1,
+		active: newInflight(shift),
 	}
 }
 
@@ -214,13 +212,6 @@ func (f *inflight) delete(id uint64) {
 
 // SampleEvery returns the effective (power-of-two) sampling divisor.
 func (r *Recorder) SampleEvery() uint64 { return r.mask + 1 }
-
-// SetSpanCapacity resizes the completed-trace ring (0 keeps histograms
-// only). Call before traffic.
-func (r *Recorder) SetSpanCapacity(n int) {
-	r.spanCap = n
-	r.archive = nil
-}
 
 // RegisterHop names a hop and returns its id, reusing the id of an
 // already-registered name.
@@ -371,16 +362,14 @@ func (r *Recorder) Finish(hop int, p *core.Packet) {
 	}
 	t.End = now
 	r.finished++
-	if r.spanCap > 0 {
-		// Built here rather than in NewRecorder, so booting a system
-		// does not pay for the full-capacity archive up front.
-		if r.archive == nil {
-			r.archive = metric.NewRing[PacketTrace](r.spanCap)
-		}
-		// Archive by value: the active struct goes back to the pool and
-		// the packet may be recycled, but the ring entry is a copy.
-		*r.archive.Next() = *t
+	// Built here rather than in NewRecorder, so booting a system does
+	// not pay for the full-capacity archive up front.
+	if r.archive == nil {
+		r.archive = metric.NewRing[PacketTrace](DefaultSpanCapacity)
 	}
+	// Archive by value: the active struct goes back to the pool and the
+	// packet may be recycled, but the ring entry is a copy.
+	*r.archive.Next() = *t
 	r.active.delete(p.ID)
 	r.pool = append(r.pool, t)
 }

@@ -181,34 +181,35 @@ func TestRecorderSpanDecomposition(t *testing.T) {
 	}
 }
 
-// The completed-trace ring is bounded and keeps the most recent traces.
+// The completed-trace ring is bounded at DefaultSpanCapacity and keeps
+// the most recent traces.
 func TestRecorderRingBounded(t *testing.T) {
 	e := sim.NewEngine()
 	ids := &core.IDSource{}
 	r := NewRecorder(e, 1)
-	r.SetSpanCapacity(4)
 	hop := r.RegisterHop("dev")
+	const n = DefaultSpanCapacity + 2
 	var lastIDs []uint64
-	for i := 0; i < 6; i++ {
+	for i := 0; i < n; i++ {
 		p := core.NewPacket(ids, core.KindMemRead, 1, 0, 64, e.Now())
 		r.Enter(hop, p)
 		r.Finish(hop, p)
 		p.Complete(e.Now())
-		if i >= 2 {
+		if i >= n-DefaultSpanCapacity {
 			lastIDs = append(lastIDs, p.ID)
 		}
 	}
 	traces := r.Traces()
-	if len(traces) != 4 {
-		t.Fatalf("ring length = %d, want 4", len(traces))
+	if len(traces) != DefaultSpanCapacity {
+		t.Fatalf("ring length = %d, want %d", len(traces), DefaultSpanCapacity)
 	}
 	for i, tr := range traces {
 		if tr.ID != lastIDs[i] {
 			t.Fatalf("ring[%d].ID = %d, want %d (oldest-first recency)", i, tr.ID, lastIDs[i])
 		}
 	}
-	if r.Finished() != 6 {
-		t.Fatalf("finished = %d (ring eviction must not undercount)", r.Finished())
+	if r.Finished() != n {
+		t.Fatalf("finished = %d, want %d (ring eviction must not undercount)", r.Finished(), n)
 	}
 }
 

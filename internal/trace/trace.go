@@ -1,8 +1,8 @@
 // Package trace provides ICN observability: a Probe wraps any packet
-// target and records per-(kind, DS-id) counters plus an optional ring
-// of recent packets. Probes are the debugging counterpart of control-
-// plane statistics — they see every packet, not just the accounted
-// summaries — and are used by tests and by pardctl's trace command.
+// target and counts packets and bytes per (kind, DS-id). Probes are the
+// debugging counterpart of control-plane statistics — they see every
+// packet, not just the accounted summaries — and are used by tests and
+// by pardctl's trace command.
 package trace
 
 import (
@@ -11,19 +11,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/metric"
-	"repro/internal/sim"
 )
-
-// Record is one observed packet.
-type Record struct {
-	When sim.Tick
-	ID   uint64
-	Kind core.Kind
-	DSID core.DSID
-	Addr uint64
-	Size uint32
-}
 
 // numKinds sizes the per-DS-id counter rows (core.Kind is a small
 // contiguous enum ending at KindInterrupt).
@@ -38,28 +26,21 @@ type probeRow struct {
 type Probe struct {
 	Name string
 
-	engine *sim.Engine
-	next   core.Target
+	next core.Target
 
 	// rows is the counter table, indexed by DS-id. It grows on the
 	// first sight of a DS-id, so the steady state never allocates.
 	rows []probeRow
 
-	ring  *metric.Ring[Record] // recent packets; nil when capture is off
 	total uint64
 }
 
-// NewProbe wraps next. ringCap bounds the recent-packet buffer
-// (0 disables capture; counters still work).
-func NewProbe(name string, e *sim.Engine, next core.Target, ringCap int) *Probe {
-	p := &Probe{Name: name, engine: e, next: next}
-	if ringCap > 0 {
-		p.ring = metric.NewRing[Record](ringCap)
-	}
-	return p
+// NewProbe wraps next.
+func NewProbe(name string, next core.Target) *Probe {
+	return &Probe{Name: name, next: next}
 }
 
-// Request records the packet and forwards it unchanged.
+// Request counts the packet and forwards it unchanged.
 func (p *Probe) Request(pkt *core.Packet) {
 	if int(pkt.DSID) >= len(p.rows) {
 		p.grow(pkt.DSID)
@@ -68,12 +49,6 @@ func (p *Probe) Request(pkt *core.Packet) {
 	row.pkts[pkt.Kind]++
 	row.bytes[pkt.Kind] += uint64(pkt.Size)
 	p.total++
-	if p.ring != nil {
-		*p.ring.Next() = Record{
-			When: p.engine.Now(), ID: pkt.ID, Kind: pkt.Kind,
-			DSID: pkt.DSID, Addr: pkt.Addr, Size: pkt.Size,
-		}
-	}
 	p.next.Request(pkt)
 }
 
@@ -121,21 +96,10 @@ func (p *Probe) CountByDSID(ds core.DSID) uint64 {
 	return n
 }
 
-// Recent returns the captured packets in arrival order.
-func (p *Probe) Recent() []Record {
-	if p.ring == nil {
-		return nil
-	}
-	return p.ring.AppendTo(nil)
-}
-
-// Reset clears counters and the capture ring. The counter table keeps
-// its rows (zeroed), so the hot path stays allocation-free.
+// Reset clears the counters. The counter table keeps its rows
+// (zeroed), so the hot path stays allocation-free.
 func (p *Probe) Reset() {
 	clear(p.rows)
-	if p.ring != nil {
-		p.ring = metric.NewRing[Record](p.ring.Cap())
-	}
 	p.total = 0
 }
 

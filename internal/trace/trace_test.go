@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/sim"
 )
 
 type sink struct{ got []*core.Packet }
@@ -19,9 +18,8 @@ func observe(p *Probe, ids *core.IDSource, kind core.Kind, ds core.DSID, n int) 
 }
 
 func TestProbeForwardsAndCounts(t *testing.T) {
-	e := sim.NewEngine()
 	s := &sink{}
-	p := NewProbe("llc", e, s, 8)
+	p := NewProbe("llc", s)
 	ids := &core.IDSource{}
 	observe(p, ids, core.KindMemRead, 1, 5)
 	observe(p, ids, core.KindWriteback, 2, 3)
@@ -80,48 +78,17 @@ func TestProbeForwardsAndCounts(t *testing.T) {
 	}
 }
 
-func TestProbeRingWraps(t *testing.T) {
-	e := sim.NewEngine()
-	p := NewProbe("x", e, &sink{}, 4)
-	ids := &core.IDSource{}
-	observe(p, ids, core.KindMemRead, 1, 10)
-	recent := p.Recent()
-	if len(recent) != 4 {
-		t.Fatalf("ring holds %d, want 4", len(recent))
-	}
-	// Oldest-first: the last 4 packets (IDs 7..10) in order.
-	for i := 1; i < len(recent); i++ {
-		if recent[i].ID != recent[i-1].ID+1 {
-			t.Fatalf("ring order broken: %+v", recent)
-		}
-	}
-	if recent[3].ID != 10 {
-		t.Fatalf("newest record id = %d, want 10", recent[3].ID)
-	}
-}
-
-func TestProbeZeroRingStillCounts(t *testing.T) {
-	e := sim.NewEngine()
-	p := NewProbe("x", e, &sink{}, 0)
-	observe(p, &core.IDSource{}, core.KindDMAWrite, 3, 7)
-	if p.Total() != 7 || len(p.Recent()) != 0 {
-		t.Fatal("zero-capacity ring misbehaved")
-	}
-}
-
 func TestProbeReset(t *testing.T) {
-	e := sim.NewEngine()
-	p := NewProbe("x", e, &sink{}, 4)
+	p := NewProbe("x", &sink{})
 	observe(p, &core.IDSource{}, core.KindMemRead, 1, 3)
 	p.Reset()
-	if p.Total() != 0 || len(p.Recent()) != 0 || p.Count(core.KindMemRead, 1) != 0 {
+	if p.Total() != 0 || p.Count(core.KindMemRead, 1) != 0 {
 		t.Fatal("Reset incomplete")
 	}
 }
 
 func TestProbeSummary(t *testing.T) {
-	e := sim.NewEngine()
-	p := NewProbe("mem", e, &sink{}, 0)
+	p := NewProbe("mem", &sink{})
 	ids := &core.IDSource{}
 	observe(p, ids, core.KindMemRead, 1, 9)
 	observe(p, ids, core.KindWriteback, 2, 1)

@@ -25,17 +25,11 @@ type ClusterConfig struct {
 	// assignment Topology.SpineFor, so forwarding is deterministic.
 	Spines int
 	// Switchless builds no switches: server s of rack r links straight
-	// to server s of racks r±1 at FabricLatency. One-server racks make
-	// the sharded server ring the rack sweep measures.
+	// to server s of racks r±1. One-server racks make the sharded
+	// server ring the rack sweep measures. Every link, within a rack or
+	// between racks, has cluster.DefaultLatency, which is also the PDES
+	// lookahead window of a sharded run.
 	Switchless bool
-	// RackLatency is the intra-rack latency: server↔server ring links
-	// and server↔leaf uplinks. 0 means cluster.DefaultLatency. Racks are
-	// never split across shards, so it may be below the window.
-	RackLatency Tick
-	// FabricLatency is the latency of every link between racks and the
-	// PDES lookahead window of a sharded run. 0 means
-	// cluster.DefaultLatency.
-	FabricLatency Tick
 	// Shards spreads racks over PDES shards (rack r on shard r mod
 	// Shards); 0 means one shard per rack, 1 runs sequentially.
 	Shards int
@@ -98,8 +92,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		ServersPerRack: cfg.ServersPerRack,
 		Spines:         cfg.Spines,
 		Switchless:     cfg.Switchless,
-		RackLatency:    cfg.RackLatency,
-		FabricLatency:  cfg.FabricLatency,
 		Shards:         cfg.Shards,
 	}
 	topo.Normalize()

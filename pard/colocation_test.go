@@ -111,7 +111,6 @@ func TestColocationOutputInDSIDOrder(t *testing.T) {
 	const boots = 40
 	ldomRe := regexp.MustCompile(`^ldom(\d+)`)
 	dsRe := regexp.MustCompile(` ds=(\d+)`)
-	createdRe := regexp.MustCompile(`as ldom(\d+)`)
 	want := []int{0, 1, 2, 3}
 	var first []string
 	for boot := 0; boot < boots; boot++ {
@@ -128,7 +127,7 @@ func TestColocationOutputInDSIDOrder(t *testing.T) {
 			{"stats", "): LLC", ldomRe},
 			{"ldoms", " ds=", ldomRe},
 			{"journal 0", "name=waymask", dsRe},
-			{"log", "created", createdRe},
+			{"log", "ldom_create", dsRe},
 		} {
 			out, err := Dispatch(s, check.cmd)
 			if err != nil {

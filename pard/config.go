@@ -6,7 +6,6 @@ import (
 	"repro/internal/iodev"
 	"repro/internal/prm"
 	"repro/internal/sim"
-	"repro/internal/xbar"
 )
 
 // Config describes a PARD server. DefaultConfig reproduces the paper's
@@ -27,12 +26,12 @@ type Config struct {
 	NIC iodev.NICConfig
 	PRM prm.Config
 
-	// Crossbar inserts the modeled L1<->LLC interconnect with its own
-	// control plane (mounted as cpa5). Off by default: the paper's
-	// simulated configuration connects cores to the LLC directly, and
-	// the Figure 8/9 calibration assumes that topology.
-	Crossbar    bool
-	CrossbarCfg xbar.Config
+	// Crossbar inserts the modeled L1<->LLC interconnect
+	// (xbar.DefaultConfig) with its own control plane (mounted as
+	// cpa5). Off by default: the paper's simulated configuration
+	// connects cores to the LLC directly, and the Figure 8/9
+	// calibration assumes that topology.
+	Crossbar bool
 
 	// ProbeMemory inserts a trace probe in front of the memory
 	// controller (System.MemProbe), observing every LLC fill,
@@ -50,9 +49,8 @@ type Config struct {
 	// SampleInterval is the statistics window passed to the LLC and
 	// IDE planes when their own configs leave it zero. The memory plane
 	// keeps dram.DefaultConfig's explicit 100 µs and the crossbar its
-	// own window (core.DefaultSampleInterval unless CrossbarCfg sets
-	// one); the NIC and bridge planes run no sampler. The telemetry
-	// scrape inherits it too.
+	// own window (core.DefaultSampleInterval); the NIC and bridge planes
+	// run no sampler. The telemetry scrape inherits it too.
 	SampleInterval sim.Tick
 
 	// Telemetry configures the time-series registry and audit journal.
@@ -61,17 +59,14 @@ type Config struct {
 	Telemetry TelemetryConfig
 }
 
-// TelemetryConfig tunes the telemetry plane.
+// TelemetryConfig tunes the telemetry plane. Each series keeps its
+// newest 512 samples and the journal its newest 1024 events.
 type TelemetryConfig struct {
 	// Disable turns the registry and journal off entirely.
 	Disable bool
 	// Interval is the scrape period in ticks; 0 inherits SampleInterval,
 	// so stat series sample on the same cadence the planes publish.
 	Interval sim.Tick
-	// SeriesCapacity is samples retained per series (0 = 512).
-	SeriesCapacity int
-	// JournalCapacity is audit events retained (0 = 1024).
-	JournalCapacity int
 }
 
 // DefaultConfig returns Table 2's parameters:
@@ -133,16 +128,8 @@ func (c *Config) fillDefaults() {
 	if c.NIC.BytesPerSec == 0 {
 		c.NIC = iodev.DefaultNICConfig()
 	}
-	if !c.Telemetry.Disable {
-		if c.Telemetry.Interval == 0 {
-			c.Telemetry.Interval = c.SampleInterval
-		}
-		if c.Telemetry.SeriesCapacity == 0 {
-			c.Telemetry.SeriesCapacity = 512
-		}
-		if c.Telemetry.JournalCapacity == 0 {
-			c.Telemetry.JournalCapacity = 1024
-		}
+	if !c.Telemetry.Disable && c.Telemetry.Interval == 0 {
+		c.Telemetry.Interval = c.SampleInterval
 	}
 	if c.SampleInterval != 0 {
 		if c.LLC.SampleInterval == 0 {

@@ -10,10 +10,15 @@ import (
 
 // Absolute observation goldens: the FNV-64a hash of every export and
 // console surface that reads the observation stores (series rings,
-// audit journal, flight-recorder archive, memory probe, policy firing
-// history, firmware log). StateDigest covers only the recorder's
+// audit journal, flight-recorder archive, memory probe counters,
+// policy firing history). StateDigest covers only the recorder's
 // aggregate and span hash; these pin the bytes an operator sees. A
 // change that moves any of them must update the hash deliberately.
+//
+// Moved together once: `journal json`, `prometheus`, `journal 0`,
+// `telemetry`, `log` and `guard journal` changed when the journal began
+// recording ldom_create events (one per LDom, four here) and the
+// firmware's `log` became the journal's render.
 
 // observeSystem boots the Figure 8 server with the memory probe on,
 // loads llc_guard.pard and runs 30 ms — long enough for the 512-sample
@@ -55,21 +60,21 @@ func TestObservationGoldens(t *testing.T) {
 	}
 	surfaces := []struct{ name, out, want string }{
 		{"series json", render(func(b *bytes.Buffer) error { return telemetry.WriteSeriesJSON(b, s.Telemetry, "") }), "b568778d153fd865"},
-		{"journal json", render(func(b *bytes.Buffer) error { return telemetry.WriteJournalJSON(b, s.Telemetry, s.Journal, 0, 0) }), "69a469a9ad6830a7"},
-		{"prometheus", render(func(b *bytes.Buffer) error { return telemetry.WritePrometheus(b, s.Telemetry, s.Journal) }), "31dcd85aa24df76c"},
+		{"journal json", render(func(b *bytes.Buffer) error { return telemetry.WriteJournalJSON(b, s.Telemetry, s.Journal, 0, 0) }), "7b7359f9d85eff0e"},
+		{"prometheus", render(func(b *bytes.Buffer) error { return telemetry.WritePrometheus(b, s.Telemetry, s.Journal) }), "c27d33560ab4d948"},
 		{"trace", console("trace"), "9ed1ddb2aaf0dbe1"},
 		{"top", console("top"), "6020a8eb568b336b"},
-		{"journal 0", console("journal 0"), "6a2157434da1de9f"},
-		{"telemetry", console("telemetry"), "429cea67ec64be8c"},
+		{"journal 0", console("journal 0"), "a38c980f91cf7f6e"},
+		{"telemetry", console("telemetry"), "7373a39fe3c86d64"},
 		{"policy explain", console("policy explain llc_guard"), "8fdaeb1f23eb97d4"},
-		{"log", console("log"), "b21caf70e39a9dfe"},
+		{"log", console("log"), "a38c980f91cf7f6e"},
 		{"perfetto", render(func(b *bytes.Buffer) error {
 			_, err := s.Recorder.WritePerfettoWith(b, s.CounterTracks())
 			return err
 		}), "e8df01889c281390"},
 		// The built-in guard's repartition, journaled in DS-id order
 		// (TestColocationOutputInDSIDOrder).
-		{"guard journal", telemetry.JournalText(guardBoot(t).Journal, 0), "2422af4936936c86"},
+		{"guard journal", telemetry.JournalText(guardBoot(t).Journal, 0), "ef3946def52de121"},
 	}
 	for _, sf := range surfaces {
 		if got := goldenHash(sf.out); got != sf.want {

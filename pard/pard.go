@@ -153,7 +153,7 @@ func newSystemOn(cfg Config, e *sim.Engine, ids *core.IDSource) *System {
 	s.Mem = dram.New(e, s.IDs, cfg.Mem)
 	memPath := core.Target(s.Mem)
 	if cfg.ProbeMemory {
-		s.MemProbe = trace.NewProbe("mem", e, s.Mem, 64)
+		s.MemProbe = trace.NewProbe("mem", s.Mem)
 		memPath = s.MemProbe
 	}
 	coreClock := sim.NewClock(e, cfg.CorePeriod)
@@ -173,11 +173,7 @@ func newSystemOn(cfg Config, e *sim.Engine, ids *core.IDSource) *System {
 
 	l1Next := core.Target(s.LLC)
 	if cfg.Crossbar {
-		xcfg := cfg.CrossbarCfg
-		if xcfg.Latency == 0 {
-			xcfg = xbar.DefaultConfig()
-		}
-		s.Xbar = xbar.New(e, coreClock, xcfg, s.LLC)
+		s.Xbar = xbar.New(e, coreClock, xbar.DefaultConfig(), s.LLC)
 		l1Next = s.Xbar
 	}
 	for i := 0; i < cfg.Cores; i++ {

@@ -8,6 +8,13 @@ import (
 	"repro/internal/trace"
 )
 
+// The telemetry stores' bounds: samples retained per series and audit
+// events retained by the journal.
+const (
+	seriesCapacity  = 512
+	journalCapacity = 1024
+)
+
 // attachTelemetry boots the telemetry plane: the audit journal, the
 // time-series registry scraping every mounted control plane's
 // statistics table, parameter-write observers on every plane, and the
@@ -18,9 +25,8 @@ import (
 // Everything registered here only ever reads simulation state;
 // StateDigest is byte-identical with telemetry enabled or disabled.
 func (s *System) attachTelemetry() {
-	tcfg := s.Cfg.Telemetry
-	s.Journal = telemetry.NewJournal(s.Engine, tcfg.JournalCapacity)
-	s.Telemetry = telemetry.NewRegistry(s.Engine, tcfg.Interval, tcfg.SeriesCapacity)
+	s.Journal = telemetry.NewJournal(s.Engine, journalCapacity)
+	s.Telemetry = telemetry.NewRegistry(s.Engine, s.Cfg.Telemetry.Interval, seriesCapacity)
 	s.Firmware.SetJournal(s.Journal)
 
 	for i := 0; ; i++ {

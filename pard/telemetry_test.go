@@ -92,13 +92,17 @@ const testReloadPolicy = `rule guard cpa llc ldom svc:
 `
 
 // newAPITestServer boots a small contended system, a console and the
-// HTTP surface.
+// HTTP surface. A journalCap above zero swaps in a journal of that
+// capacity before anything is journaled.
 func newAPITestServer(t *testing.T, journalCap int) (*System, *Console, *httptest.Server) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.LLC.SizeBytes = 256 * 1024
-	cfg.Telemetry.JournalCapacity = journalCap
 	sys := NewSystem(cfg)
+	if journalCap > 0 {
+		sys.Journal = telemetry.NewJournal(sys.Engine, journalCap)
+		sys.Firmware.SetJournal(sys.Journal)
+	}
 	if _, err := sys.CreateLDom(LDomConfig{Name: "svc", Cores: []int{0}, Priority: 1}); err != nil {
 		t.Fatal(err)
 	}
