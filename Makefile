@@ -57,8 +57,12 @@ digests:
 # differ from the untraced run's, or when a check fails (llc_guard
 # never fired, a backlog grew, no request completed), so state shared
 # between instances shows up here first. Fails on a non-zero exit or
-# on a step-60 digest other than BASELINE.json's. Reads the benchmark
-# directory only; about 30 s on 2 vCPUs.
+# on a step-60 digest other than BASELINE.json's. Then one full-length
+# traced rack8 run (seed 42, 25 s, as the benchmark runs it), which
+# fails on a non-zero exit: 60 steps cannot show a divergence between
+# the two instances, or among rack8's 8 servers on one engine, that
+# appears later. Reads the benchmark directory only; about 2 min on
+# 2 vCPUs.
 traced:
 	@set -e; for w in colocate observe cluster_fabric rack8; do \
 	  want=$$(python3 -c 'import json, sys; print(json.load(open("cmd/pardperf/BASELINE.json"))["digests_at_step_60"][sys.argv[1]]["1"])' $$w); \
@@ -69,7 +73,10 @@ traced:
 	    echo "traced: $$w seed 1 printed '$$got', BASELINE.json records $$want"; exit 1; \
 	  fi; \
 	  echo "traced: $$w seed 1 $$got ok"; \
-	done
+	done; \
+	bash cmd/pardperf/run.sh --workload rack8 --seed 42 --seconds 25 --trace 1 > /dev/null || { \
+	  echo "traced: rack8 seed 42 for 25 s exited non-zero"; exit 1; }; \
+	echo "traced: rack8 seed 42 for 25 s ok"
 
 # Figure gate: run the quick sweep and fail on any byte difference from
 # results/quick_all.txt. The sweep's stdout carries no wall-clock time

@@ -64,12 +64,24 @@ type Config struct {
 	SampleInterval sim.Tick
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	owner core.DSID
-}
+// A block of the tag array is one word: the tag above the owner DS-id
+// above two state bits, so a hit test is one masked compare.
+const (
+	blockValid = 1 << 0
+	blockDirty = 1 << 1
+	ownerShift = 2  // bits 2-17: the owner DS-id (core.DSID is 16 bits)
+	tagShift   = 18 // bits 18-63: the tag
+
+	// physAddrBits is the physical address width, the x86-64 value.
+	// Every address a cache sees fits in it, so a tag (the address less
+	// its set-index and block-offset bits) fits above the owner and
+	// state bits: New checks the geometry against it, Request each
+	// address.
+	physAddrBits = 48
+)
+
+// blockOwner returns the owner DS-id of block word b.
+func blockOwner(b uint64) core.DSID { return core.DSID(b >> ownerShift) }
 
 type mshrKey struct {
 	block uint64
@@ -83,7 +95,7 @@ type mshrEntry struct {
 	waiters []*core.Packet
 	way     int
 	set     uint64
-	victim  line // evicted line (for accounting already applied)
+	victim  uint64 // evicted block word (for accounting already applied)
 	// dead marks an entry whose DS-id was invalidated while its fill was
 	// in flight: the arriving block must not be installed. If a
 	// new-epoch request coalesces onto a dead entry before the stale
@@ -100,12 +112,19 @@ type Cache struct {
 	ids    *core.IDSource
 	next   core.Target
 
-	sets      int
 	numBlocks int
-	lines     [][]line
-	trees     []plru
-	// lastUse stamps each line's most recent access (PolicyLRU).
-	lastUse [][]uint64
+	// blocks is the tag array, one word per block, set-major:
+	// block w of set s is blocks[s<<wayShift + w].
+	blocks []uint64
+	// An address splits by shift and mask: the low blockShift bits are
+	// the block offset, the next setShift bits the set index, the rest
+	// the tag. wayShift is log2(ways).
+	blockShift, setShift, wayShift uint
+	setMask                        uint64
+	trees                          []plru
+	// lastUse stamps each block's most recent access (PolicyLRU),
+	// indexed as blocks is.
+	lastUse []uint64
 	useTick uint64
 	rng     uint64 // xorshift state for PolicyRandom
 	// reserved marks ways with an in-flight fill, per set; they must
@@ -183,8 +202,21 @@ func New(e *sim.Engine, clock *sim.Clock, ids *core.IDSource, cfg Config, next c
 	if !isPow2(cfg.Ways) || cfg.Ways > 64 {
 		panic(fmt.Sprintf("cache %s: ways must be a power of two <= 64, got %d", cfg.Name, cfg.Ways))
 	}
-	if cfg.BlockSize <= 0 || cfg.SizeBytes%(cfg.BlockSize*cfg.Ways) != 0 {
+	if !isPow2(cfg.BlockSize) {
+		panic(fmt.Sprintf("cache %s: block size must be a power of two, got %d", cfg.Name, cfg.BlockSize))
+	}
+	if cfg.SizeBytes%(cfg.BlockSize*cfg.Ways) != 0 {
 		panic(fmt.Sprintf("cache %s: size %d not divisible by ways*block", cfg.Name, cfg.SizeBytes))
+	}
+	sets := cfg.SizeBytes / (cfg.BlockSize * cfg.Ways)
+	if !isPow2(sets) {
+		panic(fmt.Sprintf("cache %s: size %d gives %d sets; the set count must be a power of two, so size must be ways*block (%d) times a power of two",
+			cfg.Name, cfg.SizeBytes, sets, cfg.BlockSize*cfg.Ways))
+	}
+	blockShift, setShift := log2(cfg.BlockSize), log2(sets)
+	if tagBits := physAddrBits - int(blockShift+setShift); tagBits+tagShift > 64 {
+		panic(fmt.Sprintf("cache %s: a %d-bit tag (%d-bit addresses less %d index and offset bits) does not fit above the %d owner and state bits of a block word; use a larger block or more sets",
+			cfg.Name, tagBits, physAddrBits, blockShift+setShift, tagShift))
 	}
 	if cfg.MSHRs == 0 {
 		cfg.MSHRs = 64
@@ -192,28 +224,24 @@ func New(e *sim.Engine, clock *sim.Clock, ids *core.IDSource, cfg Config, next c
 	if cfg.TriggerSlots == 0 {
 		cfg.TriggerSlots = 64
 	}
-	sets := cfg.SizeBytes / (cfg.BlockSize * cfg.Ways)
 	c := &Cache{
-		cfg:       cfg,
-		engine:    e,
-		clock:     clock,
-		ids:       ids,
-		next:      next,
-		sets:      sets,
-		numBlocks: sets * cfg.Ways,
-		lines:     make([][]line, sets),
-		trees:     make([]plru, sets),
-		reserved:  make([]uint64, sets),
-		mshrs:     make([]*mshrEntry, 0, cfg.MSHRs),
-	}
-	for i := range c.lines {
-		c.lines[i] = make([]line, cfg.Ways)
+		cfg:        cfg,
+		engine:     e,
+		clock:      clock,
+		ids:        ids,
+		next:       next,
+		numBlocks:  sets * cfg.Ways,
+		blocks:     make([]uint64, sets*cfg.Ways),
+		blockShift: blockShift,
+		setShift:   setShift,
+		wayShift:   log2(cfg.Ways),
+		setMask:    uint64(sets - 1),
+		trees:      make([]plru, sets),
+		reserved:   make([]uint64, sets),
+		mshrs:      make([]*mshrEntry, 0, cfg.MSHRs),
 	}
 	if cfg.Policy == PolicyLRU {
-		c.lastUse = make([][]uint64, sets)
-		for i := range c.lastUse {
-			c.lastUse[i] = make([]uint64, cfg.Ways)
-		}
+		c.lastUse = make([]uint64, sets*cfg.Ways)
 	}
 	c.rng = uint64(cfg.Seed)
 	if c.rng == 0 {
@@ -274,12 +302,11 @@ func (c *Cache) OccupancyBytes(ds core.DSID) uint64 {
 }
 
 func (c *Cache) blockAddr(addr uint64) uint64 { return addr &^ uint64(c.cfg.BlockSize-1) }
-func (c *Cache) setIndex(block uint64) uint64 {
-	return block / uint64(c.cfg.BlockSize) % uint64(c.sets)
-}
-func (c *Cache) tagOf(block uint64) uint64 {
-	return block / uint64(c.cfg.BlockSize) / uint64(c.sets)
-}
+func (c *Cache) setIndex(block uint64) uint64 { return block >> c.blockShift & c.setMask }
+func (c *Cache) tagOf(block uint64) uint64    { return block >> (c.blockShift + c.setShift) }
+
+// way returns the tag-array index of way w of set si.
+func (c *Cache) way(si uint64, w int) uint64 { return si<<c.wayShift + uint64(w) }
 
 // Request accepts a packet. Lookup completes HitLatency cycles later;
 // the control-plane parameter lookup overlaps the tag pipeline and adds
@@ -288,8 +315,21 @@ func (c *Cache) tagOf(block uint64) uint64 {
 // Request→lookup chain is allocation-free in steady state
 // (TestRequestChainZeroAlloc).
 func (c *Cache) Request(p *core.Packet) {
+	if p.Addr>>physAddrBits != 0 {
+		c.addrTooWide(p)
+	}
 	c.rec.Enter(c.hop, p)
 	p.ScheduleCall(c.clock, c.cfg.HitLatency, c.lookupFn)
+}
+
+// addrTooWide panics on an address beyond physAddrBits: its tag would
+// not fit in a block word. Not inlined, so the cold formatting stays
+// out of Request's frame.
+//
+//go:noinline
+func (c *Cache) addrTooWide(p *core.Packet) {
+	panic(fmt.Sprintf("cache %s: %s: address %#x is wider than the %d-bit physical address space",
+		c.cfg.Name, p, p.Addr, physAddrBits))
 }
 
 // lookupStep performs the tag lookup. retry marks the re-execution of a
@@ -305,20 +345,20 @@ func (c *Cache) lookupStep(p *core.Packet, retry bool) {
 	}
 	block := c.blockAddr(p.Addr)
 	si := c.setIndex(block)
-	tag := c.tagOf(block)
-	set := c.lines[si]
+	base := c.way(si, 0)
+	set := c.blocks[base : base+uint64(c.cfg.Ways)]
 
 	// An LLC hit requires both the address tag and the owner DS-id to
 	// match: LDoms have overlapping guest-physical spaces (paper §4.2
-	// footnote 4).
-	for w := range set {
-		ln := &set[w]
-		if ln.valid && ln.tag == tag && ln.owner == p.DSID {
+	// footnote 4). Both sit in the block word beside the valid bit.
+	want := c.tagOf(block)<<tagShift | uint64(p.DSID)<<ownerShift | blockValid
+	for w, b := range set {
+		if b&^blockDirty == want {
 			c.hit(p, si, w, retry)
 			return
 		}
 	}
-	c.miss(p, block, si, tag, retry)
+	c.miss(p, block, si, retry)
 }
 
 func (c *Cache) hit(p *core.Packet, si uint64, w int, retry bool) {
@@ -328,7 +368,7 @@ func (c *Cache) hit(p *core.Packet, si uint64, w int, retry bool) {
 	}
 	c.touch(si, w)
 	if p.Kind.IsWrite() {
-		c.lines[si][w].dirty = true
+		c.blocks[c.way(si, w)] |= blockDirty
 	}
 	c.rec.Finish(c.hop, p)
 	p.Complete(c.engine.Now())
@@ -342,7 +382,7 @@ func (c *Cache) hit(p *core.Packet, si uint64, w int, retry bool) {
 	}
 }
 
-func (c *Cache) miss(p *core.Packet, block, si, tag uint64, retry bool) {
+func (c *Cache) miss(p *core.Packet, block, si uint64, retry bool) {
 	if !retry {
 		// Counted on the first attempt only: a stalled access that
 		// re-enters via the retry path must not inflate miss_rate
@@ -361,7 +401,7 @@ func (c *Cache) miss(p *core.Packet, block, si, tag uint64, retry bool) {
 		c.stall(p, retry)
 		return
 	}
-	c.allocateMiss(p, key, si, tag, retry)
+	c.allocateMiss(p, key, si, retry)
 }
 
 // stall parks p on the structural-stall queue. Like hits and misses,
@@ -376,7 +416,7 @@ func (c *Cache) stall(p *core.Packet, retry bool) {
 	c.spifo.Push(p, 0)
 }
 
-func (c *Cache) allocateMiss(p *core.Packet, key mshrKey, si, tag uint64, retry bool) {
+func (c *Cache) allocateMiss(p *core.Packet, key mshrKey, si uint64, retry bool) {
 	w, ok := c.evict(si, p.DSID)
 	if !ok {
 		// Every allowed way has a fill in flight: structural stall
@@ -384,9 +424,9 @@ func (c *Cache) allocateMiss(p *core.Packet, key mshrKey, si, tag uint64, retry 
 		c.stall(p, retry)
 		return
 	}
-	set := c.lines[si]
-	victim := set[w]
-	set[w] = line{}
+	i := c.way(si, w)
+	victim := c.blocks[i]
+	c.blocks[i] = 0
 	c.reserved[si] |= 1 << uint(w) // hold the way until the fill lands
 
 	e := c.getEntry()
@@ -394,7 +434,7 @@ func (c *Cache) allocateMiss(p *core.Packet, key mshrKey, si, tag uint64, retry 
 	e.key, e.way, e.set, e.victim = key, w, si, victim
 	c.mshrs = append(c.mshrs, e)
 
-	if victim.valid && victim.dirty {
+	if victim&(blockValid|blockDirty) == blockValid|blockDirty {
 		c.writeback(si, victim, p.DSID)
 	}
 
@@ -455,7 +495,7 @@ func (c *Cache) putEntry(e *mshrEntry) {
 		e.waiters[i] = nil
 	}
 	e.waiters = e.waiters[:0]
-	e.key, e.way, e.set, e.victim, e.dead = mshrKey{}, 0, 0, line{}, false
+	e.key, e.way, e.set, e.victim, e.dead = mshrKey{}, 0, 0, 0, false
 	c.entryPool = append(c.entryPool, e)
 }
 
@@ -475,8 +515,9 @@ func (c *Cache) evict(si uint64, ds core.DSID) (w int, ok bool) {
 		return 0, false
 	}
 	// Prefer an invalid allowed way.
+	base := c.way(si, 0)
 	for w := 0; w < c.cfg.Ways; w++ {
-		if mask&(1<<uint(w)) != 0 && !c.lines[si][w].valid {
+		if mask&(1<<uint(w)) != 0 && c.blocks[base+uint64(w)]&blockValid == 0 {
 			return w, true
 		}
 	}
@@ -487,8 +528,8 @@ func (c *Cache) evict(si uint64, ds core.DSID) (w int, ok bool) {
 			if mask&(1<<uint(w)) == 0 {
 				continue
 			}
-			if best == -1 || c.lastUse[si][w] < bestUse {
-				best, bestUse = w, c.lastUse[si][w]
+			if use := c.lastUse[base+uint64(w)]; best == -1 || use < bestUse {
+				best, bestUse = w, use
 			}
 		}
 		return best, true
@@ -518,7 +559,7 @@ func (c *Cache) touch(si uint64, w int) {
 	switch c.cfg.Policy {
 	case PolicyLRU:
 		c.useTick++
-		c.lastUse[si][w] = c.useTick
+		c.lastUse[c.way(si, w)] = c.useTick
 	case PolicyRandom:
 		// stateless
 	default:
@@ -536,19 +577,20 @@ func popcount(v uint64) int {
 	return n
 }
 
-// writeback sends victim's dirty block to the next level. requester is
-// the DS-id whose access forced the eviction, counted for the §4.1
-// ablation only.
-func (c *Cache) writeback(si uint64, victim line, requester core.DSID) {
+// writeback sends victim's dirty block, the word evicted from set si,
+// to the next level. requester is the DS-id whose access forced the
+// eviction, counted for the §4.1 ablation only.
+func (c *Cache) writeback(si, victim uint64, requester core.DSID) {
+	owner := blockOwner(victim)
 	c.Writebacks++
-	c.WritebacksByOwner = core.GrowTo(c.WritebacksByOwner, victim.owner)
-	c.WritebacksByOwner[victim.owner]++
+	c.WritebacksByOwner = core.GrowTo(c.WritebacksByOwner, owner)
+	c.WritebacksByOwner[owner]++
 	c.WritebacksByRequester = core.GrowTo(c.WritebacksByRequester, requester)
 	c.WritebacksByRequester[requester]++
-	addr := (victim.tag*uint64(c.sets) + si) * uint64(c.cfg.BlockSize)
+	addr := (victim>>tagShift<<c.setShift | si) << c.blockShift
 	// The writeback is tagged with the block's owner DS-id, not the
 	// requester that forced the eviction (paper §4.1).
-	wb := core.NewPacket(c.ids, core.KindWriteback, victim.owner, addr, uint32(c.cfg.BlockSize), c.engine.Now())
+	wb := core.NewPacket(c.ids, core.KindWriteback, owner, addr, uint32(c.cfg.BlockSize), c.engine.Now())
 	c.rec.Begin(c.hop, wb)
 	c.next.Request(wb)
 }
@@ -570,8 +612,8 @@ func (c *Cache) fill(key mshrKey, fromWriteback bool) {
 		// in-flight block.
 		if len(e.waiters) == 0 {
 			c.reserved[e.set] &^= 1 << uint(e.way)
-			if e.victim.valid {
-				c.decOccupancy(e.victim.owner)
+			if e.victim&blockValid != 0 {
+				c.decOccupancy(blockOwner(e.victim))
 			}
 			c.unlinkMSHR(i)
 			c.putEntry(e)
@@ -585,21 +627,24 @@ func (c *Cache) fill(key mshrKey, fromWriteback bool) {
 	c.unlinkMSHR(i)
 	c.Fills++
 
-	dirty := fromWriteback
+	b := c.tagOf(key.block)<<tagShift | uint64(key.ds)<<ownerShift | blockValid
+	if fromWriteback {
+		b |= blockDirty
+	}
 	for _, w := range e.waiters {
 		if w.Kind.IsWrite() {
-			dirty = true
+			b |= blockDirty
 		}
 	}
 	si := e.set
 	c.reserved[si] &^= 1 << uint(e.way)
-	c.lines[si][e.way] = line{tag: c.tagOf(key.block), valid: true, dirty: dirty, owner: key.ds}
+	c.blocks[c.way(si, e.way)] = b
 	c.touch(si, e.way)
 
 	// Occupancy accounting: the victim's owner loses a block, the
 	// requester gains one (paper footnote 6).
-	if e.victim.valid {
-		c.decOccupancy(e.victim.owner)
+	if e.victim&blockValid != 0 {
+		c.decOccupancy(blockOwner(e.victim))
 	}
 	c.incOccupancy(key.ds)
 
@@ -669,20 +714,20 @@ func (c *Cache) account(ds core.DSID, hit bool) {
 // this, a fill issued before the teardown would land afterwards and
 // re-install a block owned by the dead (possibly recycled) DS-id.
 func (c *Cache) InvalidateDSID(ds core.DSID) uint64 {
+	// Set-major, way order: the scrub's writebacks leave in that order.
 	var n uint64
-	for si := range c.lines {
-		for w := range c.lines[si] {
-			ln := &c.lines[si][w]
-			if !ln.valid || ln.owner != ds {
-				continue
-			}
-			if ln.dirty {
-				c.writeback(uint64(si), *ln, ds)
-			}
-			*ln = line{}
-			n++
-			c.decOccupancy(ds)
+	owned := uint64(ds)<<ownerShift | blockValid
+	const ownerValid = uint64(0xFFFF)<<ownerShift | blockValid
+	for i, b := range c.blocks {
+		if b&ownerValid != owned {
+			continue
 		}
+		if b&blockDirty != 0 {
+			c.writeback(uint64(i)>>c.wayShift, b, ds)
+		}
+		c.blocks[i] = 0
+		n++
+		c.decOccupancy(ds)
 	}
 
 	now := c.engine.Now()

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -181,7 +182,7 @@ func TestMSHRStructuralStall(t *testing.T) {
 func TestWayPartitionBoundsOccupancy(t *testing.T) {
 	h := newHarness(t, llcConfig())
 	h.c.Plane().Params().SetName(1, ParamWayMask, 0x000F) // 4 of 16 ways
-	sets := h.c.sets
+	sets := h.c.numBlocks / h.c.cfg.Ways
 	// Stream far more blocks than the partition holds.
 	for i := 0; i < 8*h.c.numBlocks; i++ {
 		h.access(t, core.KindMemRead, 1, uint64(i)*64)
@@ -242,20 +243,47 @@ func TestControlPlaneStatsAndTrigger(t *testing.T) {
 func TestGeometryValidation(t *testing.T) {
 	e := sim.NewEngine()
 	clock := sim.NewClock(e, 500)
-	bad := []Config{
-		{Name: "x", SizeBytes: 1024, Ways: 3, BlockSize: 64},
-		{Name: "x", SizeBytes: 1000, Ways: 2, BlockSize: 64},
+	bad := []struct {
+		cfg  Config
+		want string // in the panic, naming the remedy
+	}{
+		{Config{Name: "x", SizeBytes: 1024, Ways: 3, BlockSize: 64}, "ways must be a power of two"},
+		{Config{Name: "x", SizeBytes: 1000, Ways: 2, BlockSize: 64}, "not divisible by ways*block"},
+		{Config{Name: "x", SizeBytes: 3 * 2 * 64, Ways: 2, BlockSize: 64}, "set count must be a power of two"},
+		{Config{Name: "x", SizeBytes: 4 * 2 * 96, Ways: 2, BlockSize: 96}, "block size must be a power of two"},
+		// One set of one-byte blocks leaves a 48-bit tag, two bits too
+		// wide for a word beside the owner and state bits.
+		{Config{Name: "x", SizeBytes: 2, Ways: 2, BlockSize: 1}, "use a larger block or more sets"},
 	}
-	for _, cfg := range bad {
+	for _, tc := range bad {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("config %+v did not panic", cfg)
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, tc.want) {
+					t.Errorf("config %+v: panic %q, want one containing %q", tc.cfg, msg, tc.want)
 				}
 			}()
-			New(e, clock, &core.IDSource{}, cfg, &stubMem{e: e})
+			New(e, clock, &core.IDSource{}, tc.cfg, &stubMem{e: e})
 		}()
 	}
+	// The smallest geometry whose tag fits: one set of 4-byte blocks.
+	New(e, clock, &core.IDSource{}, Config{Name: "x", SizeBytes: 8, Ways: 2, BlockSize: 4}, &stubMem{e: e})
+}
+
+// TestAddressWidthPanics: an address with a bit at or above the 48-bit
+// physical address width has a tag too wide for its block word, so the
+// cache refuses the request and names the address and the width.
+func TestAddressWidthPanics(t *testing.T) {
+	h := newHarness(t, llcConfig())
+	h.access(t, core.KindMemRead, 1, 1<<physAddrBits-1) // the top byte is fine
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "0x1000000000000") || !strings.Contains(msg, "48-bit") {
+			t.Fatalf("panic %q does not name the address and the 48-bit width", msg)
+		}
+	}()
+	h.c.Request(core.NewPacket(h.ids, core.KindMemRead, 1, 1<<physAddrBits, 64, h.e.Now()))
+	t.Fatal("a 49-bit address was accepted")
 }
 
 func TestInvalidateDSIDScrubsAndWritesBack(t *testing.T) {
@@ -295,6 +323,15 @@ func TestInvalidateDSIDScrubsAndWritesBack(t *testing.T) {
 	}
 }
 
+// validBlocks counts the tag array's valid blocks.
+func validBlocks(c *Cache) uint64 {
+	var n uint64
+	for _, b := range c.blocks {
+		n += b & blockValid
+	}
+	return n
+}
+
 // Regression: many misses in flight to the same sets must not reserve
 // the same way twice; occupancy stays bounded by capacity even when
 // requests are issued in parallel before any fill lands.
@@ -318,21 +355,13 @@ func TestParallelMissesDoNotLeakOccupancy(t *testing.T) {
 	if sum > uint64(h.c.numBlocks) {
 		t.Fatalf("occupancy %d exceeds capacity %d", sum, h.c.numBlocks)
 	}
-	var valid uint64
-	for _, set := range h.c.lines {
-		for _, ln := range set {
-			if ln.valid {
-				valid++
-			}
-		}
-	}
-	if sum != valid {
-		t.Fatalf("occupancy %d != valid lines %d", sum, valid)
+	if valid := validBlocks(h.c); sum != valid {
+		t.Fatalf("occupancy %d != valid blocks %d", sum, valid)
 	}
 }
 
 // Property: total occupancy across DS-ids equals the number of valid
-// lines and never exceeds capacity, for arbitrary access interleavings.
+// blocks and never exceeds capacity, for arbitrary access interleavings.
 func TestPropertyOccupancyConsistent(t *testing.T) {
 	f := func(ops []struct {
 		DS   uint8
@@ -358,15 +387,7 @@ func TestPropertyOccupancyConsistent(t *testing.T) {
 		for _, occ := range c.occupancy {
 			total += occ
 		}
-		var valid uint64
-		for _, set := range c.lines {
-			for _, ln := range set {
-				if ln.valid {
-					valid++
-				}
-			}
-		}
-		return total == valid && total <= uint64(c.numBlocks)
+		return total == validBlocks(c) && total <= uint64(c.numBlocks)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

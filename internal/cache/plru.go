@@ -1,5 +1,7 @@
 package cache
 
+import "math/bits"
+
 // Tree pseudo-LRU replacement over a power-of-two number of ways, with
 // PARD's way-mask constraint: victim selection is restricted to the ways
 // allowed for the requesting DS-id, while lookups hit in any way
@@ -72,3 +74,6 @@ func maskRange(mask uint64, lo, hi int) uint64 {
 
 // isPow2 reports whether v is a positive power of two.
 func isPow2(v int) bool { return v > 0 && v&(v-1) == 0 }
+
+// log2 returns the exponent of v, a power of two.
+func log2(v int) uint { return uint(bits.TrailingZeros(uint(v))) }

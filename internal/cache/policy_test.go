@@ -56,7 +56,7 @@ func TestRandomPolicyStaysInMask(t *testing.T) {
 	for i := 0; i < 4*h.c.numBlocks; i++ {
 		h.access(t, core.KindMemRead, 1, uint64(i)*64)
 	}
-	if occ := h.c.Occupancy(1); occ > uint64(4*h.c.sets) {
+	if occ := h.c.Occupancy(1); occ > uint64(4*h.c.numBlocks/h.c.cfg.Ways) {
 		t.Fatalf("random policy escaped the way mask: occupancy %d", occ)
 	}
 }
@@ -115,14 +115,7 @@ func TestAllPoliciesPreserveOccupancyInvariant(t *testing.T) {
 		for _, occ := range h.c.occupancy {
 			total += occ
 		}
-		var valid uint64
-		for _, set := range h.c.lines {
-			for _, ln := range set {
-				if ln.valid {
-					valid++
-				}
-			}
-		}
+		valid := validBlocks(h.c)
 		if total != valid || total > uint64(h.c.numBlocks) {
 			t.Fatalf("policy %v: occupancy %d, valid %d, capacity %d", p, total, valid, h.c.numBlocks)
 		}

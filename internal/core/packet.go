@@ -256,15 +256,13 @@ func NewPacket(ids *IDSource, kind Kind, ds DSID, addr uint64, size uint32, now 
 			//pardlint:ignore hotalloc pool miss: amortized to zero once the free list reaches steady-state depth
 			p = new(Packet)
 		}
-		*p = Packet{
-			ID:    id,
-			Kind:  kind,
-			DSID:  ds,
-			Addr:  addr,
-			Size:  size,
-			Issue: now,
-			src:   ids,
-		}
+		// Field by field, not *p = Packet{...}: the composite literal
+		// is built on the stack and block-copied under write barriers.
+		// TestNewPacketResetsRecycled catches a field missed here.
+		p.ID, p.Kind, p.DSID, p.Addr, p.Size, p.Issue = id, kind, ds, addr, size, now
+		p.Vector = 0
+		p.OnDone, p.Done, p.completed = nil, 0, false
+		p.src, p.callFn = ids, nil
 		return p
 	}
 	//pardlint:ignore hotalloc unpooled sources are a test-only configuration; production servers pool

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -33,6 +35,80 @@ func TestPooledPacketRecycles(t *testing.T) {
 	}
 	if p2.ID != 2 {
 		t.Fatalf("recycled packet id = %d, want fresh id 2", p2.ID)
+	}
+}
+
+// TestNewPacketResetsRecycled sets every field of a pooled packet,
+// unexported ones included, to a non-zero value, recycles it, and
+// checks that NewPacket hands it back holding only its six arguments
+// and its source. A field added to Packet and not reset in NewPacket
+// fails here instead of leaking from a packet's previous life.
+func TestNewPacketResetsRecycled(t *testing.T) {
+	ids := &IDSource{}
+	ids.EnablePool()
+	p := new(Packet)
+	v := reflect.ValueOf(p).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		setNonZero(t, v.Type().Field(i).Name, settable(v.Field(i)))
+	}
+	p.ID = 1 << 40
+	ids.free = append(ids.free, p)
+
+	q := NewPacket(ids, KindMemWrite, 3, 0x40, 64, 9)
+	if q != p {
+		t.Fatal("NewPacket did not reuse the recycled packet")
+	}
+	want := map[string]any{
+		"ID":   uint64(1), // a fresh source's first
+		"Kind": KindMemWrite, "DSID": DSID(3), "Addr": uint64(0x40),
+		"Size": uint32(64), "Issue": sim.Tick(9), "src": ids,
+	}
+	for i := 0; i < v.NumField(); i++ {
+		name, f := v.Type().Field(i).Name, settable(v.Field(i))
+		if w, ok := want[name]; ok {
+			if f.Interface() != w {
+				t.Errorf("field %s = %v, want %v", name, f.Interface(), w)
+			}
+		} else if !f.IsZero() {
+			t.Errorf("field %s survived recycling: %v", name, f.Interface())
+		}
+	}
+}
+
+// settable returns f, a field of an addressable struct, as a value that
+// can be read and set even when the field is unexported.
+func settable(f reflect.Value) reflect.Value {
+	return reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
+}
+
+// setNonZero stores a non-zero value of f's type in f.
+func setNonZero(t *testing.T, name string, f reflect.Value) {
+	t.Helper()
+	switch f.Kind() {
+	case reflect.Bool:
+		f.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		f.SetInt(1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		f.SetUint(1)
+	case reflect.String:
+		f.SetString("x")
+	case reflect.Pointer:
+		f.Set(reflect.New(f.Type().Elem()))
+	case reflect.Slice:
+		f.Set(reflect.MakeSlice(f.Type(), 1, 1))
+	case reflect.Map:
+		f.Set(reflect.MakeMap(f.Type()))
+	case reflect.Func:
+		f.Set(reflect.MakeFunc(f.Type(), func([]reflect.Value) []reflect.Value {
+			out := make([]reflect.Value, f.Type().NumOut())
+			for i := range out {
+				out[i] = reflect.Zero(f.Type().Out(i))
+			}
+			return out
+		}))
+	default:
+		t.Fatalf("field %s: setNonZero does not handle %s; extend it", name, f.Kind())
 	}
 }
 

@@ -493,34 +493,63 @@ func (fw *Firmware) freeSlot(cpa *core.CPA) (int, error) {
 // CreateLDom allocates a DS-id, programs every mounted control plane,
 // tags the LDom's cores, routes its interrupts and binds its vNIC
 // (paper §3.1 steps T2/T4/T6).
+//
+// The steps that can fail come first: the memory parameters are
+// resolved before anything changes, and the vNIC is bound before any
+// parameter is written. A failed create therefore leaves no LDom, row,
+// device-tree path, core tag, vNIC binding or journal event behind,
+// and consumes no DS-id.
 func (fw *Firmware) CreateLDom(spec LDomSpec) (*LDom, error) {
 	ds := fw.nextDS
-	fw.nextDS++
-	ld := &LDom{Spec: spec, DSID: ds, Created: fw.engine.Now()}
-	fw.ldoms[ds] = ld
+
+	// The memory control plane's address map and QoS knobs. A nonzero
+	// MemSize bounds the LDom's physical window: accesses beyond fault
+	// and count as violations (security containment).
+	type paramWrite struct {
+		col int
+		v   uint64
+	}
+	var memCPA *core.CPA
+	var memWrites []paramWrite
+	if _, cpa, err := fw.mountByType(core.PlaneTypeMemory); err == nil {
+		memCPA = cpa
+		names := []string{"addr_base", "priority", "rowbuf", "addr_limit"}
+		values := []uint64{spec.MemBase, spec.Priority, spec.RowBuf, spec.MemSize}
+		if spec.MemSize == 0 {
+			names = names[:3]
+		}
+		cols := cpa.Plane.Params().Columns()
+		for i, name := range names {
+			col, ok := cpa.Plane.Params().ColumnIndex(name)
+			if !ok || !cols[col].Writable {
+				return nil, fmt.Errorf("prm: %s has no writable parameter %q", cpa.Plane.Ident(), name)
+			}
+			memWrites = append(memWrites, paramWrite{col: col, v: values[i]})
+		}
+	}
 
 	for idx, m := range fw.mounts {
 		m.cpa.CreateRow(ds)
 		fw.addLDomTree(idx, ds)
 	}
-
-	// Program the memory control plane's address map and QoS knobs.
-	if _, memCPA, err := fw.mountByType(core.PlaneTypeMemory); err == nil {
-		if err := fw.writeParam(memCPA, ds, "addr_base", spec.MemBase); err != nil {
+	bound := false
+	undo := func() {
+		if bound {
+			fw.platform.UnbindVNIC(spec.MAC)
+		}
+		fw.removeLDomRows(ds)
+	}
+	if fw.platform != nil && spec.MAC != 0 {
+		if err := fw.platform.BindVNIC(spec.MAC, ds, spec.NICBuf); err != nil {
+			undo()
 			return nil, err
 		}
-		if err := fw.writeParam(memCPA, ds, "priority", spec.Priority); err != nil {
+		bound = true
+	}
+	for _, w := range memWrites {
+		if err := memCPA.WriteEntry(ds, w.col, core.SelParameter, w.v); err != nil {
+			undo()
 			return nil, err
-		}
-		if err := fw.writeParam(memCPA, ds, "rowbuf", spec.RowBuf); err != nil {
-			return nil, err
-		}
-		if spec.MemSize > 0 {
-			// Bound the LDom's physical window: accesses beyond fault
-			// and count as violations (security containment).
-			if err := fw.writeParam(memCPA, ds, "addr_limit", spec.MemSize); err != nil {
-				return nil, err
-			}
 		}
 	}
 
@@ -533,12 +562,10 @@ func (fw *Firmware) CreateLDom(spec LDomSpec) (*LDom, error) {
 			fw.platform.RouteInterrupt(ds, 14, spec.Cores[0]) // disk
 			fw.platform.RouteInterrupt(ds, 11, spec.Cores[0]) // nic
 		}
-		if spec.MAC != 0 {
-			if err := fw.platform.BindVNIC(spec.MAC, ds, spec.NICBuf); err != nil {
-				return nil, err
-			}
-		}
 	}
+	ld := &LDom{Spec: spec, DSID: ds, Created: fw.engine.Now()}
+	fw.ldoms[ds] = ld
+	fw.nextDS++
 	fw.journal.Record(telemetry.Event{
 		Kind:   telemetry.KindLDomCreate,
 		Origin: fw.Origin(),
@@ -562,10 +589,7 @@ func (fw *Firmware) DestroyLDom(ds core.DSID) error {
 			fw.platform.SetCoreTag(c, core.DSIDDefault)
 		}
 	}
-	for idx, m := range fw.mounts {
-		m.cpa.DeleteRow(ds)
-		fw.fs.Remove(fmt.Sprintf("/sys/cpa/cpa%d/ldoms/ldom%d", idx, ds))
-	}
+	fw.removeLDomRows(ds)
 	for key := range fw.bindings {
 		tr, err := fw.mounts[key.cpa].cpa.Plane.Trigger(key.slot)
 		if err == nil && tr.DSID == ds {
@@ -586,6 +610,15 @@ func (fw *Firmware) DestroyLDom(ds core.DSID) error {
 		Name:   ld.Spec.Name,
 	})
 	return nil
+}
+
+// removeLDomRows deletes ds's row and device-tree directory from every
+// mounted control plane.
+func (fw *Firmware) removeLDomRows(ds core.DSID) {
+	for idx, m := range fw.mounts {
+		m.cpa.DeleteRow(ds)
+		fw.fs.Remove(fmt.Sprintf("/sys/cpa/cpa%d/ldoms/ldom%d", idx, ds))
+	}
 }
 
 // LDoms returns the live LDoms in DS-id order. The slice is the
@@ -674,16 +707,6 @@ func (fw *Firmware) addLDomTree(cpaIdx int, ds core.DSID) {
 			return s.read(ds)
 		}, nil)
 	}
-}
-
-// writeParam writes a parameter through the device file tree when the
-// LDom subtree exists, exercising the same path operators use.
-func (fw *Firmware) writeParam(cpa *core.CPA, ds core.DSID, name string, v uint64) error {
-	col, ok := cpa.Plane.Params().ColumnIndex(name)
-	if !ok {
-		return fmt.Errorf("prm: %s has no parameter %q", cpa.Plane.Ident(), name)
-	}
-	return cpa.WriteEntry(ds, col, core.SelParameter, v)
 }
 
 // formatValue renders mask-like values in hex, everything else decimal.

@@ -206,8 +206,14 @@ func JournalText(j *Journal, n int) string {
 		if ev.Plane != "" {
 			fmt.Fprintf(&b, " plane=%s", ev.Plane)
 		}
-		if ev.DS != 0 || ev.Kind == KindParamWrite || ev.Kind == KindLDomCreate || ev.Kind == KindLDomDestroy {
+		switch ev.Kind {
+		case KindParamWrite, KindLDomCreate, KindLDomDestroy,
+			KindTriggerInstall, KindTriggerFired, KindTriggerSuppress:
 			fmt.Fprintf(&b, " ds=%d", ev.DS)
+		default:
+			if ev.DS != 0 {
+				fmt.Fprintf(&b, " ds=%d", ev.DS)
+			}
 		}
 		if ev.Name != "" {
 			fmt.Fprintf(&b, " name=%s", ev.Name)
@@ -215,6 +221,8 @@ func JournalText(j *Journal, n int) string {
 		switch ev.Kind {
 		case KindParamWrite:
 			fmt.Fprintf(&b, " %d->%d", ev.Old, ev.New)
+		case KindTriggerFired:
+			fmt.Fprintf(&b, " value=%d", ev.New)
 		case KindTriggerSuppress:
 			fmt.Fprintf(&b, " since_last=%d cooldown=%d", ev.Old, ev.New)
 		}

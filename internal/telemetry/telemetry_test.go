@@ -263,6 +263,7 @@ func TestTextViews(t *testing.T) {
 	r.Scrape()
 	j.Record(Event{Kind: KindParamWrite, Origin: "console", Plane: "cpa0", Name: "waymask", Old: 1, New: 2})
 	j.Record(Event{Kind: KindTriggerSuppress, Origin: "policy:p/r", Plane: "cpa0", Name: "miss_rate", Old: 3, New: 10, Detail: "suppressed: action a on cooldown"})
+	j.Record(Event{Kind: KindTriggerFired, Origin: "console", Plane: "cpa0", Name: "miss_rate", New: 1000, Detail: "action a"})
 
 	top := TopText(r, "")
 	if !strings.Contains(top, "g") || !strings.Contains(top, "1 series") {
@@ -272,8 +273,14 @@ func TestTextViews(t *testing.T) {
 	if !strings.Contains(jt, "1->2") || !strings.Contains(jt, "since_last=3 cooldown=10") {
 		t.Fatalf("JournalText:\n%s", jt)
 	}
+	// Trigger events name their LDom even when it is ds0, and a firing
+	// shows the statistic's value.
+	if !strings.Contains(jt, "ds=0 name=miss_rate since_last=3") ||
+		!strings.Contains(jt, "ds=0 name=miss_rate value=1000 (action a)") {
+		t.Fatalf("JournalText trigger lines:\n%s", jt)
+	}
 	sum := SummaryText(r, j)
-	if !strings.Contains(sum, "2 retained of 2 recorded") {
+	if !strings.Contains(sum, "3 retained of 3 recorded") {
 		t.Fatalf("SummaryText:\n%s", sum)
 	}
 }

@@ -19,6 +19,11 @@ import (
 // `telemetry`, `log` and `guard journal` changed when the journal began
 // recording ldom_create events (one per LDom, four here) and the
 // firmware's `log` became the journal's render.
+//
+// Moved together once more: `journal 0`, `log` and `guard journal`
+// changed when the text render began to print `ds=` on every trigger
+// event (ds0's included) and the statistic's `value=` on each
+// trigger_fired, so a firing names its LDom and what fired it.
 
 // observeSystem boots the Figure 8 server with the memory probe on,
 // loads llc_guard.pard and runs 30 ms — long enough for the 512-sample
@@ -64,17 +69,17 @@ func TestObservationGoldens(t *testing.T) {
 		{"prometheus", render(func(b *bytes.Buffer) error { return telemetry.WritePrometheus(b, s.Telemetry, s.Journal) }), "c27d33560ab4d948"},
 		{"trace", console("trace"), "9ed1ddb2aaf0dbe1"},
 		{"top", console("top"), "6020a8eb568b336b"},
-		{"journal 0", console("journal 0"), "a38c980f91cf7f6e"},
+		{"journal 0", console("journal 0"), "124becb35d383975"},
 		{"telemetry", console("telemetry"), "7373a39fe3c86d64"},
 		{"policy explain", console("policy explain llc_guard"), "8fdaeb1f23eb97d4"},
-		{"log", console("log"), "a38c980f91cf7f6e"},
+		{"log", console("log"), "124becb35d383975"},
 		{"perfetto", render(func(b *bytes.Buffer) error {
 			_, err := s.Recorder.WritePerfettoWith(b, s.CounterTracks())
 			return err
 		}), "e8df01889c281390"},
 		// The built-in guard's repartition, journaled in DS-id order
 		// (TestColocationOutputInDSIDOrder).
-		{"guard journal", telemetry.JournalText(guardBoot(t).Journal, 0), "ef3946def52de121"},
+		{"guard journal", telemetry.JournalText(guardBoot(t).Journal, 0), "24808d7b132b0a9a"},
 	}
 	for _, sf := range surfaces {
 		if got := goldenHash(sf.out); got != sf.want {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/iodev"
 	"repro/internal/workload"
 )
 
@@ -44,6 +45,55 @@ func TestCreateLDomTagsCoresAndMapsMemory(t *testing.T) {
 	got := sys.Firmware.MustSh("cat /sys/cpa/cpa1/ldoms/ldom0/parameters/addr_base")
 	if got != "2147483648" {
 		t.Fatalf("addr_base = %q", got)
+	}
+}
+
+// A create that fails (here on a MAC another LDom holds) leaves
+// nothing behind: no LDom, core tag, plane row, device-tree path, vNIC
+// binding or journal event, and it consumes no DS-id.
+func TestFailedCreateLDomLeavesNothing(t *testing.T) {
+	sys := NewSystem(DefaultConfig())
+	if _, err := sys.CreateLDom(LDomConfig{Name: "a", Cores: []int{0}, MAC: 0xA0, NICBuf: 0x1000}); err != nil {
+		t.Fatal(err)
+	}
+	events := sys.Journal.NextSeq()
+	if _, err := sys.CreateLDom(LDomConfig{Name: "b", Cores: []int{1}, MemBase: 2 << 30, MAC: 0xA0, NICBuf: 0x2000}); err == nil {
+		t.Fatal("a second LDom bound MAC 0xA0")
+	}
+	if lds := sys.Firmware.LDoms(); len(lds) != 1 || lds[0].Spec.Name != "a" {
+		t.Errorf("%d LDoms after the failed create, want a alone", len(lds))
+	}
+	if got := sys.Cores[1].Tag.Get(); got != 0 {
+		t.Errorf("core 1 tag = %v, want ds0", got)
+	}
+	for i := 0; ; i++ {
+		cpa, err := sys.Firmware.CPA(i)
+		if err != nil {
+			break
+		}
+		if cpa.Plane.Params().HasRow(1) || cpa.Plane.Stats().HasRow(1) {
+			t.Errorf("cpa%d kept a ds1 row", i)
+		}
+	}
+	if sys.Firmware.FS().Exists("/sys/cpa/cpa0/ldoms/ldom1") {
+		t.Error("/sys/cpa/cpa0/ldoms/ldom1 survived the failed create")
+	}
+	if got := sys.NIC.Plane().Param(0, iodev.ParamVNICMac); got != 0xA0 {
+		t.Errorf("ldom a's vNIC MAC = %#x, want 0xa0", got)
+	}
+	creates := 0
+	for i := 0; i < sys.Journal.Len(); i++ {
+		if sys.Journal.At(i).Kind == "ldom_create" {
+			creates++
+		}
+	}
+	if creates != 1 || sys.Journal.NextSeq() != events {
+		t.Errorf("journal: %d ldom_create, %d events recorded by the failed create; want 1 and 0",
+			creates, sys.Journal.NextSeq()-events)
+	}
+	ld, err := sys.CreateLDom(LDomConfig{Name: "b", Cores: []int{1}, MemBase: 2 << 30, MAC: 0xB0, NICBuf: 0x2000})
+	if err != nil || ld.DSID != 1 {
+		t.Fatalf("retry: ldom %v, err %v; want ds1", ld, err)
 	}
 }
 
