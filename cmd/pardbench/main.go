@@ -4,12 +4,7 @@
 // Usage:
 //
 //	pardbench [-run all|table2|table3|fig7|fig8|fig9|fig10|fig11|fig12|schedlat|llclat|ablations]
-//	          [-scale quick|full] [-csv DIR] [-json FILE] [-trace FILE] [-policy FILE]
-//
-// -policy FILE compiles FILE as a .pard policy (see internal/policy) and
-// uses it as the fig8/fig9 QoS rule in place of the built-in
-// llc_grow_to_half action; with examples/policies/llc_guard.pard the
-// output is byte-identical to the default run.
+//	          [-scale quick|full] [-csv DIR] [-json FILE] [-trace FILE]
 //
 // -trace FILE runs a short two-LDom contention experiment with the ICN
 // flight recorder enabled (1-in-64 sampling) instead of the figure
@@ -54,7 +49,6 @@ func main() {
 	csvDir := flag.String("csv", "", "directory to export figure CSVs into")
 	jsonPath := flag.String("json", "", "file to write benchmark + headline JSON into")
 	tracePath := flag.String("trace", "", "file to write a Perfetto trace of a short two-LDom run into")
-	policyPath := flag.String("policy", "", "route the fig8/fig9 QoS rule through this .pard policy file instead of the built-in action")
 	shardsFlag := flag.String("shards", "", "comma-separated shard counts for the rack-scaling sweep (e.g. 1,2,4); first entry is the speedup baseline")
 	clusterFlag := flag.Bool("cluster", false, "run the cluster determinism smoke (4-rack leaf/spine at shards 1,2,4) instead of the figure sweep")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (pprof format)")
@@ -85,16 +79,6 @@ func main() {
 		}()
 	}
 
-	var llcGuardPolicy string
-	if *policyPath != "" {
-		src, err := os.ReadFile(*policyPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pardbench:", err)
-			os.Exit(1)
-		}
-		llcGuardPolicy = string(src)
-	}
-
 	if *tracePath != "" {
 		if err := writeTrace(*tracePath); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -123,16 +107,8 @@ func main() {
 		{name: "table2", run: func(exp.Scale) exp.Printable { return exp.Table2() }},
 		{name: "table3", run: func(exp.Scale) exp.Printable { return exp.Table3() }},
 		{name: "fig7", run: func(s exp.Scale) exp.Printable { return exp.Fig7(exp.DefaultFig7Config(s)) }},
-		{name: "fig8", run: func(s exp.Scale) exp.Printable {
-			cfg := exp.DefaultFig8Config(s)
-			cfg.LLCGuardPolicy = llcGuardPolicy
-			return exp.Fig8(cfg)
-		}},
-		{name: "fig9", run: func(s exp.Scale) exp.Printable {
-			cfg := exp.DefaultFig9Config(s)
-			cfg.LLCGuardPolicy = llcGuardPolicy
-			return exp.Fig9(cfg)
-		}},
+		{name: "fig8", run: func(s exp.Scale) exp.Printable { return exp.Fig8(exp.DefaultFig8Config(s)) }},
+		{name: "fig9", run: func(s exp.Scale) exp.Printable { return exp.Fig9(exp.DefaultFig9Config(s)) }},
 		{name: "fig10", run: func(s exp.Scale) exp.Printable { return exp.Fig10(exp.DefaultFig10Config(s)) }},
 		{name: "fig11", run: func(s exp.Scale) exp.Printable { return exp.Fig11(exp.DefaultFig11Config(s)) }},
 		{name: "fig12", run: func(exp.Scale) exp.Printable { return exp.Fig12() }},

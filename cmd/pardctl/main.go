@@ -18,7 +18,7 @@
 //	pardctl policy validate <file.pard>...   typecheck against a booted server
 //	pardctl policy show <file.pard>          print the canonical form
 //	pardctl policy apply <file.pard>...      load files, then open the console
-//	pardctl policy explain <file.pard>       load, drive contention, replay firings
+//	pardctl policy explain <file.pard>       load, drive contention, show recent firings
 //
 // and on the telemetry plane, booting a contended demo server:
 //
@@ -252,8 +252,8 @@ func policyMain(args []string) int {
 
 // explainPolicy demonstrates a policy file end to end: boot a small
 // contended server, create one LDom per name the policy references,
-// load the policy, run long enough for triggers to fire, and replay
-// the recorded firing history.
+// load the policy, run long enough for triggers to fire, and render
+// each rule's recent firings from the audit journal.
 func explainPolicy(path string) (string, error) {
 	src, err := os.ReadFile(path)
 	if err != nil {

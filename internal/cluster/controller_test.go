@@ -17,6 +17,7 @@ type nopPlatform struct{}
 func (nopPlatform) SetCoreTag(int, core.DSID)                {}
 func (nopPlatform) StopCore(int)                             {}
 func (nopPlatform) RouteInterrupt(core.DSID, uint8, int)     {}
+func (nopPlatform) ClearRoutes(core.DSID)                    {}
 func (nopPlatform) BindVNIC(uint64, core.DSID, uint64) error { return nil }
 func (nopPlatform) UnbindVNIC(uint64)                        {}
 func (nopPlatform) FlushLDom(core.DSID)                      {}

@@ -221,9 +221,6 @@ func (s *IDSource) Next() uint64 {
 // system construction, before any traffic.
 func (s *IDSource) EnablePool() { s.pooled = true }
 
-// Pooled reports whether recycling is on.
-func (s *IDSource) Pooled() bool { return s.pooled }
-
 // FreeCount reports the current free-list depth (for tests).
 func (s *IDSource) FreeCount() int { return len(s.free) }
 

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"cmp"
-
 	"repro/internal/sim"
 	"repro/pard"
 )
@@ -42,13 +40,13 @@ type colocation struct {
 // rule first:
 //
 //	LLC.miss_rate > 30% => llc_grow_to_half
-func newColocation(rps float64, arm Arm, streamDelay sim.Tick, guardPolicy string) *colocation {
+func newColocation(rps float64, arm Arm, streamDelay sim.Tick) *colocation {
 	cfg := pard.DefaultConfig()
 	cfg.SampleInterval = 50 * sim.Microsecond
 	sys := pard.NewSystem(cfg)
 	server := pard.Colocation{RPS: rps, Streams: arm != ArmSolo, StreamStart: streamDelay}
 	if arm == ArmTrigger {
-		server.Guard = llcGuard(guardPolicy)
+		server.Guard = pard.LLCGuardTrigger
 	}
 	mc, err := server.Provision(sys)
 	if err != nil {
@@ -56,16 +54,6 @@ func newColocation(rps float64, arm Arm, streamDelay sim.Tick, guardPolicy strin
 	}
 	return &colocation{Sys: sys, MC: mc}
 }
-
-// llcGuard is the Colocation.Guard for a run's LLCGuardPolicy: the
-// .pard source when one is given (pardbench -policy), else the
-// built-in pardtrigger. The shipped examples/policies/llc_guard.pard
-// reproduces the built-in llc_grow_to_half action exactly, so the
-// experiment output is byte-identical either way. The source rides in
-// the per-run config rather than a package global: experiment code is
-// shard-executable, and shardisolation proves no cross-shard mutable
-// state hides here.
-func llcGuard(policy string) string { return cmp.Or(policy, pard.LLCGuardTrigger) }
 
 // run executes warmup (discarding its latency samples) then the
 // measurement window.

@@ -15,10 +15,6 @@ type Fig8Config struct {
 	Warm    sim.Tick
 	Measure sim.Tick
 	Arms    []Arm
-	// LLCGuardPolicy, when non-empty, routes the ArmTrigger QoS rule
-	// through this .pard policy source instead of the built-in
-	// pardtrigger action (pardbench -policy).
-	LLCGuardPolicy string
 }
 
 // DefaultFig8Config mirrors the paper's x-axis.
@@ -62,7 +58,7 @@ func Fig8(cfg Fig8Config) *Fig8Result {
 	res := &Fig8Result{Cfg: cfg}
 	for _, arm := range cfg.Arms {
 		for _, krps := range cfg.KRPS {
-			c := newColocation(krps*1000, arm, 0, cfg.LLCGuardPolicy)
+			c := newColocation(krps*1000, arm, 0)
 			c.run(cfg.Warm, cfg.Measure)
 			res.Points = append(res.Points, Fig8Point{
 				Arm:         arm,

@@ -7,6 +7,7 @@ import (
 	"repro/internal/metric"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
+	"repro/pard"
 )
 
 // Fig9Config parameterizes the trigger⇒action verification (paper
@@ -26,10 +27,6 @@ type Fig9Config struct {
 	// rate starts at ~7%; here the trigger is installed once the cold
 	//-start misses have drained.
 	InstallAt sim.Tick
-	// LLCGuardPolicy, when non-empty, routes the installed QoS rule
-	// through this .pard policy source instead of the built-in
-	// pardtrigger action (pardbench -policy).
-	LLCGuardPolicy string
 }
 
 // DefaultFig9Config mirrors the paper's 20 KRPS run.
@@ -59,12 +56,12 @@ type Fig9Result struct {
 
 // Fig9 runs the timeline.
 func Fig9(cfg Fig9Config) *Fig9Result {
-	c := newColocation(cfg.KRPS*1000, ArmShared, cfg.StreamStart, cfg.LLCGuardPolicy)
+	c := newColocation(cfg.KRPS*1000, ArmShared, cfg.StreamStart)
 	res := &Fig9Result{Cfg: cfg, MissRate: metric.NewSeries("llc_missrate_ldom0")}
 
 	e := c.Sys.Engine
 	e.Schedule(cfg.InstallAt, func() {
-		if err := c.Sys.InstallLLCGuard(llcGuard(cfg.LLCGuardPolicy)); err != nil {
+		if err := c.Sys.InstallLLCGuard(pard.LLCGuardTrigger); err != nil {
 			panic("exp: llc guard: " + err.Error())
 		}
 	})

@@ -2,8 +2,8 @@ package metric
 
 // Ring is a fixed-capacity buffer of the most recent values: the one
 // bounded store under every observation layer (telemetry series, the
-// audit journal, the flight recorder's trace archive and policy firing
-// history). Unlike Series (append-only, grows forever), a Ring
+// audit journal and the flight recorder's trace archive). Unlike
+// Series (append-only, grows forever), a Ring
 // allocates its backing array once and then writing is free of
 // allocation — the steady-state scrape path is proven zero-alloc by
 // pardlint's hotalloc analyzer and held dynamically by benchgate. When

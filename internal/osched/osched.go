@@ -71,9 +71,6 @@ func New(tag *core.TagRegister, slice sim.Tick, switchCycles uint64, procs ...*P
 	return &Scheduler{tag: tag, slice: slice, procs: procs, switchCost: switchCycles}
 }
 
-// Processes returns the process table.
-func (s *Scheduler) Processes() []*Process { return s.procs }
-
 // runnable returns the index of the next non-done process at or after
 // i, or -1.
 func (s *Scheduler) runnable(from int) int {

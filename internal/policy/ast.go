@@ -11,7 +11,8 @@
 // a bounded write set) → CheckConflicts (no two enabled rules may write
 // the same (plane, ldom, parameter)). The PRM firmware owns the last
 // step: installing the trigger rows and binding the synthesized actions
-// (internal/prm/policy.go).
+// (internal/prm/policy.go), and everything at run time — pacing,
+// counts and `policy explain`. This package holds no runtime state.
 //
 // Grammar (see DESIGN.md §10 for the full EBNF):
 //

@@ -19,6 +19,9 @@ type Platform interface {
 	// teardown), so it issues nothing more under the LDom's DS-id.
 	StopCore(coreID int)
 	RouteInterrupt(ds core.DSID, vector uint8, coreID int)
+	// ClearRoutes drops ds's interrupt routes (LDom teardown), so its
+	// late device completions interrupt no core.
+	ClearRoutes(ds core.DSID)
 	BindVNIC(mac uint64, ds core.DSID, buf uint64) error
 	UnbindVNIC(mac uint64)
 	// FlushLDom scrubs caches of every block owned by ds (LDom
@@ -75,21 +78,38 @@ type slotKey struct {
 }
 
 // binding is the firmware's per-trigger dispatch record: the bound
-// action plus the cooldown pacing state that prevents a persistently
+// action plus its pacing state. The cooldown keeps a persistently
 // true, level-sensitive trigger from re-running its action every
-// sample window (the re-fire storm fix).
+// sample window (the re-fire storm fix); the rate limit caps the runs
+// inside a sliding window (a rule's `limit N per D`).
 type binding struct {
 	action   string
-	cooldown sim.Tick // 0 = no pacing
-	origin   string   // who installed the trigger (journal stamping)
+	cooldown sim.Tick // 0 = no cooldown
+	limitN   uint64   // at most limitN runs per limitPer; 0 = no limit
+	limitPer sim.Tick
+	origin   string // who installed the trigger (journal stamping)
 
-	lastRun    sim.Tick // engine time the action last ran
+	lastRun    sim.Tick // engine time the action last ran or was rate-limited
 	everRan    bool
-	suppressed uint64 // interrupts swallowed by the cooldown
+	recent     []sim.Tick // times of the runs inside the rate window
+	runs       uint64     // runs whose action succeeded
+	suppressed uint64     // interrupts swallowed by the cooldown or the rate limit
+}
 
-	// onCooldown observes suppressed firings (the policy runtime
-	// records them for `pardctl policy explain`).
-	onCooldown func(n core.Notification)
+// overLimit reports whether another run at now would exceed the
+// binding's rate limit, first dropping the runs that left the window.
+func (b *binding) overLimit(now sim.Tick) bool {
+	if b.limitN == 0 {
+		return false
+	}
+	keep := b.recent[:0]
+	for _, t := range b.recent {
+		if now-t < b.limitPer {
+			keep = append(keep, t)
+		}
+	}
+	b.recent = keep
+	return uint64(len(b.recent)) >= b.limitN
 }
 
 // Firmware is the PRM's resident software. It owns the device file
@@ -121,7 +141,7 @@ type Firmware struct {
 
 	// TriggersHandled counts actions run; ActionErrors counts
 	// failures; TriggersSuppressed counts interrupts swallowed by a
-	// trigger cooldown.
+	// trigger's cooldown or rate limit.
 	TriggersHandled    uint64
 	ActionErrors       uint64
 	TriggersSuppressed uint64
@@ -259,7 +279,7 @@ func (fw *Firmware) Mount(cpa *core.CPA) {
 		fw.addLDomTree(idx, ds)
 	}
 
-	// Surface cooldown-suppressed interrupt counts as a per-LDom
+	// Surface suppressed interrupt counts as a per-LDom
 	// statistic: the sum over this plane's trigger slots watching the
 	// LDom's DS-id.
 	_ = fw.AddLDomStat(idx, "trig_suppressed", func(ds core.DSID) (string, error) {
@@ -285,31 +305,42 @@ func (fw *Firmware) CPA(idx int) (*core.CPA, error) {
 	return fw.mounts[idx].cpa, nil
 }
 
-// handle runs when a trigger interrupt reaches the firmware.
+// handle runs when a trigger interrupt reaches the firmware. It alone
+// decides whether the bound action runs: a firing inside the binding's
+// cooldown, or over its rate limit, is suppressed and journaled as
+// such; any other firing runs the action and is journaled as fired.
 func (fw *Firmware) handle(cpaIdx int, n core.Notification) {
 	b := fw.bindings[slotKey{cpa: cpaIdx, slot: n.Slot}]
 	now := fw.engine.Now()
-	if b != nil && b.cooldown > 0 && b.everRan && now-b.lastRun < b.cooldown {
-		// Re-fire storm containment: the condition is still true and
-		// the trigger re-raised within the slot's cooldown window.
-		// Swallow the interrupt, count it, and let the policy runtime
-		// observe the suppression.
-		fw.TriggersSuppressed++
-		b.suppressed++
-		fw.journal.Record(telemetry.Event{
-			Kind:   telemetry.KindTriggerSuppress,
-			Origin: b.origin,
-			Plane:  fw.mounts[cpaIdx].name,
-			DS:     n.DSID,
-			Name:   n.Stat,
-			Old:    uint64(now - b.lastRun),
-			New:    uint64(b.cooldown),
-			Detail: "suppressed: action " + b.action + " on cooldown",
-		})
-		if b.onCooldown != nil {
-			b.onCooldown(n)
+	if b != nil {
+		sinceLast := now - b.lastRun
+		why := ""
+		switch {
+		case b.cooldown > 0 && b.everRan && sinceLast < b.cooldown:
+			// Re-fire storm containment: the condition is still true and
+			// the trigger re-raised within the slot's cooldown window.
+			why = "on cooldown"
+		case b.overLimit(now):
+			// A rate-limited firing restarts the cooldown window, as a
+			// run would.
+			b.lastRun = now
+			why = fmt.Sprintf("over rate limit %d per %s", b.limitN, FormatTick(b.limitPer))
 		}
-		return
+		if why != "" {
+			fw.TriggersSuppressed++
+			b.suppressed++
+			fw.journal.Record(telemetry.Event{
+				Kind:   telemetry.KindTriggerSuppress,
+				Origin: b.origin,
+				Plane:  fw.mounts[cpaIdx].name,
+				DS:     n.DSID,
+				Name:   n.Stat,
+				Old:    uint64(sinceLast),
+				New:    uint64(b.cooldown),
+				Detail: "suppressed: action " + b.action + " " + why,
+			})
+			return
+		}
 	}
 
 	fw.TriggersHandled++
@@ -344,18 +375,24 @@ func (fw *Firmware) handle(cpaIdx int, n core.Notification) {
 	b.everRan = true
 	b.lastRun = now
 	// Parameter writes the action makes journal under the trigger's
-	// install-time origin (policy actions re-wrap with their rule name).
+	// install-time origin: "policy:<set>/<rule>" for a policy's rule.
 	var err error
 	fw.WithOrigin(b.origin, func() { err = fn(fw, n) })
 	if err != nil {
 		fw.ActionErrors++
 		fw.journalError(b.origin, fw.mounts[cpaIdx].name, n.DSID, b.action,
 			fmt.Sprintf("action %q failed: %v", b.action, err))
+		return
+	}
+	b.runs++
+	if b.limitN > 0 {
+		b.recent = append(b.recent, now)
 	}
 }
 
 // TriggerSpec describes a trigger installation: condition, firing
-// semantics, and the bound action with its dispatch cooldown.
+// semantics, and the bound action with its dispatch cooldown and rate
+// limit.
 type TriggerSpec struct {
 	DSID       core.DSID
 	Stat       string
@@ -365,6 +402,8 @@ type TriggerSpec struct {
 	Hysteresis uint64 // consecutive true samples required before firing
 	Action     string
 	Cooldown   sim.Tick // per-slot dispatch cooldown; 0 = none
+	LimitN     uint64   // at most LimitN runs per LimitPer; 0 = no limit
+	LimitPer   sim.Tick
 }
 
 // InstallTrigger programs a trigger into a plane through its CPA MMIO
@@ -393,7 +432,7 @@ func (fw *Firmware) InstallTrigger(cpaIdx int, ds core.DSID, stat string, op cor
 }
 
 // InstallTriggerSpec is InstallTrigger with full control over firing
-// semantics (level/hysteresis) and the dispatch cooldown — the policy
+// semantics (level/hysteresis) and the dispatch pacing — the policy
 // compiler's installation path. A plane that runs no statistics
 // sampler never evaluates its trigger table, so it is refused.
 func (fw *Firmware) InstallTriggerSpec(cpaIdx int, spec TriggerSpec) (int, error) {
@@ -442,7 +481,11 @@ func (fw *Firmware) InstallTriggerSpec(cpaIdx int, spec TriggerSpec) (int, error
 		}
 	}
 	key := slotKey{cpa: cpaIdx, slot: slot}
-	b := &binding{action: spec.Action, cooldown: spec.Cooldown, origin: fw.Origin()}
+	b := &binding{
+		action: spec.Action, cooldown: spec.Cooldown,
+		limitN: spec.LimitN, limitPer: spec.LimitPer,
+		origin: fw.Origin(),
+	}
 	fw.bindings[key] = b
 	path := fmt.Sprintf("/sys/cpa/cpa%d/ldoms/ldom%d/triggers/%d", cpaIdx, spec.DSID, slot)
 	fw.fs.AddFile(path,
@@ -575,9 +618,10 @@ func (fw *Firmware) CreateLDom(spec LDomSpec) (*LDom, error) {
 	return ld, nil
 }
 
-// DestroyLDom tears an LDom down. It first stops the LDom's cores and
+// DestroyLDom tears an LDom down. It first stops the LDom's cores,
 // resets their tag registers to DSIDDefault, so no new request carries
-// ds; only then does it delete the plane rows and flush the caches.
+// ds, and drops ds's interrupt routes; only then does it delete the
+// plane rows and flush the caches.
 func (fw *Firmware) DestroyLDom(ds core.DSID) error {
 	ld, ok := fw.ldoms[ds]
 	if !ok {
@@ -588,14 +632,16 @@ func (fw *Firmware) DestroyLDom(ds core.DSID) error {
 			fw.platform.StopCore(c)
 			fw.platform.SetCoreTag(c, core.DSIDDefault)
 		}
+		fw.platform.ClearRoutes(ds)
 	}
-	fw.removeLDomRows(ds)
+	// Unbind ds's triggers before deleting its rows, which clears them.
 	for key := range fw.bindings {
 		tr, err := fw.mounts[key.cpa].cpa.Plane.Trigger(key.slot)
 		if err == nil && tr.DSID == ds {
 			delete(fw.bindings, key)
 		}
 	}
+	fw.removeLDomRows(ds)
 	if fw.platform != nil {
 		if ld.Spec.MAC != 0 {
 			fw.platform.UnbindVNIC(ld.Spec.MAC)

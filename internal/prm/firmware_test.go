@@ -34,6 +34,7 @@ func (p *fakePlatform) RouteInterrupt(ds core.DSID, v uint8, c int) {
 	}
 	p.routes[ds][v] = c
 }
+func (p *fakePlatform) ClearRoutes(ds core.DSID) { delete(p.routes, ds) }
 func (p *fakePlatform) BindVNIC(mac uint64, ds core.DSID, _ uint64) error {
 	p.vnics[mac] = ds
 	return nil
@@ -347,6 +348,9 @@ func TestDestroyLDomCleansUp(t *testing.T) {
 	if len(plat.vnics) != 0 {
 		t.Fatal("vNIC still bound")
 	}
+	if len(plat.routes) != 0 {
+		t.Fatalf("interrupt routes survived destroy: %v", plat.routes)
+	}
 	if len(fw.bindings) != 0 {
 		t.Fatal("trigger binding survived destroy")
 	}
@@ -355,6 +359,42 @@ func TestDestroyLDomCleansUp(t *testing.T) {
 	}
 	if err := fw.DestroyLDom(0); err == nil {
 		t.Fatal("double destroy succeeded")
+	}
+}
+
+// Destroying an LDom unbinds the triggers that watched it, whatever its
+// DS-id, so their suppressed firings leave the trig_suppressed
+// statistic of the LDoms that remain.
+func TestDestroyLDomUnbindsItsTriggers(t *testing.T) {
+	e, fw, _, cp, _ := newFirmware(t)
+	for _, name := range []string{"a", "b"} {
+		if _, err := fw.CreateLDom(LDomSpec{Name: name}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	countAction(fw, "count")
+	if _, err := fw.InstallTriggerSpec(0, TriggerSpec{
+		DSID: 1, Stat: "miss_rate", Op: core.OpGT, Value: 300,
+		Level: true, Action: "count", Cooldown: 10 * sim.Microsecond,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	cp.SetStat(1, "miss_rate", 500)
+	for i := 1; i <= 5; i++ {
+		e.Schedule(sim.Tick(i)*sim.Microsecond, func() { cp.Evaluate(1) })
+	}
+	e.Run(e.Now() + 10*sim.Microsecond)
+	if fw.TriggersSuppressed == 0 {
+		t.Fatal("the trigger on ds1 suppressed nothing")
+	}
+	if err := fw.DestroyLDom(1); err != nil {
+		t.Fatal(err)
+	}
+	if len(fw.bindings) != 0 {
+		t.Errorf("%d trigger bindings survived DestroyLDom(1)", len(fw.bindings))
+	}
+	if got, err := fw.FS().ReadFile("/sys/cpa/cpa0/ldoms/ldom0/statistics/trig_suppressed"); err != nil || got != "0" {
+		t.Errorf("ldom0 trig_suppressed = %q, %v after ds1's teardown, want 0", got, err)
 	}
 }
 

@@ -12,11 +12,13 @@ import (
 )
 
 // TestJournalRecordsSuppressedFirings is the journal-driven regression
-// test for the re-fire storm fix: every swallowed interrupt must land
-// in the audit journal as a trigger_suppressed event carrying the
-// cooldown window and the time since the last run, and the journaled
-// fired/suppressed split must reconcile exactly with the firmware
-// counters.
+// test for the re-fire storm fix and the rate limit: every swallowed
+// interrupt must land in the audit journal as a trigger_suppressed
+// event carrying the cooldown window and the time since the last run,
+// and the journaled fired/suppressed split must reconcile exactly with
+// the firmware counters. A cooldown suppression comes inside the
+// window; a rate-limited one comes after it, so the two kinds are told
+// apart by their detail.
 func TestJournalRecordsSuppressedFirings(t *testing.T) {
 	e, fw, _, cp, _ := newFirmware(t)
 	j := telemetry.NewJournal(e, 256)
@@ -25,11 +27,22 @@ func TestJournalRecordsSuppressedFirings(t *testing.T) {
 		t.Fatal(err)
 	}
 	countAction(fw, "count")
+	countAction(fw, "paced")
 
 	const cooldown = 10 * sim.Microsecond
 	if _, err := fw.InstallTriggerSpec(0, TriggerSpec{
 		DSID: 0, Stat: "miss_rate", Op: core.OpGT, Value: 300,
 		Level: true, Action: "count", Cooldown: cooldown,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// The second trigger on the same condition runs at most 3 times in
+	// any 20 us, with a 2 us cooldown.
+	const pacedCooldown = 2 * sim.Microsecond
+	if _, err := fw.InstallTriggerSpec(0, TriggerSpec{
+		DSID: 0, Stat: "miss_rate", Op: core.OpGT, Value: 300,
+		Level: true, Action: "paced", Cooldown: pacedCooldown,
+		LimitN: 3, LimitPer: 20 * sim.Microsecond,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +54,7 @@ func TestJournalRecordsSuppressedFirings(t *testing.T) {
 		t.Fatal("storm produced no suppressions")
 	}
 
-	var fired, suppressed uint64
+	var fired, suppressed, rateLimited uint64
 	for i := 0; i < j.Len(); i++ {
 		ev := j.At(i)
 		switch ev.Kind {
@@ -49,19 +62,33 @@ func TestJournalRecordsSuppressedFirings(t *testing.T) {
 			fired++
 		case telemetry.KindTriggerSuppress:
 			suppressed++
-			if ev.New != uint64(cooldown) {
-				t.Fatalf("event %d: cooldown window %d, want %d", ev.Seq, ev.New, uint64(cooldown))
-			}
-			if ev.Old >= uint64(cooldown) {
-				t.Fatalf("event %d: suppressed with since_last=%d >= cooldown %d", ev.Seq, ev.Old, uint64(cooldown))
-			}
 			if ev.Name != "miss_rate" || ev.Plane != "cpa0" || ev.DS != 0 {
 				t.Fatalf("event %d: wrong identity %q/%q/ds%d", ev.Seq, ev.Plane, ev.Name, ev.DS)
 			}
-			if !strings.Contains(ev.Detail, "suppressed") || !strings.Contains(ev.Detail, "count") {
-				t.Fatalf("event %d: detail %q does not name the suppressed action", ev.Seq, ev.Detail)
+			window := uint64(cooldown)
+			if strings.Contains(ev.Detail, "paced") {
+				window = uint64(pacedCooldown)
+			}
+			if ev.New != window {
+				t.Fatalf("event %d: cooldown window %d, want %d", ev.Seq, ev.New, window)
+			}
+			switch ev.Detail {
+			case "suppressed: action count on cooldown", "suppressed: action paced on cooldown":
+				if ev.Old >= ev.New {
+					t.Fatalf("event %d: suppressed on cooldown with since_last=%d >= cooldown %d", ev.Seq, ev.Old, ev.New)
+				}
+			case "suppressed: action paced over rate limit 3 per 20us":
+				rateLimited++
+				if ev.Old < ev.New {
+					t.Fatalf("event %d: rate-limited inside the cooldown (since_last=%d < %d)", ev.Seq, ev.Old, ev.New)
+				}
+			default:
+				t.Fatalf("event %d: detail %q names neither the cooldown nor the rate limit", ev.Seq, ev.Detail)
 			}
 		}
+	}
+	if rateLimited == 0 {
+		t.Fatal("the rate limit suppressed nothing")
 	}
 	if fired != fw.TriggersHandled {
 		t.Fatalf("journal has %d fired events, firmware handled %d", fired, fw.TriggersHandled)
@@ -69,8 +96,8 @@ func TestJournalRecordsSuppressedFirings(t *testing.T) {
 	if suppressed != fw.TriggersSuppressed {
 		t.Fatalf("journal has %d suppressed events, firmware suppressed %d", suppressed, fw.TriggersSuppressed)
 	}
-	if fired+suppressed != 40 {
-		t.Fatalf("journal accounts for %d of 40 interrupts", fired+suppressed)
+	if fired+suppressed != 80 {
+		t.Fatalf("journal accounts for %d of 80 interrupts", fired+suppressed)
 	}
 }
 
@@ -81,15 +108,7 @@ func TestJournalRecordsSuppressedFirings(t *testing.T) {
 func TestJournalParamWriteOrigins(t *testing.T) {
 	e, fw, _, cp, _ := newFirmware(t)
 	j := telemetry.NewJournal(e, 64)
-	fw.SetJournal(j)
-	// The firmware-layer tests mount bare planes; observe writes the way
-	// pard.attachTelemetry does.
-	cp.SetParamObserver(func(ds core.DSID, name string, old, new uint64) {
-		j.Record(telemetry.Event{
-			Kind: telemetry.KindParamWrite, Origin: fw.Origin(),
-			Plane: "cpa0", DS: ds, Name: name, Old: old, New: new,
-		})
-	})
+	journalParams(fw, j, cp)
 	if _, err := fw.CreateLDom(LDomSpec{Name: "x"}); err != nil {
 		t.Fatal(err)
 	}

@@ -7,15 +7,18 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/policy"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
 // policyRule is one installed rule: its compiled form, the trigger
-// slot it occupies, and its runtime state.
+// slot it occupies and that slot's binding, whose counts the rule's
+// files read. The rule keeps the binding, so the counts outlive
+// DestroyLDom unbinding the slot.
 type policyRule struct {
 	c          *policy.CompiledRule
 	slot       int
-	st         *policy.RuleState
+	b          *binding
 	actionName string
 }
 
@@ -333,10 +336,13 @@ func (fw *Firmware) installPolicy(name, source string, prog *policy.Program) (*p
 		})
 	}
 	for _, c := range prog.Rules {
-		pr := &policyRule{c: c, st: &policy.RuleState{}, actionName: "policy/" + name + "/" + c.Name}
-		fw.RegisterAction(pr.actionName, fw.makePolicyAction(pr))
-		// Install under the rule's identity so trigger firings and
-		// suppressions journal with the rule as their origin.
+		pr := &policyRule{c: c, actionName: "policy/" + name + "/" + c.Name}
+		fw.RegisterAction(pr.actionName, func(fw *Firmware, _ core.Notification) error {
+			return fw.policyWrites(pr)
+		})
+		// Install under the rule's identity so trigger firings,
+		// suppressions and the action's writes journal with the rule as
+		// their origin.
 		var slot int
 		var err error
 		fw.WithOrigin("policy:"+name+"/"+c.Name, func() {
@@ -349,6 +355,8 @@ func (fw *Firmware) installPolicy(name, source string, prog *policy.Program) (*p
 				Hysteresis: c.Hysteresis,
 				Action:     pr.actionName,
 				Cooldown:   c.Cooldown,
+				LimitN:     c.LimitN,
+				LimitPer:   c.LimitPer,
 			})
 		})
 		if err != nil {
@@ -357,14 +365,7 @@ func (fw *Firmware) installPolicy(name, source string, prog *policy.Program) (*p
 			return nil, err
 		}
 		pr.slot = slot
-		fw.bindings[slotKey{cpa: c.CPA, slot: slot}].onCooldown = func(n core.Notification) {
-			detail, _ := fw.policyWrites(pr, true)
-			pr.st.Record(policy.Firing{
-				When: n.When, Value: n.Value,
-				Outcome: policy.OutcomeCooldown,
-				Detail:  "would apply " + detail,
-			})
-		}
+		pr.b = fw.bindings[slotKey{cpa: c.CPA, slot: slot}]
 		set.rules = append(set.rules, pr)
 	}
 	return set, nil
@@ -403,75 +404,30 @@ func (fw *Firmware) teardownPolicy(set *policySet) {
 	set.scheds = nil
 }
 
-// makePolicyAction synthesizes the prm.Action for one compiled rule:
-// rate-limit check, then the rule's write set applied through the CPA
-// MMIO path, with every firing recorded for explain. The body runs
-// under the rule's origin so its parameter writes journal as
-// "policy:<set>/<rule>", not as anonymous firmware work.
-func (fw *Firmware) makePolicyAction(pr *policyRule) Action {
-	inner := fw.policyActionBody(pr)
-	return func(fw *Firmware, n core.Notification) error {
-		var err error
-		fw.WithOrigin("policy:"+pr.actionName[len("policy/"):], func() { err = inner(fw, n) })
-		return err
-	}
-}
-
-func (fw *Firmware) policyActionBody(pr *policyRule) Action {
-	return func(fw *Firmware, n core.Notification) error {
-		if pr.c.LimitN > 0 && !pr.st.AllowRate(n.When, pr.c.LimitN, pr.c.LimitPer) {
-			detail, _ := fw.policyWrites(pr, true)
-			pr.st.Record(policy.Firing{
-				When: n.When, Value: n.Value,
-				Outcome: policy.OutcomeRateLimited,
-				Detail:  "would apply " + detail,
-			})
-			return nil
-		}
-		detail, err := fw.policyWrites(pr, false)
-		if err != nil {
-			return err
-		}
-		pr.st.Record(policy.Firing{
-			When: n.When, Value: n.Value,
-			Outcome: policy.OutcomeApplied,
-			Detail:  detail,
-		})
-		return nil
-	}
-}
-
-// policyWrites applies (or, when dry, merely computes) a rule's write
-// set and renders the replay detail. Target sets are enumerated in
-// DS-id order for determinism.
-func (fw *Firmware) policyWrites(pr *policyRule, dry bool) (string, error) {
-	var parts []string
+// policyWrites applies a rule's write set through the CPA MMIO path,
+// enumerating target sets in DS-id order for determinism.
+func (fw *Firmware) policyWrites(pr *policyRule) error {
 	for i := range pr.c.Writes {
 		w := &pr.c.Writes[i]
 		cpa, err := fw.CPA(w.CPA)
 		if err != nil {
-			return "", err
+			return err
 		}
 		col, ok := cpa.Plane.Params().ColumnIndex(w.Param)
 		if !ok {
-			return "", fmt.Errorf("prm: cpa%d lost parameter %q", w.CPA, w.Param)
+			return fmt.Errorf("prm: cpa%d lost parameter %q", w.CPA, w.Param)
 		}
 		for _, ds := range fw.writeTargets(w) {
 			old, err := cpa.ReadEntry(ds, col, core.SelParameter)
 			if err != nil {
-				return "", err
+				return err
 			}
-			next := w.Apply(old)
-			if !dry {
-				if err := cpa.WriteEntry(ds, col, core.SelParameter, next); err != nil {
-					return "", err
-				}
+			if err := cpa.WriteEntry(ds, col, core.SelParameter, w.Apply(old)); err != nil {
+				return err
 			}
-			parts = append(parts, fmt.Sprintf("%s %s -> %s (cpa%d ldom%d)",
-				w.Param, formatValue(w.Param, old), formatValue(w.Param, next), w.CPA, ds))
 		}
 	}
-	return strings.Join(parts, ", "), nil
+	return nil
 }
 
 // writeTargets resolves a write's selector to concrete DS-ids.
@@ -524,20 +480,26 @@ func (fw *Firmware) addPolicyTree(set *policySet) {
 				state = "disabled"
 			}
 			return fmt.Sprintf("cpa%d slot %d %s fired=%d suppressed=%d",
-				pr.c.CPA, pr.slot, state, pr.st.Fired, pr.st.Suppressed), nil
+				pr.c.CPA, pr.slot, state, pr.b.runs, pr.b.suppressed), nil
 		}, nil)
 		fw.fs.AddFile(rb+"/fired", func() (string, error) {
-			return strconv.FormatUint(pr.st.Fired, 10), nil
+			return strconv.FormatUint(pr.b.runs, 10), nil
 		}, nil)
 		fw.fs.AddFile(rb+"/suppressed", func() (string, error) {
-			return strconv.FormatUint(pr.st.Suppressed, 10), nil
+			return strconv.FormatUint(pr.b.suppressed, 10), nil
 		}, nil)
 	}
 }
 
-// ExplainPolicies renders the firing history of every loaded policy
-// (or just one), oldest firing first per rule — the backing store of
-// `pardctl policy explain` and the console's `policy explain`.
+// explainDepth is how many of a rule's latest firings explain shows.
+const explainDepth = 16
+
+// ExplainPolicies renders every loaded policy (or just one) from the
+// audit journal — the backing store of `pardctl policy explain` and the
+// console's `policy explain`. Each rule shows its counts and its last
+// explainDepth firings since the set's latest load or reload, oldest
+// first: an applied firing with the parameter writes it made, a
+// suppressed one with what suppressed it.
 func (fw *Firmware) ExplainPolicies(name string) (string, error) {
 	names := fw.Policies()
 	if name != "" {
@@ -549,6 +511,7 @@ func (fw *Firmware) ExplainPolicies(name string) (string, error) {
 	if len(names) == 0 {
 		return "no policies loaded", nil
 	}
+	j := fw.journal
 	var b strings.Builder
 	for _, pname := range names {
 		set := fw.policies[pname]
@@ -557,20 +520,97 @@ func (fw *Firmware) ExplainPolicies(name string) (string, error) {
 			fmt.Fprintf(&b, "%s/%s: installed on cpa%d (restores %q on unload)\n",
 				pname, ps.c.Schedule.String(), ps.c.CPA, ps.prev)
 		}
+		// The set's history starts after its latest load or reload.
+		start := -1
+		for i := j.Len() - 1; i >= 0 && start < 0; i-- {
+			if ev := j.At(i); ev.Name == pname &&
+				(ev.Kind == telemetry.KindPolicyLoad || ev.Kind == telemetry.KindPolicyReload) {
+				start = i + 1
+			}
+		}
+		if start < 0 {
+			if j.Dropped() > 0 {
+				fmt.Fprintf(&b, "truncated: load event displaced with %d older events\n", j.Dropped())
+			}
+			start = 0
+		}
 		for _, pr := range set.rules {
-			qualified := *pr.c
-			qualified.Qual = pname + "/" + pr.c.Name
-			b.WriteString(policy.Explain(&qualified, pr.st))
+			fmt.Fprintf(&b, "rule %s/%s: %s\n", pname, pr.c.Name, pr.c.Rule.String())
+			fmt.Fprintf(&b, "  fired=%d suppressed=%d\n", pr.b.runs, pr.b.suppressed)
+			if j == nil {
+				b.WriteString("  (journal off: no firing history)\n")
+				continue
+			}
+			lines := explainFirings(pr, j, start)
+			if len(lines) == 0 {
+				b.WriteString("  (no firings recorded)\n")
+			}
+			for _, l := range lines[max(0, len(lines)-explainDepth):] {
+				b.WriteString(l)
+				b.WriteByte('\n')
+			}
 		}
 	}
 	return strings.TrimRight(b.String(), "\n"), nil
+}
+
+// explainFirings renders one line per firing of pr's trigger among
+// the journal's events from index start on, oldest first. An action's
+// parameter writes follow its trigger_fired event under the same
+// origin, so each joins the line of the firing before it.
+func explainFirings(pr *policyRule, j *telemetry.Journal, start int) []string {
+	c := pr.c
+	op := policy.CmpSymbol(c.Op)
+	var lines []string
+	sep := "" // joins the next write onto the last line; "" drops it
+	for i := start; i < j.Len(); i++ {
+		ev := j.At(i)
+		if ev.Origin != pr.b.origin {
+			continue
+		}
+		switch ev.Kind {
+		case telemetry.KindTriggerFired:
+			lines = append(lines, fmt.Sprintf("  [%s] %s=%d %s %d -> applied",
+				FormatTick(ev.When), c.Stat, ev.New, op, c.Threshold))
+			sep = ": "
+		case telemetry.KindTriggerSuppress:
+			why := "cooldown"
+			if strings.Contains(ev.Detail, " over rate limit ") {
+				why = "rate limit"
+			}
+			lines = append(lines, fmt.Sprintf("  [%s] %s %s %d -> suppressed (%s)",
+				FormatTick(ev.When), c.Stat, op, c.Threshold, why))
+			sep = ""
+		case telemetry.KindParamWrite:
+			if sep == "" {
+				continue
+			}
+			lines[len(lines)-1] += fmt.Sprintf("%s%s %s -> %s (%s ldom%d)", sep,
+				ev.Name, formatValue(ev.Name, ev.Old), formatValue(ev.Name, ev.New), ev.Plane, ev.DS)
+			sep = ", "
+		}
+	}
+	return lines
+}
+
+// FormatTick renders a simulation tick (1 ps) as a human time.
+func FormatTick(t sim.Tick) string {
+	switch {
+	case t >= 1_000_000_000 && t%1_000_000 == 0:
+		return fmt.Sprintf("%d.%03dms", t/1_000_000_000, (t%1_000_000_000)/1_000_000)
+	case t >= 1_000_000:
+		return fmt.Sprintf("%dus", t/1_000_000)
+	case t >= 1_000:
+		return fmt.Sprintf("%dns", t/1_000)
+	}
+	return fmt.Sprintf("%dps", t)
 }
 
 // shPolicy implements the firmware console's `policy` command:
 //
 //	policy                      list loaded policies
 //	policy show <name>          print a policy's source
-//	policy explain [<name>]     replay recent firings per rule
+//	policy explain [<name>]     recent firings per rule, from the journal
 //	policy unload <name>        tear a policy down
 //
 // (Loading needs file access and lives in the platform console /
@@ -586,8 +626,8 @@ func (fw *Firmware) shPolicy(args []string) (string, error) {
 			set := fw.policies[name]
 			var fired, suppressed uint64
 			for _, pr := range set.rules {
-				fired += pr.st.Fired
-				suppressed += pr.st.Suppressed
+				fired += pr.b.runs
+				suppressed += pr.b.suppressed
 			}
 			fmt.Fprintf(&b, "%s: %d rules, fired=%d suppressed=%d\n", name, len(set.rules), fired, suppressed)
 		}

@@ -112,9 +112,6 @@ type Shard struct {
 // Engine returns the shard's private event engine.
 func (s *Shard) Engine() *Engine { return s.eng }
 
-// Index returns the shard's position in its group.
-func (s *Shard) Index() int { return s.index }
-
 // Send schedules fn to run on shard dst at delay ticks from this
 // shard's current time. It must be called either before the group runs
 // (setup) or from event code executing on this shard; the message is
@@ -306,9 +303,6 @@ func (g *ShardGroup) NumShards() int { return len(g.shards) }
 // Workers returns the size of the worker pool.
 func (g *ShardGroup) Workers() int { return g.workers }
 
-// Window returns the group's lookahead window.
-func (g *ShardGroup) Window() Tick { return g.window }
-
 // Now returns the group's global time (every shard engine agrees with
 // it between Run calls).
 func (g *ShardGroup) Now() Tick { return g.now }
@@ -326,15 +320,6 @@ func (g *ShardGroup) Profile(i int) ShardProfile {
 	p := g.prof[i]
 	p.Sends = g.shards[i].seq
 	return p
-}
-
-// HorizonUtilization reports SpannedTicks as a fraction of elapsed, the
-// share of the advanced timeline that carried execution rounds.
-func (g *ShardGroup) HorizonUtilization() float64 {
-	if g.now == 0 {
-		return 0
-	}
-	return float64(g.SpannedTicks) / float64(g.now)
 }
 
 // Run advances the whole group by d, executing windows until every

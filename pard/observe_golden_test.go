@@ -10,10 +10,10 @@ import (
 
 // Absolute observation goldens: the FNV-64a hash of every export and
 // console surface that reads the observation stores (series rings,
-// audit journal, flight-recorder archive, memory probe counters,
-// policy firing history). StateDigest covers only the recorder's
-// aggregate and span hash; these pin the bytes an operator sees. A
-// change that moves any of them must update the hash deliberately.
+// audit journal, flight-recorder archive, memory probe counters).
+// StateDigest covers only the recorder's aggregate and span hash; these
+// pin the bytes an operator sees. A change that moves any of them must
+// update the hash deliberately.
 //
 // Moved together once: `journal json`, `prometheus`, `journal 0`,
 // `telemetry`, `log` and `guard journal` changed when the journal began
@@ -24,6 +24,12 @@ import (
 // changed when the text render began to print `ds=` on every trigger
 // event (ds0's included) and the statistic's `value=` on each
 // trigger_fired, so a firing names its LDom and what fired it.
+//
+// Moved alone: `policy explain` (8fdaeb1f23eb97d4 -> 240a0e80ae083221)
+// when it began to render the audit journal instead of a per-rule
+// history ring. The one change is the firing's time, now the journal's
+// handling time (the interrupt's 50 us plus the 10 us handler latency)
+// rather than the interrupt's raise time: `[50us]` became `[60us]`.
 
 // observeSystem boots the Figure 8 server with the memory probe on,
 // loads llc_guard.pard and runs 30 ms — long enough for the 512-sample
@@ -71,7 +77,7 @@ func TestObservationGoldens(t *testing.T) {
 		{"top", console("top"), "6020a8eb568b336b"},
 		{"journal 0", console("journal 0"), "124becb35d383975"},
 		{"telemetry", console("telemetry"), "7373a39fe3c86d64"},
-		{"policy explain", console("policy explain llc_guard"), "8fdaeb1f23eb97d4"},
+		{"policy explain", console("policy explain llc_guard"), "240a0e80ae083221"},
 		{"log", console("log"), "124becb35d383975"},
 		{"perfetto", render(func(b *bytes.Buffer) error {
 			_, err := s.Recorder.WritePerfettoWith(b, s.CounterTracks())

@@ -3,8 +3,6 @@ package pard
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/trace"
 )
 
 // The equivalence workload: every server runs STREAM on core 0 and
@@ -127,31 +125,6 @@ func TestParallelRackWorkerInvariance(t *testing.T) {
 		if got != ref {
 			t.Errorf("workers=%d digest differs from inline run: %s",
 				workers, firstDiff(ref, got))
-		}
-	}
-}
-
-// TestParallelRackMergedTraces: per-server recorder rings merge into
-// one deterministic timeline regardless of sharding.
-func TestParallelRackMergedTraces(t *testing.T) {
-	recorders := func(servers []*System) []*trace.Recorder {
-		out := make([]*trace.Recorder, len(servers))
-		for i, s := range servers {
-			out[i] = s.Recorder
-		}
-		return out
-	}
-	seq := sequentialRack(t, equivConfig(), 4)
-	want := trace.MergeTraces(recorders(seq.Servers)...)
-
-	_, pr := parallelRackDigest(t, 4, 2, 2)
-	got := trace.MergeTraces(recorders(pr.Servers)...)
-	if len(got) == 0 || len(got) != len(want) {
-		t.Fatalf("merged %d traces, want %d (nonzero)", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("merged trace %d differs: %+v != %+v", i, got[i], want[i])
 		}
 	}
 }

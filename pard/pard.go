@@ -293,6 +293,7 @@ func (p platform) StopCore(coreID int) {
 func (p platform) RouteInterrupt(ds core.DSID, vector uint8, coreID int) {
 	p.s.APIC.SetRoute(ds, vector, coreID)
 }
+func (p platform) ClearRoutes(ds core.DSID) { p.s.APIC.ClearRoutes(ds) }
 func (p platform) BindVNIC(mac uint64, ds core.DSID, buf uint64) error {
 	return p.s.NIC.BindVNIC(mac, ds, buf)
 }
@@ -373,14 +374,6 @@ func (s *System) ApplyPolicyFile(path string) error {
 		return err
 	}
 	return s.ReloadPolicy(policyNameFromPath(path), string(src))
-}
-
-// ValidatePolicyFile parses and typechecks a .pard policy file against
-// this system's control planes without installing anything. LDom names
-// that do not exist yet are allowed (they bind at load time).
-func (s *System) ValidatePolicyFile(path string) error {
-	_, err := s.LintPolicyFile(path)
-	return err
 }
 
 // LintPolicyFile validates a .pard policy file and, when it compiles,

@@ -171,6 +171,40 @@ func TestTeardownStopsCores(t *testing.T) {
 	}
 }
 
+// LDom teardown drops the LDom's interrupt routes, so the disk
+// completions it left buffered interrupt no core, even after its core
+// is handed to another LDom.
+func TestTeardownClearsInterruptRoutes(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.IDE.QueueDepth = 4 // buffered writes complete after the teardown
+	s := NewSystem(cfg)
+	if _, err := Dispatch(s, "create a 0"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Dispatch(s, "workload 0 dd"); err != nil {
+		t.Fatal(err)
+	}
+	s.Run(5 * Millisecond)
+	before := s.InterruptsByCore[0]
+	if before == 0 {
+		t.Fatal("dd raised no interrupt on core 0 before the teardown")
+	}
+	if err := s.Firmware.DestroyLDom(0); err != nil {
+		t.Fatal(err)
+	}
+	raised := s.APIC.Delivered + s.APIC.Dropped
+	if _, err := Dispatch(s, "create b 0"); err != nil {
+		t.Fatal(err)
+	}
+	s.Run(5 * Millisecond)
+	if s.APIC.Delivered+s.APIC.Dropped == raised {
+		t.Fatal("no interrupt reached the APIC after the teardown: the scenario no longer covers late completions")
+	}
+	if n := s.InterruptsByCore[0] - before; n != 0 {
+		t.Errorf("core 0 took %d interrupts in the 5 ms after DestroyLDom(0), want 0", n)
+	}
+}
+
 // Console `create` bounds each LDom to its 2 GiB memory window, so an
 // LDom cannot address its neighbour's window.
 func TestConsoleCreateBoundsMemory(t *testing.T) {
