@@ -218,9 +218,10 @@ func writeTrace(path string) error {
 	if err != nil {
 		return fmt.Errorf("pardbench: %w", err)
 	}
-	// Telemetry rings ride along as Perfetto counter tracks, so the
-	// scraped miss rates and bandwidths render under the packet spans.
-	n, err := sys.Recorder.WritePerfettoWith(f, sys.CounterTracks())
+	// The telemetry series ride along as Perfetto counter tracks, so
+	// the scraped miss rates and bandwidths render under the packet
+	// spans.
+	n, err := sys.Recorder.WritePerfetto(f, sys.Telemetry.Series())
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

@@ -146,7 +146,6 @@ func intentMain(args []string) int {
 		// then report the federation surfaces: what was applied, how the
 		// cluster-level series moved, and the controller's audit journal.
 		c.Run(5 * pard.Millisecond)
-		c.Controller.Collect()
 		fmt.Printf("\napplied intents: %s\n\n", strings.Join(c.Controller.Applied, ", "))
 		fmt.Println(c.Controller.TopText("cluster"))
 		txt, err := c.Controller.JournalText("", 20)
@@ -222,7 +221,6 @@ func clusterTelemetry(view, server string, ms uint64) int {
 		}
 	}
 	c.Run(pard.Tick(ms) * pard.Millisecond)
-	c.Controller.Collect()
 
 	switch view {
 	case "top":

@@ -28,7 +28,7 @@
 // With -server the demo boots the reference 4-rack leaf/spine cluster
 // instead, rolls out the example memtier intent through the federated
 // controller, and prints the named member's view ("" for cluster-wide,
-// "cluster" under top for the aggregated series only).
+// "cluster" under top for the sums over the members only).
 //
 // Cluster intents (§8: DS-ids beyond one machine) compile against the
 // same reference cluster:

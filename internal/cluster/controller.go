@@ -14,7 +14,7 @@ import (
 // Server is one federated member: a name the intent language can glob,
 // the server's PRM firmware handle, and its local telemetry surfaces.
 // Telemetry and Journal may be nil when the server runs with telemetry
-// disabled; the controller then skips it during aggregation.
+// disabled; the controller's view then skips it.
 type Server struct {
 	Name      string
 	Firmware  *prm.Firmware
@@ -25,10 +25,11 @@ type Server struct {
 // Controller federates the per-server PRMs of one cluster: it owns the
 // firmware handles, compiles intents against the live topology, pushes
 // the resulting per-server policies and switch parameter writes, and
-// aggregates server telemetry into cluster-level series. Every
-// cross-server action it takes is journaled — on the target server
-// through Firmware.WithOrigin, and in the controller's own journal —
-// under an origin=cluster:<intent> label.
+// renders its members' telemetry registries in place as the cluster
+// view; it keeps no series of its own. Every cross-server action it
+// takes is journaled — on the target server through Firmware.WithOrigin,
+// and in the controller's own journal — under an origin=cluster:<intent>
+// label.
 type Controller struct {
 	engine   *sim.Engine
 	topo     Topology
@@ -36,27 +37,22 @@ type Controller struct {
 	byName   map[string]*Server
 	switches map[string]*fabric.Switch
 
-	// Registry holds the aggregated series Collect builds:
-	// "<server>.<series>" per member plus summed "cluster.<series>",
-	// and per-switch forwarding counters. Journal records every
-	// ApplyIntent action.
-	Registry *telemetry.Registry
-	Journal  *telemetry.Journal
+	// Journal records every ApplyIntent action.
+	Journal *telemetry.Journal
 
 	// Applied lists intent names in application order.
 	Applied []string
 }
 
-// NewController builds a controller stamping its journal and aggregated
-// series with e's clock (shard 0's engine for a sharded cluster; all
-// shards agree on time at the collection barriers where Collect runs).
+// NewController builds a controller stamping its journal and its view
+// with e's clock (shard 0's engine for a sharded cluster; all shards
+// agree on time between Run chunks, where the view is rendered).
 func NewController(e *sim.Engine, topo Topology) *Controller {
 	return &Controller{
 		engine:   e,
 		topo:     topo,
 		byName:   make(map[string]*Server),
 		switches: make(map[string]*fabric.Switch),
-		Registry: telemetry.NewRegistry(e, 0, 256),
 		Journal:  telemetry.NewJournal(e, 512),
 	}
 }
@@ -65,7 +61,7 @@ func NewController(e *sim.Engine, topo Topology) *Controller {
 func (c *Controller) Topology() Topology { return c.topo }
 
 // AttachServer registers a federation member. Attachment order is the
-// topology's server order and fixes aggregation order.
+// topology's server order and fixes the view's row order.
 func (c *Controller) AttachServer(srv Server) error {
 	if srv.Name == "" || srv.Firmware == nil {
 		return fmt.Errorf("cluster: server needs a name and a firmware handle")
@@ -178,53 +174,46 @@ func (c *Controller) ApplyIntent(ci *policy.CompiledIntent) error {
 	return nil
 }
 
-// Collect aggregates every member's latest telemetry samples into the
-// controller registry: each series re-recorded as "<server>.<series>",
-// per-name sums as "cluster.<series>", and switch forwarding counters
-// as "<switch>.fwd_frames"/"<switch>.drops". Call it between Run
-// chunks, never while shards execute.
-func (c *Controller) Collect() {
-	now := c.engine.Now()
-	rec := func(name string, v float64) {
-		ring := c.Registry.Find(name)
-		if ring == nil {
-			ring = c.Registry.AddGauge(name, func() float64 { return 0 })
-		}
-		ring.Record(now, v)
+// TopText renders the cluster view from the members' registries, read
+// in place between Run chunks: each member's series as
+// "<server>.<series>" with its own trend, per-name sums of the members'
+// latest samples as "cluster.<series>" (sorted by name), and each
+// switch's forwarding counters as "<switch>.fwd_frames" and
+// "<switch>.drops". A non-empty server name narrows the view to the
+// rows under "<server>." (or "cluster." — any row prefix works). The
+// footer reports the members' scrape count and interval: every member
+// scrapes on the same interval from time zero.
+func (c *Controller) TopText(server string) string {
+	t := telemetry.Top{}
+	if server != "" {
+		t.Prefix = server + "."
 	}
+	var scrapes uint64
+	var interval sim.Tick
 	sums := make(map[string]float64)
 	for _, s := range c.servers {
 		if s.Telemetry == nil {
 			continue
 		}
-		for _, ring := range s.Telemetry.Series() {
-			if ring.Len() == 0 {
+		scrapes, interval = s.Telemetry.Scrapes(), s.Telemetry.Interval()
+		for _, sr := range s.Telemetry.Series() {
+			last, ok := sr.Last()
+			if !ok {
 				continue
 			}
-			last := ring.At(ring.Len() - 1)
-			rec(s.Name+"."+ring.Name(), last.Value)
-			sums[ring.Name()] += last.Value
+			t.Row(s.Name+"."+sr.Name(), last.Value, sr)
+			sums[sr.Name()] += last.Value
 		}
 	}
 	for _, name := range core.SortedKeys(sums) {
-		rec("cluster."+name, sums[name])
+		t.Row("cluster."+name, sums[name], nil)
 	}
-	for _, name := range core.SortedKeys(c.switches) {
+	for _, name := range c.SwitchNames() {
 		sw := c.switches[name]
-		rec(name+".fwd_frames", float64(sw.Forwarded))
-		rec(name+".drops", float64(sw.Dropped))
+		t.Row(name+".fwd_frames", float64(sw.Forwarded), nil)
+		t.Row(name+".drops", float64(sw.Dropped), nil)
 	}
-}
-
-// TopText renders the aggregated series; a non-empty server name
-// narrows to that member's "<server>." slice (or "cluster." style
-// prefixes — any series prefix works).
-func (c *Controller) TopText(server string) string {
-	prefix := ""
-	if server != "" {
-		prefix = server + "."
-	}
-	return telemetry.TopText(c.Registry, prefix)
+	return t.Text(scrapes, interval, c.engine.Now())
 }
 
 // JournalText renders the controller's own action journal, or — given

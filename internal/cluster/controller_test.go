@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -160,36 +161,47 @@ func TestControllerApplyIntentFailsOnConflict(t *testing.T) {
 	}
 }
 
-func TestControllerCollectAggregates(t *testing.T) {
-	_, c, _, _ := testController(t)
-	vals := []float64{2, 3}
+// The cluster view renders the members' registries in place: each
+// member's rows with its own trend, the sums of their latest samples,
+// the switch counters, and the members' scrape count in the footer.
+func TestControllerTopRendersMembers(t *testing.T) {
+	_, c, _, leaf := testController(t)
 	for i, s := range c.Servers() {
-		v := vals[i]
+		v := 1.0
 		s.Telemetry.AddGauge("prm.triggers_handled", func() float64 { return v })
 		s.Telemetry.Scrape()
+		v = float64(2 + i)
+		s.Telemetry.Scrape()
 	}
-	c.Collect()
+	leaf.Forwarded = 7
 
-	for i, s := range c.Servers() {
-		ring := c.Registry.Find(s.Name + ".prm.triggers_handled")
-		if ring == nil || ring.At(ring.Len()-1).Value != vals[i] {
-			t.Fatalf("per-server series for %s missing or wrong", s.Name)
+	row := func(name string, v float64, trend string) string {
+		line := fmt.Sprintf("%-36s %14g", name, v)
+		if trend != "" {
+			line += "  " + trend
+		}
+		return line + "\n"
+	}
+	top := c.TopText("")
+	for _, want := range []string{
+		row("rack0-srv0.prm.triggers_handled", 2, "▁█"),
+		row("rack0-srv1.prm.triggers_handled", 3, "▁█"),
+		row("cluster.prm.triggers_handled", 5, ""),
+		row("leaf0.fwd_frames", 7, ""),
+		row("leaf0.drops", 0, ""),
+		"5 series, 2 scrapes, interval 0 ticks",
+	} {
+		if !strings.Contains(top, want) {
+			t.Fatalf("TopText lacks %q:\n%s", want, top)
 		}
 	}
-	sum := c.Registry.Find("cluster.prm.triggers_handled")
-	if sum == nil || sum.At(sum.Len()-1).Value != 5 {
-		t.Fatalf("cluster sum series missing or wrong")
-	}
-	if c.Registry.Find("leaf0.fwd_frames") == nil {
-		t.Fatal("switch counter series missing")
-	}
 
-	top := c.TopText("rack0-srv0")
-	if !strings.Contains(top, "rack0-srv0.prm.triggers_handled") {
+	top = c.TopText("rack0-srv0")
+	if !strings.Contains(top, row("rack0-srv0.prm.triggers_handled", 2, "▁█")) {
 		t.Fatalf("TopText(-server) missing member series:\n%s", top)
 	}
-	if strings.Contains(top, "rack0-srv1.") {
-		t.Fatalf("TopText(-server) leaks other members:\n%s", top)
+	if strings.Contains(top, "rack0-srv1.") || strings.Contains(top, "cluster.") {
+		t.Fatalf("TopText(-server) leaks other rows:\n%s", top)
 	}
 }
 

@@ -50,10 +50,10 @@ func seriesCSV(path string, names []string, series []*metric.Series) error {
 	n := series[0].Len()
 	rows := make([][]string, 0, n)
 	for i := 0; i < n; i++ {
-		row := []string{ms(series[0].Samples[i].When)}
+		row := []string{ms(series[0].At(i).When)}
 		for _, s := range series {
 			if i < s.Len() {
-				row = append(row, f2(s.Samples[i].Value))
+				row = append(row, f2(s.At(i).Value))
 			} else {
 				row = append(row, "")
 			}

@@ -9,6 +9,9 @@ import (
 	"fmt"
 	"io"
 	"text/tabwriter"
+
+	"repro/internal/metric"
+	"repro/internal/sim"
 )
 
 // Scale selects experiment duration: Quick keeps every harness inside a
@@ -41,6 +44,23 @@ type Printable interface {
 // newTable returns a tabwriter configured for report output.
 func newTable(w io.Writer) *tabwriter.Writer {
 	return tabwriter.NewWriter(w, 0, 4, 2, ' ', 0)
+}
+
+// timelineSamples is how many samples a timeline figure's sampler
+// records over a run of length total: one every period, up to and
+// including total. The figures size their series to it, so no sample
+// is displaced.
+func timelineSamples(total, every sim.Tick) int { return int(total / every) }
+
+// mustKeepAll panics if a figure series displaced a sample: each is
+// sized to hold its whole run, so a drop means the sizing is wrong and
+// the figure would summarize a truncated timeline.
+func mustKeepAll(series ...*metric.Series) {
+	for _, s := range series {
+		if s.Dropped() > 0 {
+			panic(fmt.Sprintf("exp: series %s dropped %d samples", s.Name(), s.Dropped()))
+		}
+	}
 }
 
 // ratio guards divide-by-zero in report math.

@@ -154,6 +154,31 @@ func TestAblationWritebackAttribution(t *testing.T) {
 	}
 }
 
+// Each timeline figure sizes its series to the samples its sampler
+// records — one every SampleEvery, up to and including the run's end —
+// at both scales. Counted here from the configs, without a run.
+func TestFigureSeriesHoldWholeRun(t *testing.T) {
+	for _, scale := range []Scale{Quick, Full} {
+		f7, f9, f10 := DefaultFig7Config(scale), DefaultFig9Config(scale), DefaultFig10Config(scale)
+		for _, fig := range []struct {
+			name         string
+			total, every sim.Tick
+		}{
+			{"fig7", f7.Total, f7.SampleEvery},
+			{"fig9", f9.Duration, f9.SampleEvery},
+			{"fig10", f10.Total, f10.SampleEvery},
+		} {
+			recorded := 0
+			for at := fig.every; at <= fig.total; at += fig.every {
+				recorded++
+			}
+			if got := timelineSamples(fig.total, fig.every); got < recorded {
+				t.Errorf("%s at scale %d: series hold %d samples, the sampler records %d", fig.name, scale, got, recorded)
+			}
+		}
+	}
+}
+
 func TestFig10QuotaShape(t *testing.T) {
 	cfg := DefaultFig10Config(Quick)
 	cfg.Total = 40 * sim.Millisecond

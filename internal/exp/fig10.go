@@ -52,8 +52,9 @@ func Fig10(cfg Fig10Config) *Fig10Result {
 	sys := pard.NewSystem(sysCfg)
 	e := sys.Engine
 	res := &Fig10Result{Cfg: cfg}
+	n := timelineSamples(cfg.Total, cfg.SampleEvery)
 	for i := 0; i < 2; i++ {
-		res.Shares = append(res.Shares, metric.NewSeries(fmt.Sprintf("ldom%d_disk_share", i)))
+		res.Shares = append(res.Shares, metric.NewSeries(fmt.Sprintf("ldom%d_disk_share", i), n))
 	}
 
 	for i := 0; i < 2; i++ {
@@ -91,6 +92,7 @@ func Fig10(cfg Fig10Config) *Fig10Result {
 	e.Schedule(cfg.SampleEvery, sample)
 
 	sys.Run(cfg.Total)
+	mustKeepAll(res.Shares...)
 
 	settle := cfg.SampleEvery * 4
 	res.PreEchoShare0 = res.Shares[0].MeanBetween(settle, cfg.EchoAt)

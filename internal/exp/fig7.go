@@ -65,9 +65,10 @@ func Fig7(cfg Fig7Config) *Fig7Result {
 	sys := pard.NewSystem(cfgSys)
 	e := sys.Engine
 	res := &Fig7Result{Cfg: cfg}
+	n := timelineSamples(cfg.Total, cfg.SampleEvery)
 	for i := 0; i < 3; i++ {
-		res.Occupancy = append(res.Occupancy, metric.NewSeries(fmt.Sprintf("ldom%d_occ_mb", i)))
-		res.Bandwidth = append(res.Bandwidth, metric.NewSeries(fmt.Sprintf("ldom%d_bw_gbs", i)))
+		res.Occupancy = append(res.Occupancy, metric.NewSeries(fmt.Sprintf("ldom%d_occ_mb", i), n))
+		res.Bandwidth = append(res.Bandwidth, metric.NewSeries(fmt.Sprintf("ldom%d_bw_gbs", i), n))
 	}
 	note := func(what string) {
 		res.Events = append(res.Events, Fig7Event{When: e.Now(), What: what})
@@ -114,6 +115,8 @@ func Fig7(cfg Fig7Config) *Fig7Result {
 	e.Schedule(cfg.SampleEvery, sample)
 
 	sys.Run(cfg.Total)
+	mustKeepAll(res.Occupancy...)
+	mustKeepAll(res.Bandwidth...)
 
 	occ0 := res.Occupancy[0]
 	res.OccBeforeFlush = occ0.MeanBetween(cfg.FlushStart-4*(cfg.FlushStart/10), cfg.FlushStart)

@@ -57,7 +57,8 @@ type Fig9Result struct {
 // Fig9 runs the timeline.
 func Fig9(cfg Fig9Config) *Fig9Result {
 	c := newColocation(cfg.KRPS*1000, ArmShared, cfg.StreamStart)
-	res := &Fig9Result{Cfg: cfg, MissRate: metric.NewSeries("llc_missrate_ldom0")}
+	n := timelineSamples(cfg.Duration, cfg.SampleEvery)
+	res := &Fig9Result{Cfg: cfg, MissRate: metric.NewSeries("llc_missrate_ldom0", n)}
 
 	e := c.Sys.Engine
 	e.Schedule(cfg.InstallAt, func() {
@@ -75,6 +76,7 @@ func Fig9(cfg Fig9Config) *Fig9Result {
 	}
 	e.Schedule(cfg.SampleEvery, sample)
 	c.Sys.Run(cfg.Duration)
+	mustKeepAll(res.MissRate)
 
 	// The audit journal records the exact firing tick.
 	for i := 0; i < c.Sys.Journal.Len(); i++ {

@@ -335,9 +335,9 @@ func TestNICClassifiesByMAC(t *testing.T) {
 	if err := n.BindVNIC(0xAA, 3, 0); err == nil {
 		t.Fatal("duplicate MAC accepted")
 	}
-	n.Receive(0xAA, 1500)
-	n.Receive(0xBB, 1500)
-	n.Receive(0xCC, 1500) // no vNIC: dropped
+	n.ReceiveFlow(0, 0xAA, 1500)
+	n.ReceiveFlow(0, 0xBB, 1500)
+	n.ReceiveFlow(0, 0xCC, 1500) // no vNIC: dropped
 	e.Drain(0)
 	if len(rx) != 2 || rx[0] != 1 || rx[1] != 2 {
 		t.Fatalf("rx interrupts = %v", rx)

@@ -303,16 +303,11 @@ func (n *NIC) BindFlow(flowID uint64, ds core.DSID) error {
 // UnbindFlow removes a flow rule.
 func (n *NIC) UnbindFlow(flowID uint64) { delete(n.flows, flowID) }
 
-// Receive models a frame arriving from the wire: classify by destination
-// MAC, DMA into the owning LDom with its DS-id, raise a tagged RX
-// interrupt.
-func (n *NIC) Receive(dstMAC uint64, bytes uint32) {
-	n.ReceiveFlow(0, dstMAC, bytes)
-}
-
-// ReceiveFlow is Receive for frames carrying an SDN flow id: the flow
-// table is consulted first (flowID 0 means untagged traffic), falling
-// back to MAC classification.
+// ReceiveFlow models a frame arriving from the wire: classify it, DMA
+// into the owning LDom with its DS-id, and raise a tagged RX interrupt.
+// A frame carrying an SDN flow id is classified by the flow table
+// first (flowID 0 means untagged traffic), falling back to its
+// destination MAC.
 func (n *NIC) ReceiveFlow(flowID uint64, dstMAC uint64, bytes uint32) {
 	var v *vnic
 	if flowID != 0 {

@@ -1,6 +1,6 @@
 // Package metric provides the measurement primitives the PARD experiments
 // rely on: latency histograms with percentile queries, CDF export,
-// bounded rings and time-series samplers.
+// bounded rings and the named time series kept in them.
 package metric
 
 import (

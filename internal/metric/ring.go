@@ -1,14 +1,14 @@
 package metric
 
 // Ring is a fixed-capacity buffer of the most recent values: the one
-// bounded store under every observation layer (telemetry series, the
-// audit journal and the flight recorder's trace archive). Unlike
-// Series (append-only, grows forever), a Ring
-// allocates its backing array once and then writing is free of
-// allocation — the steady-state scrape path is proven zero-alloc by
-// pardlint's hotalloc analyzer and held dynamically by benchgate. When
-// full, a write displaces the oldest value and counts it in Dropped,
-// so exports can surface truncation honestly.
+// bounded store under every observation layer (every Series — the
+// telemetry registry's and the timeline figures' — the audit journal
+// and the flight recorder's trace archive). A Ring allocates its
+// backing array once and then writing is free of allocation — the
+// steady-state scrape path is proven zero-alloc by pardlint's hotalloc
+// analyzer and held dynamically by benchgate. When full, a write
+// displaces the oldest value and counts it in Dropped, so exports can
+// surface truncation honestly.
 type Ring[T any] struct {
 	buf     []T
 	head    int // index of the oldest value

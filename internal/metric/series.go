@@ -13,66 +13,51 @@ type Sample struct {
 	Value float64
 }
 
-// Series is an append-only time series, used for the paper's timeline
-// figures (LLC occupancy, memory bandwidth, miss rate, disk shares).
+// Series is a named time series: a fixed-capacity ring of samples. It
+// is the one series type behind the telemetry registry, the timeline
+// figures (LLC occupancy, memory bandwidth, miss rate, disk shares) and
+// the Perfetto counter tracks. When full, recording displaces the
+// oldest sample and counts it in Dropped; the readers below see the
+// retained samples, oldest first.
 type Series struct {
-	Name    string
-	Samples []Sample
+	name string
+	Ring[Sample]
 }
 
-// NewSeries returns a named empty series.
-func NewSeries(name string) *Series { return &Series{Name: name} }
+// NewSeries returns an empty series holding at most capacity samples.
+func NewSeries(name string, capacity int) *Series {
+	//pardlint:ignore hotalloc constructor: one series per registered name, at registration or first sight of a DS-id
+	return &Series{name: name, Ring: *NewRing[Sample](capacity)}
+}
 
-// Record appends a sample.
+// Name returns the series name.
+func (s *Series) Name() string { return s.name }
+
+// Record appends a sample. It never allocates, and it stays within the
+// compiler's inlining budget so the telemetry scrape loop carries no
+// call per sample: it writes through Next rather than building a Push
+// argument.
 func (s *Series) Record(when sim.Tick, v float64) {
-	s.Samples = append(s.Samples, Sample{When: when, Value: v})
+	*s.Next() = Sample{When: when, Value: v}
 }
 
-// Len returns the sample count.
-func (s *Series) Len() int { return len(s.Samples) }
+// endOfTime bounds the open-ended readers: no sample is stamped at the
+// last representable tick.
+const endOfTime = ^sim.Tick(0)
 
-// Last returns the most recent sample value, or 0 if empty.
-func (s *Series) Last() float64 {
-	if len(s.Samples) == 0 {
-		return 0
-	}
-	return s.Samples[len(s.Samples)-1].Value
-}
-
-// Mean returns the average of all sample values.
-func (s *Series) Mean() float64 {
-	if len(s.Samples) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, p := range s.Samples {
-		sum += p.Value
-	}
-	return sum / float64(len(s.Samples))
-}
+// Mean returns the average of all sample values, or 0 if empty.
+func (s *Series) Mean() float64 { return s.MeanBetween(0, endOfTime) }
 
 // MeanAfter averages samples at or after t.
-func (s *Series) MeanAfter(t sim.Tick) float64 {
-	var sum float64
-	var n int
-	for _, p := range s.Samples {
-		if p.When >= t {
-			sum += p.Value
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
+func (s *Series) MeanAfter(t sim.Tick) float64 { return s.MeanBetween(t, endOfTime) }
 
-// MeanBetween averages samples with lo <= When < hi.
+// MeanBetween averages samples with lo <= When < hi, or returns 0 when
+// there are none.
 func (s *Series) MeanBetween(lo, hi sim.Tick) float64 {
 	var sum float64
 	var n int
-	for _, p := range s.Samples {
-		if p.When >= lo && p.When < hi {
+	for i := 0; i < s.Len(); i++ {
+		if p := s.At(i); p.When >= lo && p.When < hi {
 			sum += p.Value
 			n++
 		}
@@ -83,11 +68,12 @@ func (s *Series) MeanBetween(lo, hi sim.Tick) float64 {
 	return sum / float64(n)
 }
 
-// MaxBetween returns the largest sample value with lo <= When < hi.
+// MaxBetween returns the largest sample value with lo <= When < hi, or
+// 0 when none is positive.
 func (s *Series) MaxBetween(lo, hi sim.Tick) float64 {
 	var m float64
-	for _, p := range s.Samples {
-		if p.When >= lo && p.When < hi && p.Value > m {
+	for i := 0; i < s.Len(); i++ {
+		if p := s.At(i); p.When >= lo && p.When < hi && p.Value > m {
 			m = p.Value
 		}
 	}
@@ -95,20 +81,13 @@ func (s *Series) MaxBetween(lo, hi sim.Tick) float64 {
 }
 
 // Max returns the largest sample value.
-func (s *Series) Max() float64 {
-	var m float64
-	for _, p := range s.Samples {
-		if p.Value > m {
-			m = p.Value
-		}
-	}
-	return m
-}
+func (s *Series) Max() float64 { return s.MaxBetween(0, endOfTime) }
 
 // Sparkline renders the series as a terminal sparkline with the given
-// width, for the report output of the timeline figures.
+// width, each glyph the mean of its share of the samples scaled to the
+// maximum, for the report output of the timeline figures.
 func (s *Series) Sparkline(width int) string {
-	if len(s.Samples) == 0 || width <= 0 {
+	if s.Len() == 0 || width <= 0 {
 		return ""
 	}
 	glyphs := []rune("▁▂▃▄▅▆▇█")
@@ -117,23 +96,23 @@ func (s *Series) Sparkline(width int) string {
 		max = 1
 	}
 	var b strings.Builder
-	step := float64(len(s.Samples)) / float64(width)
+	step := float64(s.Len()) / float64(width)
 	if step < 1 {
 		step = 1
-		width = len(s.Samples)
+		width = s.Len()
 	}
 	for i := 0; i < width; i++ {
 		lo := int(float64(i) * step)
 		hi := int(float64(i+1) * step)
-		if hi > len(s.Samples) {
-			hi = len(s.Samples)
+		if hi > s.Len() {
+			hi = s.Len()
 		}
 		if lo >= hi {
 			break
 		}
 		var sum float64
-		for _, p := range s.Samples[lo:hi] {
-			sum += p.Value
+		for k := lo; k < hi; k++ {
+			sum += s.At(k).Value
 		}
 		avg := sum / float64(hi-lo)
 		idx := int(avg / max * float64(len(glyphs)-1))

@@ -319,7 +319,7 @@ func (fw *Firmware) handle(cpaIdx int, n core.Notification) {
 		case b.cooldown > 0 && b.everRan && sinceLast < b.cooldown:
 			// Re-fire storm containment: the condition is still true and
 			// the trigger re-raised within the slot's cooldown window.
-			why = "on cooldown"
+			why = "on cooldown " + FormatTick(b.cooldown)
 		case b.overLimit(now):
 			// A rate-limited firing restarts the cooldown window, as a
 			// run would.
@@ -336,7 +336,7 @@ func (fw *Firmware) handle(cpaIdx int, n core.Notification) {
 				DS:     n.DSID,
 				Name:   n.Stat,
 				Old:    uint64(sinceLast),
-				New:    uint64(b.cooldown),
+				New:    n.Value,
 				Detail: "suppressed: action " + b.action + " " + why,
 			})
 			return

@@ -432,39 +432,6 @@ func TestLateMountSeesExistingLDoms(t *testing.T) {
 	}
 }
 
-func TestShScriptRunsAndStopsOnError(t *testing.T) {
-	_, fw, _, cp, _ := newFirmware(t)
-	fw.CreateLDom(LDomSpec{Name: "a"})
-	out, err := fw.ShScript(`
-		# Example 2 style operator script
-		echo 0xF0F0 > /sys/cpa/cpa0/ldoms/ldom0/parameters/waymask
-		cat /sys/cpa/cpa0/ldoms/ldom0/parameters/waymask
-	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "0xf0f0") {
-		t.Fatalf("script output %q", out)
-	}
-	if cp.Param(0, "waymask") != 0xF0F0 {
-		t.Fatal("script write did not land")
-	}
-	// Failure stops execution; later lines must not run.
-	_, err = fw.ShScript(`
-		cat /does/not/exist
-		echo 0xFFFF > /sys/cpa/cpa0/ldoms/ldom0/parameters/waymask
-	`)
-	if err == nil {
-		t.Fatal("script error not reported")
-	}
-	if !strings.Contains(err.Error(), "line 2") {
-		t.Fatalf("error lacks line info: %v", err)
-	}
-	if cp.Param(0, "waymask") != 0xF0F0 {
-		t.Fatal("script continued after a failing line")
-	}
-}
-
 // Property: formatValue/parseValue round-trip for both hex (mask/mac)
 // and decimal columns.
 func TestPropertyValueRoundtrip(t *testing.T) {

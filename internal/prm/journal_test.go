@@ -14,11 +14,12 @@ import (
 // TestJournalRecordsSuppressedFirings is the journal-driven regression
 // test for the re-fire storm fix and the rate limit: every swallowed
 // interrupt must land in the audit journal as a trigger_suppressed
-// event carrying the cooldown window and the time since the last run,
-// and the journaled fired/suppressed split must reconcile exactly with
-// the firmware counters. A cooldown suppression comes inside the
-// window; a rate-limited one comes after it, so the two kinds are told
-// apart by their detail.
+// event carrying the statistic's value, the time since the last run
+// and, in its detail, what suppressed it; and the journaled
+// fired/suppressed split must reconcile exactly with the firmware
+// counters. A cooldown suppression comes inside the window; a
+// rate-limited one comes after it, so the two kinds are told apart by
+// their detail.
 func TestJournalRecordsSuppressedFirings(t *testing.T) {
 	e, fw, _, cp, _ := newFirmware(t)
 	j := telemetry.NewJournal(e, 256)
@@ -65,22 +66,22 @@ func TestJournalRecordsSuppressedFirings(t *testing.T) {
 			if ev.Name != "miss_rate" || ev.Plane != "cpa0" || ev.DS != 0 {
 				t.Fatalf("event %d: wrong identity %q/%q/ds%d", ev.Seq, ev.Plane, ev.Name, ev.DS)
 			}
-			window := uint64(cooldown)
-			if strings.Contains(ev.Detail, "paced") {
-				window = uint64(pacedCooldown)
-			}
-			if ev.New != window {
-				t.Fatalf("event %d: cooldown window %d, want %d", ev.Seq, ev.New, window)
+			if ev.New != 500 {
+				t.Fatalf("event %d: statistic value %d, want 500", ev.Seq, ev.New)
 			}
 			switch ev.Detail {
-			case "suppressed: action count on cooldown", "suppressed: action paced on cooldown":
-				if ev.Old >= ev.New {
-					t.Fatalf("event %d: suppressed on cooldown with since_last=%d >= cooldown %d", ev.Seq, ev.Old, ev.New)
+			case "suppressed: action count on cooldown 10us":
+				if ev.Old >= uint64(cooldown) {
+					t.Fatalf("event %d: suppressed on cooldown with since_last=%d >= cooldown %d", ev.Seq, ev.Old, cooldown)
+				}
+			case "suppressed: action paced on cooldown 2us":
+				if ev.Old >= uint64(pacedCooldown) {
+					t.Fatalf("event %d: suppressed on cooldown with since_last=%d >= cooldown %d", ev.Seq, ev.Old, pacedCooldown)
 				}
 			case "suppressed: action paced over rate limit 3 per 20us":
 				rateLimited++
-				if ev.Old < ev.New {
-					t.Fatalf("event %d: rate-limited inside the cooldown (since_last=%d < %d)", ev.Seq, ev.Old, ev.New)
+				if ev.Old < uint64(pacedCooldown) {
+					t.Fatalf("event %d: rate-limited inside the cooldown (since_last=%d < %d)", ev.Seq, ev.Old, pacedCooldown)
 				}
 			default:
 				t.Fatalf("event %d: detail %q names neither the cooldown nor the rate limit", ev.Seq, ev.Detail)
@@ -266,7 +267,7 @@ func TestJournalRecordsEveryFirmwareVerb(t *testing.T) {
 			}},
 		{"suppressed", func() { fire(0) },
 			map[string]int{telemetry.KindTriggerSuppress: 1}, telemetry.KindTriggerSuppress, func(ev telemetry.Event) bool {
-				return ev.DS == 0 && ev.New == uint64(10*sim.Microsecond)
+				return ev.DS == 0 && ev.New == 500 && ev.Detail == "suppressed: action count on cooldown 10us"
 			}},
 		{"fired with no action", func() {
 			must(cp.InstallTrigger(7, core.Trigger{DSID: 1, Op: core.OpGT, Value: 300, Enabled: true}))

@@ -498,8 +498,9 @@ const explainDepth = 16
 // audit journal — the backing store of `pardctl policy explain` and the
 // console's `policy explain`. Each rule shows its counts and its last
 // explainDepth firings since the set's latest load or reload, oldest
-// first: an applied firing with the parameter writes it made, a
-// suppressed one with what suppressed it.
+// first, each with the statistic's value: an applied firing with the
+// parameter writes it made, a suppressed one with what suppressed it.
+// When none of those applied, the latest firing that did leads them.
 func (fw *Firmware) ExplainPolicies(name string) (string, error) {
 	names := fw.Policies()
 	if name != "" {
@@ -541,11 +542,21 @@ func (fw *Firmware) ExplainPolicies(name string) (string, error) {
 				b.WriteString("  (journal off: no firing history)\n")
 				continue
 			}
-			lines := explainFirings(pr, j, start)
+			lines, applied := explainFirings(pr, j, start)
 			if len(lines) == 0 {
 				b.WriteString("  (no firings recorded)\n")
 			}
-			for _, l := range lines[max(0, len(lines)-explainDepth):] {
+			from := max(0, len(lines)-explainDepth)
+			if applied >= 0 && applied < from {
+				// None of the lines shown applied: lead with the latest
+				// firing that did, so its writes stay in view.
+				b.WriteString(lines[applied])
+				b.WriteByte('\n')
+				if n := from - applied - 1; n > 0 {
+					fmt.Fprintf(&b, "  ... %d firings omitted\n", n)
+				}
+			}
+			for _, l := range lines[from:] {
 				b.WriteString(l)
 				b.WriteByte('\n')
 			}
@@ -555,13 +566,14 @@ func (fw *Firmware) ExplainPolicies(name string) (string, error) {
 }
 
 // explainFirings renders one line per firing of pr's trigger among
-// the journal's events from index start on, oldest first. An action's
+// the journal's events from index start on, oldest first, and returns
+// the index of the latest applied one (-1 for none). An action's
 // parameter writes follow its trigger_fired event under the same
 // origin, so each joins the line of the firing before it.
-func explainFirings(pr *policyRule, j *telemetry.Journal, start int) []string {
+func explainFirings(pr *policyRule, j *telemetry.Journal, start int) (lines []string, applied int) {
 	c := pr.c
 	op := policy.CmpSymbol(c.Op)
-	var lines []string
+	applied = -1
 	sep := "" // joins the next write onto the last line; "" drops it
 	for i := start; i < j.Len(); i++ {
 		ev := j.At(i)
@@ -570,6 +582,7 @@ func explainFirings(pr *policyRule, j *telemetry.Journal, start int) []string {
 		}
 		switch ev.Kind {
 		case telemetry.KindTriggerFired:
+			applied = len(lines)
 			lines = append(lines, fmt.Sprintf("  [%s] %s=%d %s %d -> applied",
 				FormatTick(ev.When), c.Stat, ev.New, op, c.Threshold))
 			sep = ": "
@@ -578,8 +591,8 @@ func explainFirings(pr *policyRule, j *telemetry.Journal, start int) []string {
 			if strings.Contains(ev.Detail, " over rate limit ") {
 				why = "rate limit"
 			}
-			lines = append(lines, fmt.Sprintf("  [%s] %s %s %d -> suppressed (%s)",
-				FormatTick(ev.When), c.Stat, op, c.Threshold, why))
+			lines = append(lines, fmt.Sprintf("  [%s] %s=%d %s %d -> suppressed (%s)",
+				FormatTick(ev.When), c.Stat, ev.New, op, c.Threshold, why))
 			sep = ""
 		case telemetry.KindParamWrite:
 			if sep == "" {
@@ -590,7 +603,7 @@ func explainFirings(pr *policyRule, j *telemetry.Journal, start int) []string {
 			sep = ", "
 		}
 	}
-	return lines
+	return lines, applied
 }
 
 // FormatTick renders a simulation tick (1 ps) as a human time.

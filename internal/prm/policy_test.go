@@ -330,9 +330,9 @@ rule p/guard: rule guard cpa llc ldom web: when miss_rate > 30% => waymask = 0xf
 rule p/grow: rule grow cpa llc ldom batch: when miss_rate > 300 => on mem priority += 1 max 9 cooldown 10us limit 1 per 1ms
   fired=1 suppressed=3
   [1us] miss_rate=500 > 300 -> applied: priority 0 -> 1 (cpa1 ldom1)
-  [11us] miss_rate > 300 -> suppressed (rate limit)
-  [16us] miss_rate > 300 -> suppressed (cooldown)
-  [21us] miss_rate > 300 -> suppressed (rate limit)`
+  [11us] miss_rate=500 > 300 -> suppressed (rate limit)
+  [16us] miss_rate=500 > 300 -> suppressed (cooldown)
+  [21us] miss_rate=500 > 300 -> suppressed (rate limit)`
 	if out != want {
 		t.Fatalf("explain:\n%s\nwant:\n%s", out, want)
 	}
@@ -388,6 +388,34 @@ func TestExplainShowsLastSixteenFirings(t *testing.T) {
 	}
 	if out, _ := fw.ExplainPolicies("p"); !strings.Contains(out, "fired=10 suppressed=10") {
 		t.Fatalf("explain counts:\n%s", out)
+	}
+}
+
+// TestExplainLeadsWithLatestApplied: when none of the latest
+// explainDepth firings applied, explain leads with the latest firing
+// that did, writes and all, and counts the firings it skips.
+func TestExplainLeadsWithLatestApplied(t *testing.T) {
+	e, fw, cp := policyFirmware(t)
+	src := `rule shrink cpa llc ldom web: when miss_rate > 300 => waymask -= 0xff cooldown 100us`
+	if err := fw.LoadPolicy("p", src); err != nil {
+		t.Fatal(err)
+	}
+	cp.SetStat(0, "miss_rate", 400)
+	fireStorm(e, cp, 20, sim.Microsecond) // runs on the first sample, suppressed on the rest
+	out, err := fw.ExplainPolicies("p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `  fired=1 suppressed=19
+  [2us] miss_rate=400 > 300 -> applied: waymask 0xffff -> 0xff00 (cpa0 ldom0)
+  ... 3 firings omitted
+  [6us] miss_rate=400 > 300 -> suppressed (cooldown)
+`
+	if !strings.Contains(out, want) || !strings.HasSuffix(out, "  [21us] miss_rate=400 > 300 -> suppressed (cooldown)") {
+		t.Fatalf("explain:\n%s\nwant it to hold:\n%s", out, want)
+	}
+	if n := len(explainLines(t, fw, "p")); n != explainDepth+1 {
+		t.Fatalf("explain shows %d firings, want %d", n, explainDepth+1)
 	}
 }
 

@@ -85,28 +85,6 @@ func (fw *Firmware) Sh(cmdline string) (string, error) {
 	return "", fmt.Errorf("prm: unknown command %q", fields[0])
 }
 
-// ShScript executes a multi-line operator script: one command per
-// line, `#` comments and blank lines ignored, stopping at the first
-// failing command. It returns the concatenated non-empty outputs —
-// the programmatic form of the paper's Example 2 shell scripts.
-func (fw *Firmware) ShScript(script string) (string, error) {
-	var outputs []string
-	for lineNo, line := range strings.Split(script, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		out, err := fw.Sh(line)
-		if err != nil {
-			return strings.Join(outputs, "\n"), fmt.Errorf("prm: line %d (%q): %w", lineNo+1, line, err)
-		}
-		if out != "" {
-			outputs = append(outputs, out)
-		}
-	}
-	return strings.Join(outputs, "\n"), nil
-}
-
 // MustSh is Sh that panics on error; for examples and experiment
 // harnesses where a failed operator command is a setup bug.
 func (fw *Firmware) MustSh(cmdline string) string {

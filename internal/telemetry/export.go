@@ -6,6 +6,7 @@ import (
 	"io"
 	"strings"
 
+	"repro/internal/metric"
 	"repro/internal/sim"
 )
 
@@ -131,9 +132,10 @@ func WriteJournalJSON(w io.Writer, r *Registry, j *Journal, since uint64, limit 
 // sparkGlyphs match metric.Series.Sparkline's ramp.
 var sparkGlyphs = []rune("▁▂▃▄▅▆▇█")
 
-// spark renders a series' samples as a fixed-width sparkline.
-func spark(s *Series, width int) string {
-	if s.Len() == 0 {
+// spark renders a series' latest samples as a sparkline at most width
+// glyphs wide, scaled between their minimum and maximum.
+func spark(s *metric.Series, width int) string {
+	if s == nil || s.Len() == 0 {
 		return ""
 	}
 	start := 0
@@ -161,30 +163,50 @@ func spark(s *Series, width int) string {
 	return b.String()
 }
 
-// TopText renders the latest value of every series matching prefix as
-// an aligned console table with sparklines — the `top` console command
-// and `pardctl top` view.
-func TopText(r *Registry, prefix string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-36s %14s  %s\n", "SERIES", "LAST", "TREND")
-	n := 0
-	for _, s := range r.Series() {
-		if !strings.HasPrefix(s.Name(), prefix) {
-			continue
-		}
-		last, ok := s.Last()
-		if !ok {
-			continue
-		}
-		fmt.Fprintf(&b, "%-36s %14g  %s\n", s.Name(), last.Value, spark(s, 32))
-		n++
+// Top is a top view under construction: an aligned console table of
+// latest values with sparklines, keeping the rows whose name starts
+// with Prefix. The `top` console command, `pardctl top` and the
+// cluster controller's view all render through it.
+type Top struct {
+	Prefix string
+	rows   strings.Builder
+	n      int
+}
+
+// Row adds the row name = v, with trend's latest samples as its
+// sparkline; a nil trend leaves the TREND column empty.
+func (t *Top) Row(name string, v float64, trend *metric.Series) {
+	if !strings.HasPrefix(name, t.Prefix) {
+		return
 	}
-	if n == 0 {
+	fmt.Fprintf(&t.rows, "%-36s %14g", name, v)
+	if sp := spark(trend, 32); sp != "" {
+		t.rows.WriteString("  " + sp)
+	}
+	t.rows.WriteByte('\n')
+	t.n++
+}
+
+// Text returns the table, its footer stamped with the scrape count and
+// interval of the registries the rows came from and the sim time.
+func (t *Top) Text(scrapes uint64, interval, now sim.Tick) string {
+	if t.n == 0 {
 		return "no telemetry series (is telemetry enabled and has the sim run?)\n"
 	}
-	fmt.Fprintf(&b, "%d series, %d scrapes, interval %d ticks, sim time %d\n",
-		n, r.Scrapes(), r.Interval(), r.Now())
-	return b.String()
+	return fmt.Sprintf("%-36s %14s  %s\n%s%d series, %d scrapes, interval %d ticks, sim time %d\n",
+		"SERIES", "LAST", "TREND", t.rows.String(), t.n, scrapes, interval, now)
+}
+
+// TopText renders the latest value of every series matching prefix —
+// the `top` console command and `pardctl top` view.
+func TopText(r *Registry, prefix string) string {
+	t := Top{Prefix: prefix}
+	for _, s := range r.Series() {
+		if last, ok := s.Last(); ok {
+			t.Row(s.Name(), last.Value, s)
+		}
+	}
+	return t.Text(r.Scrapes(), r.Interval(), r.Now())
 }
 
 // JournalText renders the newest n retained events (all when n <= 0),
@@ -224,7 +246,7 @@ func JournalText(j *Journal, n int) string {
 		case KindTriggerFired:
 			fmt.Fprintf(&b, " value=%d", ev.New)
 		case KindTriggerSuppress:
-			fmt.Fprintf(&b, " since_last=%d cooldown=%d", ev.Old, ev.New)
+			fmt.Fprintf(&b, " value=%d since_last=%d", ev.New, ev.Old)
 		}
 		if ev.Detail != "" {
 			fmt.Fprintf(&b, " (%s)", ev.Detail)

@@ -39,9 +39,11 @@ const (
 
 // Event is one audit-journal entry. The numeric Old/New pair is
 // kind-specific: for param_write it is the displaced and stored value;
-// for trigger_suppressed Old is ticks since the binding last ran and
-// New is the cooldown window that suppressed it. An error event carries
-// its message in Detail.
+// for trigger_fired and trigger_suppressed New is the statistic's value
+// the trigger saw, and a suppression's Old is ticks since the binding
+// last ran while its Detail names what suppressed it (the cooldown
+// window or the rate limit). An error event carries its message in
+// Detail.
 type Event struct {
 	Seq    uint64    `json:"seq"`
 	When   sim.Tick  `json:"when"`

@@ -28,63 +28,39 @@ type Registry struct {
 	planes []*planeSource
 	gauges []*gauge
 
-	series  []*Series // every series, in creation order
+	series  []*metric.Series // every series, in creation order
 	scrapes uint64
 	started bool
 }
 
 // planeSource scrapes one control plane's statistics table plus any
-// per-LDom gauge templates attached to it.
+// per-LDom gauge templates attached to it. Each DS-id the plane has
+// had a row for owns one series list: its statistics columns in table
+// layout order, then one series per template in attachment order.
 type planeSource struct {
 	prefix string
 	plane  *core.Plane
+	tmpls  []gaugeTemplate
 	synced bool
 	gen    uint64 // stats-table generation the caches were built against
 
-	rows  []core.DSID
-	rings [][]*Series // parallel to rows, one series per stat column
-	byDS  map[core.DSID][]*Series
-	tmpls []*gaugeTemplate
+	rows   []core.DSID
+	active [][]*metric.Series // parallel to rows
+	byDS   [][]*metric.Series // indexed by DS-id
 }
 
 // gaugeTemplate is a per-LDom numeric gauge (e.g. a latency percentile
 // read from the trace recorder) instantiated for every row the source
 // currently has.
 type gaugeTemplate struct {
-	name   string
-	read   func(core.DSID) float64
-	byDS   map[core.DSID]*Series
-	active []*Series // parallel to the source's rows
+	name string
+	read func(core.DSID) float64
 }
 
 // gauge is a scalar source sampled once per scrape.
 type gauge struct {
-	series *Series
+	series *metric.Series
 	read   func() float64
-}
-
-// Series is one named time series: a fixed-capacity ring of samples.
-// When full, recording displaces the oldest sample and counts it in
-// Dropped.
-type Series struct {
-	name string
-	metric.Ring[metric.Sample]
-}
-
-// newSeries returns an empty series holding at most capacity samples.
-func newSeries(name string, capacity int) *Series {
-	//pardlint:ignore hotalloc constructor: one series per registered name, at registration or first sight of a DS-id
-	return &Series{name: name, Ring: *metric.NewRing[metric.Sample](capacity)}
-}
-
-// Name returns the series name.
-func (s *Series) Name() string { return s.name }
-
-// Record appends a sample. It never allocates, and it stays within the
-// compiler's inlining budget so the scrape loop carries no call per
-// sample: it writes through Next rather than building a Push argument.
-func (s *Series) Record(when sim.Tick, v float64) {
-	*s.Next() = metric.Sample{When: when, Value: v}
 }
 
 // NewRegistry returns a registry scraping every interval ticks into
@@ -102,11 +78,7 @@ func NewRegistry(eng *sim.Engine, interval sim.Tick, capacity int) *Registry {
 // column of every current and future row is scraped as
 // "<prefix>.ds<id>.<column>".
 func (r *Registry) AddPlane(prefix string, p *core.Plane) {
-	r.planes = append(r.planes, &planeSource{
-		prefix: prefix,
-		plane:  p,
-		byDS:   make(map[core.DSID][]*Series),
-	})
+	r.planes = append(r.planes, &planeSource{prefix: prefix, plane: p})
 }
 
 // AddPlaneGauge attaches a per-LDom gauge to a previously added plane
@@ -116,11 +88,7 @@ func (r *Registry) AddPlane(prefix string, p *core.Plane) {
 func (r *Registry) AddPlaneGauge(prefix, name string, read func(core.DSID) float64) {
 	for _, src := range r.planes {
 		if src.prefix == prefix {
-			src.tmpls = append(src.tmpls, &gaugeTemplate{
-				name: name,
-				read: read,
-				byDS: make(map[core.DSID]*Series),
-			})
+			src.tmpls = append(src.tmpls, gaugeTemplate{name: name, read: read})
 			src.synced = false // force a resync to instantiate existing rows
 			return
 		}
@@ -130,8 +98,8 @@ func (r *Registry) AddPlaneGauge(prefix, name string, read func(core.DSID) float
 
 // AddGauge registers a scalar gauge sampled once per scrape and returns
 // its series.
-func (r *Registry) AddGauge(name string, read func() float64) *Series {
-	s := newSeries(name, r.capacity)
+func (r *Registry) AddGauge(name string, read func() float64) *metric.Series {
+	s := metric.NewSeries(name, r.capacity)
 	r.gauges = append(r.gauges, &gauge{series: s, read: read})
 	r.series = append(r.series, s)
 	return s
@@ -178,42 +146,41 @@ func (r *Registry) maybeResync() {
 	}
 }
 
-// resync rebuilds one source's caches. Rings persist across resyncs —
-// a destroyed LDom's series stops updating but keeps its history; a
-// recreated DS-id resumes its old ring.
+// resync rebuilds one source's caches. Series persist across resyncs —
+// a destroyed LDom's series stop updating but keep their history; a
+// recreated DS-id resumes its old series.
 func (r *Registry) resync(src *planeSource) {
-	src.rows = src.rows[:0]
-	src.rows = src.plane.Stats().AppendRows(src.rows)
+	src.rows = src.plane.Stats().AppendRows(src.rows[:0])
 	cols := src.plane.Stats().Columns()
-	src.rings = src.rings[:0]
-	for _, t := range src.tmpls {
-		t.active = t.active[:0]
-	}
+	src.active = src.active[:0]
 	for _, ds := range src.rows {
-		rowRings, ok := src.byDS[ds]
-		if !ok {
+		src.byDS = core.GrowTo(src.byDS, ds)
+		list := src.byDS[ds]
+		if list == nil {
 			//pardlint:ignore hotalloc first sight of a DS-id: resync runs on stat-table generation change (LDom create/destroy), not per scrape
-			rowRings = make([]*Series, len(cols))
-			for ci, c := range cols {
-				//pardlint:ignore hotalloc first sight of a DS-id: one series per (DS-id, column), bounded by LDom count
-				ring := newSeries(fmt.Sprintf("%s.ds%d.%s", src.prefix, ds, c.Name), r.capacity)
-				rowRings[ci] = ring
-				r.series = append(r.series, ring)
+			list = make([]*metric.Series, 0, len(cols)+len(src.tmpls))
+			for _, c := range cols {
+				//pardlint:ignore hotalloc first sight of a DS-id: fills the capacity made above
+				list = append(list, r.rowSeries(src, ds, c.Name))
 			}
-			src.byDS[ds] = rowRings
 		}
-		src.rings = append(src.rings, rowRings)
-		for _, t := range src.tmpls {
-			g, ok := t.byDS[ds]
-			if !ok {
-				//pardlint:ignore hotalloc first sight of a DS-id: one gauge series per (DS-id, template), bounded by LDom count
-				g = newSeries(fmt.Sprintf("%s.ds%d.%s", src.prefix, ds, t.name), r.capacity)
-				t.byDS[ds] = g
-				r.series = append(r.series, g)
-			}
-			t.active = append(t.active, g)
+		// Templates the row has no series for yet: all of them at first
+		// sight, else those attached since its last resync.
+		for _, t := range src.tmpls[len(list)-len(cols):] {
+			//pardlint:ignore hotalloc first sight of a (DS-id, template) pair: bounded by LDom count times templates
+			list = append(list, r.rowSeries(src, ds, t.name))
 		}
+		src.byDS[ds] = list
+		src.active = append(src.active, list)
 	}
+}
+
+// rowSeries creates the series "<prefix>.ds<id>.<name>".
+func (r *Registry) rowSeries(src *planeSource, ds core.DSID, name string) *metric.Series {
+	//pardlint:ignore hotalloc first sight of a DS-id: one series per (DS-id, column or template), bounded by LDom count
+	s := metric.NewSeries(fmt.Sprintf("%s.ds%d.%s", src.prefix, ds, name), r.capacity)
+	r.series = append(r.series, s)
+	return s
 }
 
 // scrape samples every source at now. This is the telemetry hot path:
@@ -224,17 +191,18 @@ func (r *Registry) resync(src *planeSource) {
 func (r *Registry) scrape(now sim.Tick) {
 	for _, src := range r.planes {
 		st := src.plane.Stats()
+		ncols := st.NumColumns()
 		for ri, ds := range src.rows {
-			rowRings := src.rings[ri]
-			for ci := range rowRings {
+			row := src.active[ri]
+			for ci, s := range row[:ncols] {
 				v, err := st.Get(ds, ci)
 				if err != nil {
 					continue
 				}
-				rowRings[ci].Record(now, float64(v))
+				s.Record(now, float64(v))
 			}
-			for _, t := range src.tmpls {
-				t.active[ri].Record(now, t.read(ds))
+			for ti, s := range row[ncols:] {
+				s.Record(now, src.tmpls[ti].read(ds))
 			}
 		}
 	}
@@ -245,10 +213,10 @@ func (r *Registry) scrape(now sim.Tick) {
 
 // Series returns every series in creation order. The slice is the
 // registry's own — callers must not mutate it.
-func (r *Registry) Series() []*Series { return r.series }
+func (r *Registry) Series() []*metric.Series { return r.series }
 
 // Find returns the series with the given name, or nil.
-func (r *Registry) Find(name string) *Series {
+func (r *Registry) Find(name string) *metric.Series {
 	for _, s := range r.series {
 		if s.Name() == name {
 			return s

@@ -262,7 +262,7 @@ func TestTextViews(t *testing.T) {
 	r.AddGauge("g", func() float64 { return 3 })
 	r.Scrape()
 	j.Record(Event{Kind: KindParamWrite, Origin: "console", Plane: "cpa0", Name: "waymask", Old: 1, New: 2})
-	j.Record(Event{Kind: KindTriggerSuppress, Origin: "policy:p/r", Plane: "cpa0", Name: "miss_rate", Old: 3, New: 10, Detail: "suppressed: action a on cooldown"})
+	j.Record(Event{Kind: KindTriggerSuppress, Origin: "policy:p/r", Plane: "cpa0", Name: "miss_rate", Old: 3, New: 746, Detail: "suppressed: action a on cooldown 10ps"})
 	j.Record(Event{Kind: KindTriggerFired, Origin: "console", Plane: "cpa0", Name: "miss_rate", New: 1000, Detail: "action a"})
 
 	top := TopText(r, "")
@@ -270,12 +270,12 @@ func TestTextViews(t *testing.T) {
 		t.Fatalf("TopText:\n%s", top)
 	}
 	jt := JournalText(j, 0)
-	if !strings.Contains(jt, "1->2") || !strings.Contains(jt, "since_last=3 cooldown=10") {
+	if !strings.Contains(jt, "1->2") || !strings.Contains(jt, "value=746 since_last=3 (suppressed: action a on cooldown 10ps)") {
 		t.Fatalf("JournalText:\n%s", jt)
 	}
-	// Trigger events name their LDom even when it is ds0, and a firing
-	// shows the statistic's value.
-	if !strings.Contains(jt, "ds=0 name=miss_rate since_last=3") ||
+	// Trigger events name their LDom even when it is ds0, and both a
+	// firing and a suppression show the statistic's value.
+	if !strings.Contains(jt, "ds=0 name=miss_rate value=746 since_last=3") ||
 		!strings.Contains(jt, "ds=0 name=miss_rate value=1000 (action a)") {
 		t.Fatalf("JournalText trigger lines:\n%s", jt)
 	}

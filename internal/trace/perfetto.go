@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"repro/internal/core"
+	"repro/internal/metric"
 	"repro/internal/sim"
 )
 
@@ -17,7 +18,9 @@ import (
 //     "packet", id = packet ID) covering issue→completion on the
 //     issuing hop's track;
 //   - per hop span, one complete event ("X") on that hop's track with
-//     args carrying the DS-id and the queue/service split in ticks.
+//     args carrying the DS-id and the queue/service split in ticks;
+//   - per telemetry series passed in, one counter track ("C") in a
+//     second process ("pard-telemetry").
 //
 // Events are colored by DS-id from Chrome's reserved palette so two
 // LDoms' packets are visually separable.
@@ -40,20 +43,6 @@ type perfettoDoc struct {
 	DisplayTimeUnit string          `json:"displayTimeUnit"`
 }
 
-// CounterPoint is one sample on a Perfetto counter track.
-type CounterPoint struct {
-	Ts    sim.Tick
-	Value float64
-}
-
-// CounterTrack is a named time series rendered as a Perfetto counter
-// ("C" events) alongside the packet spans — the bridge from the
-// telemetry registry's rings into the trace UI.
-type CounterTrack struct {
-	Name   string
-	Points []CounterPoint
-}
-
 // dsPalette indexes Chrome's reserved color names by DS-id.
 var dsPalette = [...]string{
 	"good", "rail_response", "yellow", "rail_animation",
@@ -68,15 +57,11 @@ func us(t sim.Tick) float64 { return float64(t) / 1e6 }
 
 // WritePerfetto exports the archived traces as Chrome/Perfetto
 // trace-event JSON and returns the number of packet traces written.
-func (r *Recorder) WritePerfetto(w io.Writer) (int, error) {
-	return r.WritePerfettoWith(w, nil)
-}
-
-// WritePerfettoWith is WritePerfetto plus counter tracks: each track
-// renders as a "C" event series in a second process ("pard-telemetry"),
-// so plane statistics scraped by the telemetry registry line up
-// time-axis-aligned under the packet spans they explain.
-func (r *Recorder) WritePerfettoWith(w io.Writer, counters []CounterTrack) (int, error) {
+// Each non-empty series, read in place, renders as a "C" counter track
+// in a second process ("pard-telemetry"), so plane statistics scraped
+// by the telemetry registry line up time-axis-aligned under the packet
+// spans they explain; with no samples there is no second process.
+func (r *Recorder) WritePerfetto(w io.Writer, series []*metric.Series) (int, error) {
 	if r == nil {
 		return 0, fmt.Errorf("trace: recorder not enabled")
 	}
@@ -131,18 +116,21 @@ func (r *Recorder) WritePerfettoWith(w io.Writer, counters []CounterTrack) (int,
 			Ts: us(t.End), ID: id, Cname: col, Args: ends,
 		})
 	}
-	if len(counters) > 0 {
-		events = append(events, perfettoEvent{
-			Name: "process_name", Ph: "M", Pid: 2,
-			Args: map[string]any{"name": "pard-telemetry"},
-		})
-		for _, ct := range counters {
-			for _, pt := range ct.Points {
+	counters := false
+	for _, sr := range series {
+		for i := 0; i < sr.Len(); i++ {
+			if !counters {
 				events = append(events, perfettoEvent{
-					Name: ct.Name, Cat: "telemetry", Ph: "C", Pid: 2,
-					Ts: us(pt.Ts), Args: map[string]any{"value": pt.Value},
+					Name: "process_name", Ph: "M", Pid: 2,
+					Args: map[string]any{"name": "pard-telemetry"},
 				})
+				counters = true
 			}
+			smp := sr.At(i)
+			events = append(events, perfettoEvent{
+				Name: sr.Name(), Cat: "telemetry", Ph: "C", Pid: 2,
+				Ts: us(smp.When), Args: map[string]any{"value": smp.Value},
+			})
 		}
 	}
 	enc := json.NewEncoder(w)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/metric"
 	"repro/internal/sim"
 )
 
@@ -300,7 +301,7 @@ func TestWritePerfettoStructure(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	n, err := r.WritePerfetto(&buf)
+	n, err := r.WritePerfetto(&buf, nil)
 	if err != nil || n != 3 {
 		t.Fatalf("WritePerfetto = %d, %v", n, err)
 	}
@@ -362,6 +363,24 @@ func TestWritePerfettoStructure(t *testing.T) {
 		}
 		if !found {
 			t.Fatalf("no async window for packet %v", pkt)
+		}
+	}
+}
+
+// WritePerfetto reads counter tracks from the series it is passed: an
+// empty series writes no counter events, and with no samples to write
+// there is no pard-telemetry process. The pard perfetto golden pins a
+// populated export.
+func TestWritePerfettoSkipsEmptySeries(t *testing.T) {
+	r := NewRecorder(sim.NewEngine(), 1)
+	r.RegisterHop("cpu0")
+	for _, series := range [][]*metric.Series{nil, {metric.NewSeries("cpa0.ds0.miss_rate", 4)}} {
+		var buf bytes.Buffer
+		if _, err := r.WritePerfetto(&buf, series); err != nil {
+			t.Fatal(err)
+		}
+		if out := buf.String(); strings.Contains(out, `"ph":"C"`) || strings.Contains(out, "pard-telemetry") {
+			t.Fatalf("%d series with no samples wrote counter events:\n%s", len(series), out)
 		}
 	}
 }

@@ -108,59 +108,3 @@ func NewLeslie3d(base uint64) *Stream {
 func NewSTREAM(base uint64) *Stream {
 	return &Stream{Base: base, Footprint: 4 << 20, Compute: 4}
 }
-
-// PointerChase models linked-data-structure traversal (429.mcf-like):
-// each load's address depends on the previous one, so memory latency —
-// not bandwidth — bounds progress. The chain is a deterministic
-// permutation of the footprint's blocks generated from Seed.
-type PointerChase struct {
-	Base      uint64
-	Footprint uint64
-	Compute   uint64 // cycles between dependent loads
-	Seed      int64
-
-	cur uint64 // current block index
-	r   *randSource
-	gap bool
-}
-
-// Next returns the next dependent load.
-func (p *PointerChase) Next(sim.Tick) Op {
-	if p.r == nil {
-		seed := uint64(p.Seed)
-		if seed == 0 {
-			seed = 0xD1B54A32D192ED03
-		}
-		//pardlint:ignore hotalloc lazy PRNG init: once per generator lifetime
-		p.r = &randSource{s: seed}
-	}
-	if p.Compute > 0 && !p.gap {
-		p.gap = true
-		return Op{Kind: OpCompute, Cycles: p.Compute}
-	}
-	p.gap = false
-	blocks := p.Footprint / 64
-	// The "pointer" stored at the current node: a deterministic
-	// pseudo-random successor. Using the PRNG keyed by position keeps
-	// the chain reproducible without materializing it.
-	p.cur = (p.cur*6364136223846793005 + p.r.next()%blocks) % blocks
-	return Op{Kind: OpLoad, Addr: p.Base + p.cur*64}
-}
-
-// NewMCF returns a 429.mcf proxy: pointer-heavy, latency-bound, with a
-// footprint well beyond the LLC.
-func NewMCF(base uint64) *PointerChase {
-	return &PointerChase{Base: base, Footprint: 32 << 20, Compute: 3}
-}
-
-// NewLibquantum returns a 462.libquantum proxy: pure streaming over a
-// large array with almost no compute between touches.
-func NewLibquantum(base uint64) *Stream {
-	return &Stream{Base: base, Footprint: 16 << 20, Compute: 1}
-}
-
-// NewPovray returns a 453.povray proxy: compute-bound with a small hot
-// footprint that lives in the upper cache levels.
-func NewPovray(base uint64) *Stream {
-	return &Stream{Base: base, Footprint: 256 << 10, Compute: 40}
-}

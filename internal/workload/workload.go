@@ -78,48 +78,5 @@ func (f *Finite) Next(now sim.Tick) Op {
 	return f.Gen.Next(now)
 }
 
-// Sequence runs generators back to back: each inner generator runs
-// until it returns OpDone, then the next takes over. The sequence ends
-// when the last one does. Use it to script phased scenarios (boot, then
-// serve; load dataset, then benchmark).
-type Sequence struct {
-	Gens []Generator
-	idx  int
-}
-
-// Next forwards to the current generator, advancing on OpDone.
-func (s *Sequence) Next(now sim.Tick) Op {
-	for s.idx < len(s.Gens) {
-		op := s.Gens[s.idx].Next(now)
-		if op.Kind != OpDone {
-			return op
-		}
-		s.idx++
-	}
-	return Op{Kind: OpDone}
-}
-
-// Delayed idles for Delay ticks (from first Next), then runs Gen. It
-// models an LDom whose application starts after OS boot.
-type Delayed struct {
-	Delay sim.Tick
-	Gen   Generator
-
-	started bool
-	startAt sim.Tick
-}
-
-// Next idles until the delay elapses, then forwards.
-func (d *Delayed) Next(now sim.Tick) Op {
-	if !d.started {
-		d.started = true
-		d.startAt = now
-	}
-	if now < d.startAt+d.Delay {
-		return Op{Kind: OpIdle, Cycles: idleCycles(d.startAt + d.Delay - now)}
-	}
-	return d.Gen.Next(now)
-}
-
 // newRand returns the deterministic PRNG used by all generators.
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

@@ -35,40 +35,6 @@ func TestFiniteEnds(t *testing.T) {
 	}
 }
 
-func TestSequenceChainsGenerators(t *testing.T) {
-	s := &Sequence{Gens: []Generator{
-		&Finite{Gen: &Spin{Quantum: 1}, N: 2},
-		&Finite{Gen: &Stream{Base: 0, Footprint: 1 << 16}, N: 3},
-	}}
-	var kinds []OpKind
-	for i := 0; i < 6; i++ {
-		kinds = append(kinds, s.Next(0).Kind)
-	}
-	if kinds[0] != OpCompute || kinds[1] != OpCompute {
-		t.Fatalf("first phase wrong: %v", kinds)
-	}
-	if kinds[2] == OpDone || kinds[5] != OpDone {
-		t.Fatalf("phase transition wrong: %v", kinds)
-	}
-	if s.Next(0).Kind != OpDone {
-		t.Fatal("OpDone not sticky")
-	}
-}
-
-func TestDelayedIdlesThenRuns(t *testing.T) {
-	d := &Delayed{Delay: 10 * sim.Microsecond, Gen: &Spin{Quantum: 7}}
-	op := d.Next(sim.Microsecond) // first call stamps start
-	if op.Kind != OpIdle {
-		t.Fatalf("op during delay = %+v", op)
-	}
-	if op := d.Next(5 * sim.Microsecond); op.Kind != OpIdle {
-		t.Fatalf("op during delay = %+v", op)
-	}
-	if op := d.Next(12 * sim.Microsecond); op.Kind != OpCompute || op.Cycles != 7 {
-		t.Fatalf("op after delay = %+v", op)
-	}
-}
-
 func TestStreamTriadPattern(t *testing.T) {
 	s := &Stream{Base: 0x1000, Footprint: 1 << 20, Compute: 2}
 	var kinds []OpKind
@@ -143,50 +109,6 @@ func TestSpecProxiesDiffer(t *testing.T) {
 	}
 	if lbm.Compute >= leslie.Compute {
 		t.Fatal("lbm proxy should be more memory-intensive (less compute)")
-	}
-}
-
-func TestPointerChaseStaysInFootprintAndIsDeterministic(t *testing.T) {
-	run := func() []uint64 {
-		p := &PointerChase{Base: 1 << 20, Footprint: 1 << 18, Compute: 2, Seed: 9}
-		var addrs []uint64
-		for i := 0; i < 200; i++ {
-			op := p.Next(0)
-			if op.Kind == OpLoad {
-				if op.Addr < 1<<20 || op.Addr >= 1<<20+1<<18 {
-					t.Fatalf("address %#x outside footprint", op.Addr)
-				}
-				addrs = append(addrs, op.Addr)
-			}
-		}
-		return addrs
-	}
-	a, b := run(), run()
-	if len(a) == 0 || len(a) != len(b) {
-		t.Fatalf("lengths %d/%d", len(a), len(b))
-	}
-	distinct := map[uint64]bool{}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("pointer chase not deterministic")
-		}
-		distinct[a[i]] = true
-	}
-	if len(distinct) < len(a)/2 {
-		t.Fatalf("chain too repetitive: %d distinct of %d", len(distinct), len(a))
-	}
-}
-
-func TestSpecProxyCharacters(t *testing.T) {
-	// The proxies' defining characteristics, coarsely.
-	if NewMCF(0).Footprint <= NewLibquantum(0).Footprint/2 {
-		t.Fatal("mcf should have a large footprint")
-	}
-	if NewPovray(0).Compute <= NewLibquantum(0).Compute {
-		t.Fatal("povray should be compute-bound relative to libquantum")
-	}
-	if NewPovray(0).Footprint >= NewLibquantum(0).Footprint {
-		t.Fatal("povray should have the small footprint")
 	}
 }
 

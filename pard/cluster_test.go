@@ -211,7 +211,6 @@ func TestClusterIntentMatchesHandWrittenPolicies(t *testing.T) {
 	if !strings.Contains(txt, "cluster:memtier") {
 		t.Fatalf("server journal lacks cluster origin:\n%s", txt)
 	}
-	ic.Controller.Collect()
 	top := ic.Controller.TopText("cluster")
 	if !strings.Contains(top, "cluster.prm.triggers_handled") {
 		t.Fatalf("aggregated series missing:\n%s", top)

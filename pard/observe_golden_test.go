@@ -80,7 +80,7 @@ func TestObservationGoldens(t *testing.T) {
 		{"policy explain", console("policy explain llc_guard"), "240a0e80ae083221"},
 		{"log", console("log"), "124becb35d383975"},
 		{"perfetto", render(func(b *bytes.Buffer) error {
-			_, err := s.Recorder.WritePerfettoWith(b, s.CounterTracks())
+			_, err := s.Recorder.WritePerfetto(b, s.Telemetry.Series())
 			return err
 		}), "e8df01889c281390"},
 		// The built-in guard's repartition, journaled in DS-id order

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // The telemetry stores' bounds: samples retained per series and audit
@@ -61,26 +60,4 @@ func (s *System) attachTelemetry() {
 	})
 
 	s.Telemetry.Start()
-}
-
-// CounterTracks converts every telemetry series into a Perfetto
-// counter track for Recorder.WritePerfettoWith, so scraped plane
-// statistics render time-axis-aligned under the packet spans. Returns
-// nil when telemetry is disabled.
-func (s *System) CounterTracks() []trace.CounterTrack {
-	if s.Telemetry == nil {
-		return nil
-	}
-	var tracks []trace.CounterTrack
-	for _, ring := range s.Telemetry.Series() {
-		ct := trace.CounterTrack{Name: ring.Name()}
-		for i := 0; i < ring.Len(); i++ {
-			sm := ring.At(i)
-			ct.Points = append(ct.Points, trace.CounterPoint{Ts: sm.When, Value: sm.Value})
-		}
-		if len(ct.Points) > 0 {
-			tracks = append(tracks, ct)
-		}
-	}
-	return tracks
 }

@@ -113,7 +113,7 @@ func TestFlightRecorderPerfettoExport(t *testing.T) {
 	sys.Run(Millisecond)
 
 	var buf bytes.Buffer
-	n, err := sys.Recorder.WritePerfetto(&buf)
+	n, err := sys.Recorder.WritePerfetto(&buf, nil)
 	if err != nil || n == 0 {
 		t.Fatalf("WritePerfetto = %d, %v", n, err)
 	}
